@@ -141,8 +141,16 @@ class PowerLimits:
     max_per_user_ul: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.max_total_dl <= 0.0 or self.max_per_user_ul <= 0.0:
-            raise ValueError(f"power limits must be positive, got {self}")
+        problems = [
+            f"{name} must be positive (inf for no cap), got {value}"
+            for name, value in (
+                ("max_total_dl", self.max_total_dl),
+                ("max_per_user_ul", self.max_per_user_ul),
+            )
+            if not value > 0.0  # also rejects NaN
+        ]
+        if problems:
+            raise ValueError("invalid power limits: " + "; ".join(problems))
 
 
 def _rate_factor(rate: float) -> float:

@@ -23,6 +23,7 @@ __all__ = [
     "lambertian_order",
     "lens_gain",
     "channel_gain",
+    "los_gain",
 ]
 
 
@@ -95,18 +96,20 @@ class OpticalFrontEnd:
         problems = []
         if not 0.0 < self.semi_angle_deg < 90.0:
             problems.append(f"semi_angle_deg must be in (0, 90), got {self.semi_angle_deg}")
-        if self.responsivity <= 0.0:
-            problems.append(f"responsivity must be positive, got {self.responsivity}")
-        if self.area <= 0.0:
-            problems.append(f"area must be positive, got {self.area}")
+        if not 0.0 < self.responsivity < math.inf:
+            problems.append(f"responsivity must be positive and finite, got {self.responsivity}")
+        if not 0.0 < self.area < math.inf:
+            problems.append(f"area must be positive and finite, got {self.area}")
         if not 0.0 < self.fov_half_angle_deg < 90.0:
             problems.append(
                 f"fov_half_angle_deg must be in (0, 90), got {self.fov_half_angle_deg}"
             )
         if not 0.0 < self.filter_gain <= 1.0:
             problems.append(f"filter_gain must be in (0, 1], got {self.filter_gain}")
-        if self.refractive_index < 1.0:
-            problems.append(f"refractive_index must be >= 1, got {self.refractive_index}")
+        if not 1.0 <= self.refractive_index < math.inf:
+            problems.append(
+                f"refractive_index must be >= 1 and finite, got {self.refractive_index}"
+            )
         if problems:
             raise ValueError("invalid optical front end: " + "; ".join(problems))
 
@@ -128,6 +131,15 @@ class OpticalFrontEnd:
             * self.filter_gain
             * self.lens_gain
             / (2.0 * math.pi)
+        )
+
+    @property
+    def gain_terms(self) -> tuple[float, float, float]:
+        """``(tan(FOV), m + 1, C)``: the per-front-end arguments of :func:`los_gain`."""
+        return (
+            math.tan(math.radians(self.fov_half_angle_deg)),
+            self.lambertian_order + 1.0,
+            self.channel_constant,
         )
 
 
@@ -162,6 +174,25 @@ class UserPosition:
         return math.atan(self.horizontal / self.vertical)
 
 
+def los_gain(
+    vertical: float, horizontal: float, tan_fov: float, exponent: float, constant: float
+) -> float:
+    """LOS gain of one device from plain floats; see :func:`channel_gain`.
+
+    ``tan_fov``, ``exponent`` and ``constant`` are a front end's
+    :attr:`OpticalFrontEnd.gain_terms`. This is the one place the gain is
+    computed: the batched engine maps it over whole arrays of distances, so
+    both paths agree to the last bit (``math.cos``/``math.atan`` and NumPy's
+    vectorized versions may round differently).
+    """
+    ratio = horizontal / vertical
+    if ratio > tan_fov:
+        return 0.0
+    attenuation = math.cos(math.atan(ratio)) ** exponent
+    reach = vertical * vertical + horizontal * horizontal
+    return constant / reach * attenuation
+
+
 def channel_gain(position: UserPosition, front_end: OpticalFrontEnd) -> float:
     """LOS channel gain between the access point and one device.
 
@@ -176,12 +207,7 @@ def channel_gain(position: UserPosition, front_end: OpticalFrontEnd) -> float:
     Returns:
         Dimensionless gain, >= 0; independent of ``position.polar_angle``.
     """
-    ratio = position.horizontal / position.vertical
-    if ratio > math.tan(math.radians(front_end.fov_half_angle_deg)):
-        return 0.0
-    attenuation = math.cos(math.atan(ratio)) ** (front_end.lambertian_order + 1.0)
-    reach = position.vertical * position.vertical + position.horizontal * position.horizontal
-    return front_end.channel_constant / reach * attenuation
+    return los_gain(position.vertical, position.horizontal, *front_end.gain_terms)
 
 
 @dataclass(frozen=True)
@@ -197,10 +223,10 @@ class NoiseModel:
     bandwidth: float = 2e7
 
     def __post_init__(self) -> None:
-        if self.psd <= 0.0:
-            raise ValueError(f"noise PSD must be positive, got {self.psd}")
-        if self.bandwidth <= 0.0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth}")
+        if not 0.0 < self.psd < math.inf:
+            raise ValueError(f"noise PSD must be positive and finite, got {self.psd}")
+        if not 0.0 < self.bandwidth < math.inf:
+            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
 
     @property
     def noise_power(self) -> float:

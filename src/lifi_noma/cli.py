@@ -87,6 +87,16 @@ _ALL_KEYS = (
 )
 
 
+def _parse_float(field: str, text: str, line_no: int) -> float:
+    try:
+        value = float(text)  # accepts 'inf' for the power caps
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise ScenarioParseError(f"line {line_no}: field {field!r}: not a number: {text!r}")
+    return value
+
+
 def _parse_scalar(field: str, text: str, line_no: int):
     if field in _INT_KEYS:
         try:
@@ -96,12 +106,7 @@ def _parse_scalar(field: str, text: str, line_no: int):
                 f"line {line_no}: field {field!r}: not an integer: {text!r}"
             ) from None
     if field in _FLOAT_KEYS:
-        try:
-            return float(text)  # accepts 'inf' for the power caps
-        except ValueError:
-            raise ScenarioParseError(
-                f"line {line_no}: field {field!r}: not a number: {text!r}"
-            ) from None
+        return _parse_float(field, text, line_no)
     if field in _BOOL_KEYS:
         lowered = text.lower()
         if lowered in ("true", "yes", "1"):
@@ -117,15 +122,7 @@ def _parse_scalar(field: str, text: str, line_no: int):
 def _parse_value(field: str, text: str, line_no: int):
     if field in _FLOAT_LIST_KEYS:
         items = [s.strip() for s in text.split(",") if s.strip()]
-        values = []
-        for item in items:
-            try:
-                values.append(float(item))
-            except ValueError:
-                raise ScenarioParseError(
-                    f"line {line_no}: field {field!r}: not a number: {item!r}"
-                ) from None
-        return tuple(values)
+        return tuple(_parse_float(field, item, line_no) for item in items)
     if field in _STR_LIST_KEYS:
         return tuple(s.strip().lower() for s in text.split(",") if s.strip())
     return _parse_scalar(field, text, line_no)

@@ -9,12 +9,19 @@ standalone on its own band.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .allocation import QosRates, UserPair, opa_set, single_user_allocation
+from .allocation import (
+    InfeasibleAllocationError,
+    QosRates,
+    UserPair,
+    opa_set,
+    single_user_allocation,
+)
 
 __all__ = [
     "PairingOutcome",
@@ -142,21 +149,25 @@ def opa_total_power(
 
     Pair totals are accumulated in pair order, then the unpaired user's two
     standalone link powers are added; reproducing a total bit-exactly
-    requires the same order.
+    requires the same order. A pairing with an infeasible member (a zero
+    gain, i.e. a user outside the FOV) needs unbounded power: ``inf``.
     """
     gains_dl, gains_ul = _gain_arrays(gains_dl, gains_ul)
     total = 0.0
-    for pair in outcome.pairs:
-        qos_far = QosRates(float(rates_dl[pair.far]), float(rates_ul[pair.far]))
-        qos_near = QosRates(float(rates_dl[pair.near]), float(rates_ul[pair.near]))
-        total += opa_set(pair, qos_far, qos_near, noise_power).total
-    if outcome.unpaired is not None:
-        u = outcome.unpaired
-        qos = QosRates(float(rates_dl[u]), float(rates_ul[u]))
-        p_dl, p_ul = single_user_allocation(
-            float(gains_dl[u]), float(gains_ul[u]), qos, noise_power
-        )
-        total += p_dl + p_ul
+    try:
+        for pair in outcome.pairs:
+            qos_far = QosRates(float(rates_dl[pair.far]), float(rates_ul[pair.far]))
+            qos_near = QosRates(float(rates_dl[pair.near]), float(rates_ul[pair.near]))
+            total += opa_set(pair, qos_far, qos_near, noise_power).total
+        if outcome.unpaired is not None:
+            u = outcome.unpaired
+            qos = QosRates(float(rates_dl[u]), float(rates_ul[u]))
+            p_dl, p_ul = single_user_allocation(
+                float(gains_dl[u]), float(gains_ul[u]), qos, noise_power
+            )
+            total += p_dl + p_ul
+    except InfeasibleAllocationError:
+        return math.inf
     return total
 
 
@@ -173,7 +184,7 @@ def adaptive_pairing(
 
     Both candidate pairings are formed, their system-wide optimal totals
     are compared, and the cheaper one is returned (ties go to the
-    channel-based pairing). The selection is global: one method serves all
+    channel-based pairing, also when both totals are infinite). The selection is global: one method serves all
     pairs of the trial.
 
     Distinct pairings can be exact mathematical ties (for instance under

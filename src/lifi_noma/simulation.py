@@ -7,6 +7,14 @@ many trials. Per-trial RNG streams are derived from ``(seed, trial_index)``
 so results are bit-identical regardless of worker count or execution order;
 the per-cell averages are reduced in trial order.
 
+Trials are evaluated in chunks of up to :data:`CHUNK`: every input and
+intermediate is a ``(trials, users)`` array, and one pass covers every
+strategy and pairing. The scalar closed forms in :mod:`.allocation`,
+:mod:`.pairing` and :mod:`.metrics` are the reference the chunked arrays
+reproduce bit for bit: gains come from the same float kernel
+(:func:`.channel.los_gain`), rate factors from the same ``2 ** (2R)``, and
+every sum adds its terms in the scalar order.
+
 Energy efficiency is computed from the full (pre-cap) minimum powers by
 default; the power caps only enter the outage statistics. Setting
 ``ee_served_only`` restricts the EE accounting to users that survive the
@@ -16,39 +24,32 @@ caps on each link.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import repeat
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .allocation import (
-    InfeasibleAllocationError,
-    PowerLimits,
-    QosRates,
-    Strategy,
-    allocate,
-    single_user_allocation,
-)
-from .channel import NoiseModel, OpticalFrontEnd, UserPosition, channel_gain
-from .metrics import (
-    OutageResult,
+from .allocation import PowerLimits, QosRates, Strategy, UserPair, _rate_factor
+from .channel import NoiseModel, OpticalFrontEnd, UserPosition, channel_gain, los_gain
+from .metrics import OutageResult
+from .pairing import QOS_SORT_KEYS
+
+# The engine does not call these scalar reference functions; the benchmark's
+# tracer (bench/spans.py) looks each of them up on this module by name.
+from .allocation import allocate, single_user_allocation  # noqa: F401, E402
+from .metrics import (  # noqa: F401, E402
     downlink_outage_mask,
     downlink_uop,
     uplink_outage_mask,
     uplink_uop,
 )
-from .pairing import (
-    QOS_SORT_KEYS,
-    PairingOutcome,
-    adaptive_pairing,
-    make_pair,
-    pair_by_channel,
-    pair_by_qos,
-)
+from .pairing import adaptive_pairing, pair_by_channel, pair_by_qos  # noqa: F401, E402
 
 __all__ = [
+    "CHUNK",
+    "MAX_RATE",
     "PAIRING_METHODS",
     "ScenarioValidationError",
     "UserNode",
@@ -67,6 +68,14 @@ __all__ = [
 ]
 
 PAIRING_METHODS = ("channel", "qos", "adaptive")
+
+# Trials evaluated together as one set of (trials, users) arrays; one
+# worker task. Large enough to amortize NumPy's per-call overhead, small
+# enough that a chunk's arrays stay in cache.
+CHUNK = 256
+
+# Rates from here on overflow the OMA factor 2^(2 (R_far + R_near)).
+MAX_RATE = 256.0
 
 
 class ScenarioValidationError(ValueError):
@@ -92,7 +101,9 @@ class ScenarioConfig:
     ``num_users`` and ``trials`` have no defaults. The remaining physical
     parameters default to the reference values (70-degree optics, 20 MHz
     band at 1e-22 A^2/Hz noise, users uniform over l in [1.5, 2.5] m and
-    r in [0, 3] m). Power caps default to infinity, i.e. no outage.
+    r in [0, 3] m). Power caps default to infinity, i.e. no outage. Every
+    float must be finite except the power caps; rates stay below
+    :data:`MAX_RATE`.
     """
 
     num_users: int
@@ -133,12 +144,17 @@ class ScenarioConfig:
             problems.append(f"seed must be >= 0, got {self.seed}")
         if not self.qos_set:
             problems.append("qos_set must not be empty")
-        elif min(self.qos_set) < 0.0:
-            problems.append(f"qos_set rates must be >= 0, got {self.qos_set}")
-        if not 0.0 < self.l_min <= self.l_max:
-            problems.append(f"need 0 < l_min <= l_max, got ({self.l_min}, {self.l_max})")
-        if self.r_max <= 0.0:
-            problems.append(f"r_max must be positive, got {self.r_max}")
+        elif not all(0.0 <= rate < MAX_RATE for rate in self.qos_set):
+            problems.append(
+                f"qos_set rates must lie in [0, {MAX_RATE:g}), got {self.qos_set}"
+            )
+        # the comparisons below are False for NaN, so NaN is rejected too
+        if not 0.0 < self.l_min <= self.l_max < math.inf:
+            problems.append(
+                f"need 0 < l_min <= l_max < inf, got ({self.l_min}, {self.l_max})"
+            )
+        if not 0.0 < self.r_max < math.inf:
+            problems.append(f"r_max must be positive and finite, got {self.r_max}")
         if not self.strategies:
             problems.append("strategies must not be empty")
         if not self.pairings:
@@ -152,13 +168,16 @@ class ScenarioConfig:
             )
         if self.sweep_mode not in ("horizontal", "vertical"):
             problems.append(f"sweep_mode must be 'horizontal' or 'vertical', got {self.sweep_mode!r}")
-        if self.sweep_rate < 0.0:
-            problems.append(f"sweep_rate must be >= 0, got {self.sweep_rate}")
-        if self.sweep_values is not None and not self.sweep_values:
-            problems.append("sweep_values must not be empty when given")
+        if not 0.0 <= self.sweep_rate < MAX_RATE:
+            problems.append(f"sweep_rate must lie in [0, {MAX_RATE:g}), got {self.sweep_rate}")
+        if self.sweep_values is not None:
+            if not self.sweep_values:
+                problems.append("sweep_values must not be empty when given")
+            elif not all(math.isfinite(v) for v in self.sweep_values):
+                problems.append(f"sweep_values must be finite, got {self.sweep_values}")
         if self.uop_sweep_link not in ("dl", "ul"):
             problems.append(f"uop_sweep_link must be 'dl' or 'ul', got {self.uop_sweep_link!r}")
-        if any(v <= 0.0 for v in self.uop_sweep_grid):
+        if not all(v > 0.0 for v in self.uop_sweep_grid):
             problems.append(f"uop_sweep_grid values must be positive, got {self.uop_sweep_grid}")
         if problems:
             raise ScenarioValidationError(problems)
@@ -183,10 +202,28 @@ class CellResult:
     ul_powers: tuple[float, ...] | None = None
 
 
-@dataclass(frozen=True)
+class _Population(NamedTuple):
+    """Per-user draws: arrays of shape (users,) for one trial or (trials, users)."""
+
+    vertical: np.ndarray
+    horizontal: np.ndarray
+    polar: np.ndarray
+    rates_dl: np.ndarray
+    rates_ul: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class TrialResult:
+    """One trial's population; ``cells`` is evaluated on first access."""
+
     trial_index: int
-    cells: dict[tuple[str, str], CellResult]
+    config: ScenarioConfig = field(repr=False)
+    population: _Population = field(repr=False)
+    keep_user_powers: bool = False
+
+    @cached_property
+    def cells(self) -> dict[tuple[str, str], CellResult]:
+        return _cell_results(self.config, _stack([self.population]), self.keep_user_powers)
 
 
 @dataclass(frozen=True)
@@ -210,6 +247,26 @@ class CampaignSummary:
     sweep_value: float | None = None
 
 
+def _draw(config: ScenarioConfig, trial_index: int) -> _Population:
+    """The one RNG stream of a trial; the draw order is part of the contract."""
+    if trial_index < 0:
+        raise ValueError(f"trial_index must be >= 0, got {trial_index}")
+    rng = np.random.default_rng([config.seed, trial_index])
+    n = config.num_users
+    vertical = rng.uniform(config.l_min, config.l_max, n)
+    horizontal = rng.uniform(0.0, config.r_max, n)
+    polar = rng.uniform(0.0, 2.0 * math.pi, n)
+    choices = np.asarray(config.qos_set, dtype=float)
+    # indexing with integers(0, k, n) is the draw rng.choice(choices, n)
+    # makes, without its argument checks
+    rates_dl = choices[rng.integers(0, len(choices), n)]
+    if config.qos_coupled_links:
+        rates_ul = rates_dl
+    else:
+        rates_ul = choices[rng.integers(0, len(choices), n)]
+    return _Population(vertical, horizontal, polar, rates_dl, rates_ul)
+
+
 def sample_users(config: ScenarioConfig, trial_index: int) -> list[UserNode]:
     """Draw one trial's population, deterministically from (seed, trial_index).
 
@@ -220,22 +277,10 @@ def sample_users(config: ScenarioConfig, trial_index: int) -> list[UserNode]:
     downlink rates). The draw order (l, r, angle, downlink rates, uplink
     rates) is part of the contract.
     """
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-    rng = np.random.default_rng([config.seed, trial_index])
-    n = config.num_users
-    vertical = rng.uniform(config.l_min, config.l_max, n)
-    horizontal = rng.uniform(0.0, config.r_max, n)
-    polar = rng.uniform(0.0, 2.0 * math.pi, n)
-    choices = np.asarray(config.qos_set, dtype=float)
-    rates_dl = rng.choice(choices, size=n)
-    rates_ul = rates_dl if config.qos_coupled_links else rng.choice(choices, size=n)
+    draw = _draw(config, trial_index)
     return [
-        UserNode(
-            UserPosition(float(vertical[i]), float(horizontal[i]), float(polar[i])),
-            QosRates(float(rates_dl[i]), float(rates_ul[i])),
-        )
-        for i in range(n)
+        UserNode(UserPosition(vertical, horizontal, polar), QosRates(dl, ul))
+        for vertical, horizontal, polar, dl, ul in zip(*(a.tolist() for a in draw))
     ]
 
 
@@ -252,103 +297,310 @@ def population_gains(
     return gains_dl, gains_ul
 
 
-def _make_pairing(
-    method: str,
-    rates_dl: np.ndarray,
-    rates_ul: np.ndarray,
-    gains_dl: np.ndarray,
-    gains_ul: np.ndarray,
-    noise_power: float,
-    qos_key: str,
-) -> PairingOutcome:
-    if method == "channel":
-        return pair_by_channel(gains_dl, gains_ul)
-    if method == "qos":
-        return pair_by_qos(rates_dl, rates_ul, gains_dl, gains_ul, key=qos_key)
-    if method == "adaptive":
-        return adaptive_pairing(
-            rates_dl, rates_ul, gains_dl, gains_ul, noise_power=noise_power, key=qos_key
-        )
-    raise ValueError(f"unknown pairing method {method!r}")
+def _stack(populations: Sequence[_Population]) -> _Population:
+    return _Population(*(np.stack(arrays) for arrays in zip(*populations)))
 
 
-def _evaluate_cell(
-    config: ScenarioConfig,
-    strategy: Strategy,
-    pairing_name: str,
-    outcome: PairingOutcome,
-    rates_dl: np.ndarray,
-    rates_ul: np.ndarray,
-    gains_dl: np.ndarray,
-    gains_ul: np.ndarray,
-    keep_user_powers: bool,
-) -> CellResult:
-    noise_power = config.noise_power
-    user_order: list[int] = []
-    dl_powers: list[float] = []
-    ul_powers: list[float] = []
-    total = 0.0
-    for pair in outcome.pairs:
-        qos_far = QosRates(float(rates_dl[pair.far]), float(rates_ul[pair.far]))
-        qos_near = QosRates(float(rates_dl[pair.near]), float(rates_ul[pair.near]))
-        user_order += [pair.far, pair.near]
-        try:
-            alloc = allocate(strategy, pair, qos_far, qos_near, noise_power)
-        except InfeasibleAllocationError:
-            # the whole pair goes out; its users carry unbounded demands
-            dl_powers += [math.inf, math.inf]
-            ul_powers += [math.inf, math.inf]
-            total += math.inf
-            continue
-        dl_powers += [alloc.far_dl, alloc.near_dl]
-        ul_powers += [alloc.far_ul, alloc.near_ul]
-        total += alloc.total
-    if outcome.unpaired is not None:
-        u = outcome.unpaired
-        user_order.append(u)
-        qos = QosRates(float(rates_dl[u]), float(rates_ul[u]))
-        try:
-            p_dl, p_ul = single_user_allocation(
-                float(gains_dl[u]), float(gains_ul[u]), qos, noise_power
-            )
-        except InfeasibleAllocationError:
-            p_dl = p_ul = math.inf
-        dl_powers += [p_dl]
-        ul_powers += [p_ul]
-        total += p_dl + p_ul
-
-    dl_outage = downlink_uop(dl_powers, config.limits.max_total_dl)
-    ul_outage = uplink_uop(ul_powers, config.limits.max_per_user_ul)
-
-    if config.ee_served_only:
-        # count each link's rate and power only for users the caps can carry
-        dl_served = ~downlink_outage_mask(dl_powers, config.limits.max_total_dl)
-        ul_served = ~uplink_outage_mask(ul_powers, config.limits.max_per_user_ul)
-        sum_rate = 0.0
-        served_power = 0.0
-        for slot, user in enumerate(user_order):
-            if dl_served[slot]:
-                sum_rate += float(rates_dl[user])
-                served_power += dl_powers[slot]
-            if ul_served[slot]:
-                sum_rate += float(rates_ul[user])
-                served_power += ul_powers[slot]
-        ee = sum_rate / served_power if served_power > 0.0 else 0.0
-    else:
-        sum_rate = float(np.sum(rates_dl) + np.sum(rates_ul))
-        ee = sum_rate / total if total > 0.0 else 0.0
-
-    return CellResult(
-        strategy=strategy.value,
-        pairing=pairing_name,
-        method_used=outcome.method,
-        sum_rate=sum_rate,
-        total_power=total,
-        ee=ee,
-        outage=OutageResult.from_links(dl_outage, ul_outage),
-        dl_powers=tuple(dl_powers) if keep_user_powers else None,
-        ul_powers=tuple(ul_powers) if keep_user_powers else None,
+def _population_of(users: Sequence[UserNode]) -> _Population:
+    return _Population(
+        np.array([u.position.vertical for u in users]),
+        np.array([u.position.horizontal for u in users]),
+        np.array([u.position.polar_angle for u in users]),
+        np.array([u.qos.downlink for u in users], dtype=float),
+        np.array([u.qos.uplink for u in users], dtype=float),
     )
+
+
+def _gains(front_end: OpticalFrontEnd, population: _Population) -> np.ndarray:
+    vertical = population.vertical
+    gains = map(
+        los_gain,
+        vertical.ravel().tolist(),
+        population.horizontal.ravel().tolist(),
+        *(repeat(term) for term in front_end.gain_terms),
+    )
+    return np.fromiter(gains, float, vertical.size).reshape(vertical.shape)
+
+
+def _rate_factors(rates: np.ndarray) -> np.ndarray:
+    """``2^(2R)`` of each rate, from the scalar closed form per distinct rate."""
+    values, inverse = np.unique(rates, return_inverse=True)
+    table = np.array([_rate_factor(r) for r in values.tolist()])
+    return table[inverse].reshape(rates.shape)
+
+
+def _interleave(*columns: np.ndarray) -> np.ndarray:
+    """``(trials, k)`` arrays merged column by column into ``(trials, len * k)``."""
+    return np.stack(columns, axis=2).reshape(columns[0].shape[0], -1)
+
+
+def _scaled(alpha, p_far, p_near):
+    # _scaled_link_allocation on arrays; the third result marks the pairs
+    # whose ratio is degenerate (infeasible)
+    keep = alpha >= p_near / p_far
+    far = np.where(keep, p_far, p_near / alpha)
+    near = np.where(keep, alpha * p_far, p_near)
+    return far, near, ~keep & (alpha == 0.0)
+
+
+def _opa_powers(pz: float, gains, factors) -> tuple:
+    """``opa_set`` on arrays of pairs, computed once per pairing.
+
+    ``gains`` and ``factors`` (``2^(2R)``) are per-pair arrays ordered far
+    downlink, near downlink, far uplink, near uplink; so is the result.
+    Every expression keeps the operand order of the scalar closed form, so
+    each element rounds as it does there.
+    """
+    hfd, hnd, hfu, hnu = gains
+    # downlink far user decoded first, uplink near user first
+    near_dl = factors[1] * pz / (hnd * hnd)
+    far_dl = factors[0] * (near_dl + pz / (hfd * hfd))
+    far_ul = factors[2] * pz / (hfu * hfu)
+    near_ul = factors[3] * (1.0 + factors[2]) * pz / (hnu * hnu)
+    return far_dl, near_dl, far_ul, near_ul
+
+
+def _pair_powers(strategy: Strategy, pz: float, gains, opa, rates) -> tuple:
+    """``allocate`` on arrays of pairs, from the pairing's OPA powers.
+
+    Arguments and result are ordered as in :func:`_opa_powers`; ``rates``
+    are the per-pair rate requirements.
+    """
+    hfd, hnd, hfu, hnu = gains
+    infeasible = (hfd == 0.0) | (hnd == 0.0) | (hfu == 0.0) | (hnu == 0.0)
+    powers = opa
+    if strategy is Strategy.OMA:
+        k_dl = _rate_factors(rates[0] + rates[1]) * pz
+        k_ul = _rate_factors(rates[2] + rates[3]) * pz
+        powers = (k_dl / (hfd * hfd), k_dl / (hnd * hnd), k_ul / (hfu * hfu), k_ul / (hnu * hnu))
+    elif strategy is not Strategy.OPA:
+        if strategy is Strategy.GRPA:
+            ratio_dl, ratio_ul = hfd / hnd, hfu / hnu
+            alpha_dl, alpha_ul = ratio_dl * ratio_dl, ratio_ul * ratio_ul
+        else:  # NGDPA
+            alpha_dl, alpha_ul = (hnd - hfd) / hnd, (hnu - hfu) / hnu
+        fd, nd, bad_dl = _scaled(alpha_dl, opa[0], opa[1])
+        fu, nu, bad_ul = _scaled(alpha_ul, opa[2], opa[3])
+        powers = (fd, nd, fu, nu)
+        infeasible = infeasible | bad_dl | bad_ul
+    # an infeasible pair goes out whole: all four demands unbounded
+    return tuple(np.where(infeasible, math.inf, p) for p in powers)
+
+
+class _Cells(NamedTuple):
+    """One (strategy, pairing) cell over a chunk, leading axis trials.
+
+    ``dl``/``ul`` hold per-slot powers, slots being far, near of each pair
+    in pair order and then the unpaired user.
+    """
+
+    used_qos: np.ndarray  # where adaptive pairing kept the QoS pairing
+    dl: np.ndarray
+    ul: np.ndarray
+    total: np.ndarray
+    sum_rate: np.ndarray
+    ee: np.ndarray
+    k_out_dl: np.ndarray  # (trials, caps_dl)
+    k_out_ul: np.ndarray  # (trials, caps_ul)
+
+
+class _Chunk:
+    """Shared per-chunk inputs: gains, rates and the caps to count outage at."""
+
+    def __init__(self, config, population, caps_dl, caps_ul):
+        self.config = config
+        self.gains_dl = _gains(config.front_end, population)
+        uplink = config.uplink_front_end
+        if uplink is None or uplink == config.front_end:
+            self.gains_ul = self.gains_dl
+        else:
+            self.gains_ul = _gains(uplink, population)
+        self.rates_dl = population.rates_dl
+        self.rates_ul = population.rates_ul
+        self.factor_dl = _rate_factors(self.rates_dl)
+        self.factor_ul = _rate_factors(self.rates_ul)
+        # summed in user order, as np.sum sums one trial's rates
+        self.sum_rate = np.sum(self.rates_dl, axis=1) + np.sum(self.rates_ul, axis=1)
+        self.caps_dl = np.asarray(caps_dl, dtype=float)
+        self.caps_ul = np.asarray(caps_ul, dtype=float)
+
+    def sort_order(self, method: str) -> np.ndarray:
+        if method == "channel":  # ascending (gain, index)
+            return np.argsort(self.gains_dl, axis=1, kind="stable")
+        key = self.config.qos_pairing_key
+        values = {"sum": self.rates_dl + self.rates_ul, "downlink": self.rates_dl,
+                  "uplink": self.rates_ul}[key]
+        return np.argsort(-values, axis=1, kind="stable")  # descending (rate), then index
+
+    def slots(self, order: np.ndarray) -> np.ndarray:
+        """Pair the i-th with the (n/2 + i)-th sorted user; far is the lower (gain, index)."""
+        half = order.shape[1] // 2
+        a, b = order[:, :half], order[:, half:2 * half]
+        gain_a = np.take_along_axis(self.gains_dl, a, 1)
+        gain_b = np.take_along_axis(self.gains_dl, b, 1)
+        swap = (gain_b < gain_a) | ((gain_b == gain_a) & (b < a))
+        slots = order.copy()
+        slots[:, 0:2 * half:2] = np.where(swap, b, a)
+        slots[:, 1:2 * half:2] = np.where(swap, a, b)
+        return slots
+
+    def check_roles(self, slots_by_method: dict[str, np.ndarray]) -> None:
+        """Raise the ``UserPair`` error for the first pair, in evaluation order,
+        whose uplink gains contradict its downlink roles."""
+        bad = {}
+        for method, slots in slots_by_method.items():
+            half = slots.shape[1] // 2
+            gains = np.take_along_axis(self.gains_ul, slots[:, :2 * half], 1)
+            bad[method] = gains[:, 0::2] > gains[:, 1::2]
+        rows = np.flatnonzero(np.any([m.any(axis=1) for m in bad.values()], axis=0))
+        if not rows.size:
+            return
+        trial = rows[0]
+        method = next(m for m in bad if bad[m][trial].any())
+        j = int(np.argmax(bad[method][trial]))
+        far, near = slots_by_method[method][trial, 2 * j:2 * j + 2].tolist()
+        gdl, gul = self.gains_dl[trial].tolist(), self.gains_ul[trial].tolist()
+        UserPair(far, near, gdl[far], gdl[near], gul[far], gul[near])  # raises
+
+    def cells(self, slots: np.ndarray, strategies) -> tuple[dict[Strategy, _Cells], np.ndarray]:
+        """Every strategy's cell on one pairing, plus that pairing's OPA total."""
+        pz = self.config.noise_power
+        h_dl, h_ul, f_dl, f_ul, r_dl, r_ul = (
+            np.take_along_axis(x, slots, 1)
+            for x in (self.gains_dl, self.gains_ul, self.factor_dl, self.factor_ul,
+                      self.rates_dl, self.rates_ul)
+        )
+        half = slots.shape[1] // 2
+        far, near = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
+
+        def per_pair(dl, ul):  # far_dl, near_dl, far_ul, near_ul
+            return dl[:, far], dl[:, near], ul[:, far], ul[:, near]
+
+        gains, factors, rates = per_pair(h_dl, h_ul), per_pair(f_dl, f_ul), per_pair(r_dl, r_ul)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lone = None
+            if slots.shape[1] % 2:  # single_user_allocation for the leftover
+                h_dl_u, h_ul_u = h_dl[:, -1], h_ul[:, -1]
+                zero = (h_dl_u == 0.0) | (h_ul_u == 0.0)
+                lone = (np.where(zero, math.inf, f_dl[:, -1] * pz / (h_dl_u * h_dl_u)),
+                        np.where(zero, math.inf, f_ul[:, -1] * pz / (h_ul_u * h_ul_u)))
+            opa = _opa_powers(pz, gains, factors)
+            powers = {s: _pair_powers(s, pz, gains, opa, rates)
+                      for s in (Strategy.OPA, *strategies)}
+        totals = {}
+        for strategy, (fd, nd, fu, nu) in powers.items():
+            # pair by pair, each ((far_dl + near_dl) + far_ul) + near_ul, then
+            # the leftover user's two links
+            total = np.cumsum(((fd + nd) + fu) + nu, axis=1)[:, -1]
+            totals[strategy] = total if lone is None else total + (lone[0] + lone[1])
+        cells = {}
+        for strategy in strategies:
+            fd, nd, fu, nu = powers[strategy]
+            dl, ul = np.empty(h_dl.shape), np.empty(h_dl.shape)
+            dl[:, far], dl[:, near], ul[:, far], ul[:, near] = fd, nd, fu, nu
+            if lone is not None:
+                dl[:, -1], ul[:, -1] = lone
+            cells[strategy] = self.outcome(dl, ul, totals[strategy], r_dl, r_ul)
+        return cells, totals[Strategy.OPA]
+
+    def outcome(self, dl, ul, total, r_dl, r_ul) -> _Cells:
+        """Outage counts at every cap and the EE of one cell's slot powers."""
+        # downlink_uop: tail sums from the smallest power up, sorted once for
+        # every cap; infeasible demands are outages even under no cap
+        tails = np.cumsum(np.sort(dl, axis=1), axis=1)
+        tail_inf = np.isinf(tails)
+        k_out_dl = ((tails[:, :, None] > self.caps_dl) | tail_inf[:, :, None]).sum(axis=1)
+        ul_inf = np.isinf(ul)
+        k_out_ul = ((ul[:, :, None] > self.caps_ul) | ul_inf[:, :, None]).sum(axis=1)
+        sum_rate, power = self.sum_rate, total
+        if self.config.ee_served_only:
+            limits = self.config.limits
+            shed_count = ((tails > limits.max_total_dl) | tail_inf).sum(axis=1)
+            # downlink_outage_mask: the heaviest users go first, ties toward
+            # the lower slot
+            heaviest = np.argsort(-dl, axis=1, kind="stable")
+            served_dl = np.empty(dl.shape, dtype=bool)
+            np.put_along_axis(
+                served_dl, heaviest, np.arange(dl.shape[1]) >= shed_count[:, None], axis=1
+            )
+            served_ul = ~((ul > limits.max_per_user_ul) | ul_inf)
+            # slot by slot, downlink before uplink; a skipped term adds 0.0
+            sum_rate = np.cumsum(_interleave(np.where(served_dl, r_dl, 0.0),
+                                             np.where(served_ul, r_ul, 0.0)), axis=1)[:, -1]
+            power = np.cumsum(_interleave(np.where(served_dl, dl, 0.0),
+                                          np.where(served_ul, ul, 0.0)), axis=1)[:, -1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ee = np.where(power > 0.0, sum_rate / power, 0.0)
+        return _Cells(np.zeros(len(total), dtype=bool), dl, ul, total, sum_rate, ee,
+                      k_out_dl, k_out_ul)
+
+
+def _select(use_b: np.ndarray, a: _Cells, b: _Cells) -> _Cells:
+    """Per trial, ``b``'s cell where ``use_b`` holds and ``a``'s elsewhere."""
+    fields = [np.where(use_b.reshape((-1,) + (1,) * (x.ndim - 1)), y, x)
+              for x, y in zip(a[1:], b[1:])]
+    return _Cells(use_b, *fields)
+
+
+def _evaluate(
+    config: ScenarioConfig, population: _Population, caps_dl, caps_ul
+) -> dict[tuple[str, str], _Cells]:
+    """Every (strategy, pairing) cell of a chunk of trials, in config order.
+
+    Adaptive pairing reuses the channel and QoS pairings' cells: per trial
+    it keeps the QoS one where its OPA total is cheaper under the scalar
+    relative guard.
+    """
+    if population.vertical.shape[1] < 2:
+        raise ValueError(f"pairing needs at least 2 users, got {population.vertical.shape[1]}")
+    chunk = _Chunk(config, population, caps_dl, caps_ul)
+    # the order in which one trial meets the pairings, for error parity
+    methods: list[str] = []
+    for name in config.pairings:
+        for method in ("channel", "qos") if name == "adaptive" else (name,):
+            if method not in methods:
+                methods.append(method)
+    slots = {m: chunk.slots(chunk.sort_order(m)) for m in methods}
+    chunk.check_roles(slots)
+    by_method = {m: chunk.cells(slots[m], config.strategies) for m in methods}
+    out = {}
+    for name in config.pairings:
+        if name == "adaptive":
+            (channel, total_channel), (qos, total_qos) = by_method["channel"], by_method["qos"]
+            use_qos = ~(total_channel <= total_qos * (1.0 + 1e-12))
+            cells = {s: _select(use_qos, channel[s], qos[s]) for s in config.strategies}
+        else:
+            cells = by_method[name][0]
+        for strategy in config.strategies:
+            out[(strategy.value, name)] = cells[strategy]
+    return out
+
+
+def _cell_results(
+    config: ScenarioConfig, population: _Population, keep_user_powers: bool
+) -> dict[tuple[str, str], CellResult]:
+    """The cells of a chunk of one trial as result objects."""
+    limits = config.limits
+    cells = _evaluate(config, population, (limits.max_total_dl,), (limits.max_per_user_ul,))
+    n = population.vertical.shape[1]
+    out = {}
+    for (strategy, pairing), cell in cells.items():
+        method = pairing
+        if pairing == "adaptive":
+            method = "adaptive:qos" if cell.used_qos[0] else "adaptive:channel"
+        k_dl, k_ul = int(cell.k_out_dl[0, 0]), int(cell.k_out_ul[0, 0])
+        out[(strategy, pairing)] = CellResult(
+            strategy=strategy,
+            pairing=pairing,
+            method_used=method,
+            sum_rate=float(cell.sum_rate[0]),
+            total_power=float(cell.total[0]),
+            ee=float(cell.ee[0]),
+            outage=OutageResult(k_dl, k_ul, k_dl / n, k_ul / n),
+            dl_powers=tuple(cell.dl[0].tolist()) if keep_user_powers else None,
+            ul_powers=tuple(cell.ul[0].tolist()) if keep_user_powers else None,
+        )
+    return out
 
 
 def evaluate_population(
@@ -357,62 +609,84 @@ def evaluate_population(
     keep_user_powers: bool = False,
 ) -> dict[tuple[str, str], CellResult]:
     """Run every configured (pairing, strategy) combination on one population."""
-    gains_dl, gains_ul = population_gains(users, config.front_end, config.uplink_front_end)
-    rates_dl = np.array([u.qos.downlink for u in users])
-    rates_ul = np.array([u.qos.uplink for u in users])
-    cells: dict[tuple[str, str], CellResult] = {}
-    for pairing_name in config.pairings:
-        outcome = _make_pairing(
-            pairing_name,
-            rates_dl,
-            rates_ul,
-            gains_dl,
-            gains_ul,
-            config.noise_power,
-            config.qos_pairing_key,
-        )
-        for strategy in config.strategies:
-            cell = _evaluate_cell(
-                config, strategy, pairing_name, outcome, rates_dl, rates_ul,
-                gains_dl, gains_ul, keep_user_powers,
-            )
-            cells[(strategy.value, pairing_name)] = cell
-    return cells
+    return _cell_results(config, _stack([_population_of(users)]), keep_user_powers)
 
 
 def run_trial(
     config: ScenarioConfig, trial_index: int, keep_user_powers: bool = False
 ) -> TrialResult:
-    """Sample one population and evaluate the full strategy/pairing grid."""
-    users = sample_users(config, trial_index)
-    return TrialResult(trial_index, evaluate_population(config, users, keep_user_powers))
-
-
-def _trial_task(config: ScenarioConfig, trial_index: int, keep: bool) -> TrialResult:
-    return run_trial(config, trial_index, keep)
-
-
-def _map_trials(
-    config: ScenarioConfig, *, keep_user_powers: bool, workers: int
-) -> list[TrialResult]:
-    indices = range(config.trials)
-    if workers <= 1:
-        return [run_trial(config, i, keep_user_powers) for i in indices]
-    chunksize = max(1, config.trials // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(
-            pool.map(
-                _trial_task,
-                repeat(config),
-                indices,
-                repeat(keep_user_powers),
-                chunksize=chunksize,
-            )
-        )
+    """Draw one population; its strategy/pairing grid is evaluated on access."""
+    return TrialResult(trial_index, config, _draw(config, trial_index), keep_user_powers)
 
 
 def _cell_keys(config: ScenarioConfig) -> list[tuple[str, str]]:
     return [(s.value, p) for p in config.pairings for s in config.strategies]
+
+
+def _chunk_values(config: ScenarioConfig, trials: range, caps_dl, caps_ul) -> np.ndarray:
+    """Per-trial values to average, one row per trial of the range.
+
+    Columns per cell, in :func:`_cell_keys` order: EE, total power, the
+    downlink UOP at each of ``caps_dl``, the uplink UOP at each of ``caps_ul``.
+    """
+    # run_trial is looked up per call, so one trial stays the traceable unit
+    population = _stack([run_trial(config, i).population for i in trials])
+    cells = _evaluate(config, population, caps_dl, caps_ul)
+    n = config.num_users
+    columns = []
+    for key in _cell_keys(config):
+        cell = cells[key]
+        columns += [cell.ee[:, None], cell.total[:, None], cell.k_out_dl / n, cell.k_out_ul / n]
+    return np.concatenate(columns, axis=1)
+
+
+def _trial_ranges(trials: int, workers: int) -> list[range]:
+    """Contiguous ranges of at most CHUNK trials, at least one per worker."""
+    count = max(-(-trials // CHUNK), min(workers, trials))
+    bounds = [trials * k // count for k in range(count + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def _sums_in_trial_order(parts: Iterable[np.ndarray], columns: int) -> np.ndarray:
+    # trial after trial, as a running float sum: the fixed order keeps the
+    # means bit-identical for any worker count and chunking
+    sums = np.zeros((1, columns))
+    for part in parts:
+        sums = np.cumsum(np.concatenate([sums, part]), axis=0)[-1:]
+    return sums[0]
+
+
+def _reduce(
+    config: ScenarioConfig, caps_dl: Sequence[float], caps_ul: Sequence[float], workers: int
+) -> list[dict[tuple[str, str], CellSummary]]:
+    """Trial-ordered means of every cell, one cells dict per swept cap."""
+    keys = _cell_keys(config)
+    width = 2 + len(caps_dl) + len(caps_ul)
+    args = (repeat(config), _trial_ranges(config.trials, workers),
+            repeat(caps_dl), repeat(caps_ul))
+    if workers <= 1:
+        sums = _sums_in_trial_order(map(_chunk_values, *args), width * len(keys))
+    else:
+        # imported here: the pool machinery takes about 20 ms to import,
+        # which single-worker runs need not pay
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            sums = _sums_in_trial_order(pool.map(_chunk_values, *args), width * len(keys))
+    means = (sums / config.trials).reshape(len(keys), width).tolist()
+    grid = max(len(caps_dl), len(caps_ul))
+    return [
+        {
+            key: CellSummary(
+                row[0],
+                row[1],
+                row[2 + min(g, len(caps_dl) - 1)],
+                row[2 + len(caps_dl) + min(g, len(caps_ul) - 1)],
+            )
+            for key, row in zip(keys, means)
+        }
+        for g in range(grid)
+    ]
 
 
 def run_campaign(config: ScenarioConfig, workers: int = 1) -> CampaignSummary:
@@ -421,18 +695,8 @@ def run_campaign(config: ScenarioConfig, workers: int = 1) -> CampaignSummary:
     Workers only split the trial loop; per-trial RNG streams and the
     trial-ordered reduction keep the summary bit-identical for any count.
     """
-    results = _map_trials(config, keep_user_powers=False, workers=workers)
-    cells: dict[tuple[str, str], CellSummary] = {}
-    for key in _cell_keys(config):
-        ee = power = uop_dl = uop_ul = 0.0
-        for res in results:  # trial order: fixed-order float reduction
-            cell = res.cells[key]
-            ee += cell.ee
-            power += cell.total_power
-            uop_dl += cell.outage.uop_dl
-            uop_ul += cell.outage.uop_ul
-        n = config.trials
-        cells[key] = CellSummary(ee / n, power / n, uop_dl / n, uop_ul / n)
+    limits = config.limits
+    (cells,) = _reduce(config, (limits.max_total_dl,), (limits.max_per_user_ul,), workers)
     return CampaignSummary(
         scenario_id=config.scenario_id,
         num_users=config.num_users,
@@ -446,44 +710,30 @@ def run_uop_sweep(config: ScenarioConfig, workers: int = 1) -> list[CampaignSumm
     """Re-evaluate outage over a grid of power caps on one set of trials.
 
     The trials (and therefore the per-user minimum powers and the EE values)
-    are computed once; each grid value replaces the swept link's cap and the
-    outage means are recomputed from the stored powers. With
+    are computed once; each grid value replaces the swept link's cap. With
     ``ee_served_only`` the reported EE still reflects the scenario's base
     caps, not the grid.
     """
     grid = config.uop_sweep_grid
     if not grid:
         raise ScenarioValidationError(["uop_sweep_grid must be non-empty for a UOP sweep"])
-    results = _map_trials(config, keep_user_powers=True, workers=workers)
-    keys = _cell_keys(config)
-    parameter = "p_max_dl" if config.uop_sweep_link == "dl" else "p_max_ul"
-    summaries = []
-    for value in grid:
-        cap_dl = value if config.uop_sweep_link == "dl" else config.limits.max_total_dl
-        cap_ul = value if config.uop_sweep_link == "ul" else config.limits.max_per_user_ul
-        cells: dict[tuple[str, str], CellSummary] = {}
-        for key in keys:
-            ee = power = uop_dl = uop_ul = 0.0
-            for res in results:
-                cell = res.cells[key]
-                ee += cell.ee
-                power += cell.total_power
-                uop_dl += downlink_uop(cell.dl_powers, cap_dl).uop
-                uop_ul += uplink_uop(cell.ul_powers, cap_ul).uop
-            n = config.trials
-            cells[key] = CellSummary(ee / n, power / n, uop_dl / n, uop_ul / n)
-        summaries.append(
-            CampaignSummary(
-                scenario_id=config.scenario_id,
-                num_users=config.num_users,
-                trials=config.trials,
-                seed=config.seed,
-                cells=cells,
-                sweep_parameter=parameter,
-                sweep_value=float(value),
-            )
+    limits = config.limits
+    if config.uop_sweep_link == "dl":
+        parameter, caps_dl, caps_ul = "p_max_dl", grid, (limits.max_per_user_ul,)
+    else:
+        parameter, caps_dl, caps_ul = "p_max_ul", (limits.max_total_dl,), grid
+    return [
+        CampaignSummary(
+            scenario_id=config.scenario_id,
+            num_users=config.num_users,
+            trials=config.trials,
+            seed=config.seed,
+            cells=cells,
+            sweep_parameter=parameter,
+            sweep_value=float(value),
         )
-    return summaries
+        for value, cells in zip(grid, _reduce(config, caps_dl, caps_ul, workers))
+    ]
 
 
 def _default_sweep_values(config: ScenarioConfig, mode: str) -> tuple[float, ...]:
@@ -492,6 +742,8 @@ def _default_sweep_values(config: ScenarioConfig, mode: str) -> tuple[float, ...
         return tuple(np.linspace(0.5, 0.5 * count, count))
     count = int(round((config.l_max - config.l_min) / 0.2)) + 1
     return tuple(np.linspace(config.l_min, config.l_max, count))
+
+
 
 
 def two_user_sweep(
@@ -506,7 +758,8 @@ def two_user_sweep(
     on the axis and sweeps the far user's horizontal distance. Vertical mode
     fixes the near user at ``(l_min, 0)`` and sweeps the far user's height,
     keeping its incidence angle constant via ``r = r_max * l / l_max``. All
-    four per-link rates equal ``rate``.
+    four per-link rates equal ``rate``. Each sweep point is one row of a
+    chunk; EE counts all four rates whatever ``ee_served_only`` says.
     """
     mode = config.sweep_mode if mode is None else mode
     if mode not in ("horizontal", "vertical"):
@@ -515,40 +768,37 @@ def two_user_sweep(
         values = config.sweep_values or _default_sweep_values(config, mode)
     rate = config.sweep_rate if rate is None else rate
     qos = QosRates(rate, rate)
-    noise_power = config.noise_power
-    summaries = []
+    points = []
     for value in values:
         if mode == "horizontal":
             near = UserPosition(config.l_max, 0.0)
             far = UserPosition(config.l_max, float(value))
-            parameter = "r_far"
         else:
             near = UserPosition(config.l_min, 0.0)
             far = UserPosition(float(value), config.r_max * float(value) / config.l_max)
-            parameter = "l_far"
-        gains_dl, gains_ul = population_gains(
-            [UserNode(near, qos), UserNode(far, qos)],
-            config.front_end,
-            config.uplink_front_end,
+        points.append(_population_of([UserNode(near, qos), UserNode(far, qos)]))
+    if not points:
+        return []
+    # channel pairing of two users is their one pair, roles by gain
+    pair_config = replace(config, pairings=("channel",), ee_served_only=False)
+    limits = config.limits
+    cells = _evaluate(pair_config, _stack(points), (limits.max_total_dl,),
+                      (limits.max_per_user_ul,))
+    by_strategy = {
+        s.value: (cells[(s.value, "channel")].ee.tolist(),
+                  cells[(s.value, "channel")].total.tolist())
+        for s in config.strategies
+    }
+    return [
+        CampaignSummary(
+            scenario_id=config.scenario_id,
+            num_users=2,
+            trials=1,
+            seed=config.seed,
+            cells={(s, "none"): CellSummary(ee[i], total[i], None, None)
+                   for s, (ee, total) in by_strategy.items()},
+            sweep_parameter="r_far" if mode == "horizontal" else "l_far",
+            sweep_value=float(value),
         )
-        pair = make_pair(0, 1, gains_dl, gains_ul)
-        cells: dict[tuple[str, str], CellSummary] = {}
-        for strategy in config.strategies:
-            try:
-                total = allocate(strategy, pair, qos, qos, noise_power).total
-                ee = 4.0 * rate / total if total > 0.0 else 0.0
-            except InfeasibleAllocationError:
-                total, ee = math.inf, 0.0
-            cells[(strategy.value, "none")] = CellSummary(ee, total, None, None)
-        summaries.append(
-            CampaignSummary(
-                scenario_id=config.scenario_id,
-                num_users=2,
-                trials=1,
-                seed=config.seed,
-                cells=cells,
-                sweep_parameter=parameter,
-                sweep_value=float(value),
-            )
-        )
-    return summaries
+        for i, value in enumerate(values)
+    ]

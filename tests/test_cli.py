@@ -159,6 +159,21 @@ class TestCliRuns:
         for uops in by_strategy.values():
             assert all(a >= b for a, b in zip(uops, uops[1:]))
 
+    def test_adaptive_campaign_survives_out_of_fov_users(self, tmp_path):
+        # a 40-degree FOV leaves users outside it: their pairs need unbounded
+        # power, which adaptive pairing must compare, not raise on
+        scenario = write(
+            tmp_path, "s.cfg",
+            "num_users = 8\ntrials = 20\nseed = 2\nqos_set = 1, 2\n"
+            "fov_half_angle_deg = 40\npairing = adaptive\n",
+        )
+        out = tmp_path / "fov.csv"
+        assert main(["campaign", "--scenario", str(scenario), "--out", str(out)]) == 0
+        rows = read_rows(out)
+        assert [r["strategy"] for r in rows] == ["opa", "ngdpa", "grpa", "oma"]
+        assert all(r["pairing"] == "adaptive" for r in rows)
+        assert all(float(r["mean_uop_dl"]) > 0.0 for r in rows)
+
     def test_summary_document_echoes_config(self, tmp_path):
         scenario = write(tmp_path, "s.cfg", MINIMAL + "seed = 9\nqos_set = 1, 2\n")
         out = tmp_path / "c.csv"
@@ -189,6 +204,26 @@ class TestExitCodes:
         scenario = write(tmp_path, "s.cfg", "num_users four\n")
         assert main(["campaign", "--scenario", str(scenario),
                      "--out", str(tmp_path / "x.csv")]) == 2
+
+    @pytest.mark.parametrize("line, field", [
+        ("qos_set = nan", "qos_set"),
+        ("qos_set = 1, 600", "qos_set"),
+        ("qos_set = 256", "qos_set"),
+        ("p_max_dl = nan", "p_max_dl"),
+        ("p_max_ul = -inf", "max_per_user_ul"),
+        ("r_max = nan", "r_max"),
+        ("r_max = inf", "r_max"),
+        ("l_max = inf", "l_max"),
+        ("sweep_rate = 300", "sweep_rate"),
+        ("uop_sweep_grid = 1, nan", "uop_sweep_grid"),
+        ("responsivity = inf", "responsivity"),
+        ("noise_psd = inf", "PSD"),
+    ])
+    def test_non_finite_and_overflowing_values_are_two(self, tmp_path, capsys, line, field):
+        scenario = write(tmp_path, "s.cfg", MINIMAL + line + "\n")
+        assert main(["campaign", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert field in capsys.readouterr().err
 
     def test_missing_scenario_is_three(self, tmp_path, capsys):
         assert main(["campaign", "--scenario", str(tmp_path / "absent.cfg"),

@@ -1,0 +1,298 @@
+"""Chunked array engine against the scalar closed forms, compared exactly.
+
+The oracle below evaluates one population pair by pair with the reference
+functions (``make_pair`` through the scalar pairings, ``allocate``,
+``single_user_allocation``, ``downlink_uop``/``uplink_uop`` and the outage
+masks). The engine must reproduce every value bit for bit, ``inf``
+patterns included, so every comparison is ``==``.
+"""
+
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from lifi_noma import (
+    InfeasibleAllocationError,
+    OpticalFrontEnd,
+    PowerLimits,
+    QosRates,
+    ScenarioConfig,
+    UserNode,
+    UserPosition,
+    adaptive_pairing,
+    allocate,
+    downlink_outage_mask,
+    downlink_uop,
+    evaluate_population,
+    opa_total_power,
+    pair_by_channel,
+    pair_by_qos,
+    population_gains,
+    run_campaign,
+    run_trial,
+    run_uop_sweep,
+    sample_users,
+    single_user_allocation,
+    uplink_outage_mask,
+    uplink_uop,
+)
+from lifi_noma.metrics import OutageResult
+from lifi_noma.simulation import CHUNK, CellResult
+
+PAIRINGS = ("channel", "qos", "adaptive")
+
+
+def oracle_powers(config, users):
+    """Per (strategy, pairing): method, slot users, slot powers and total."""
+    gains_dl, gains_ul = population_gains(users, config.front_end, config.uplink_front_end)
+    rates_dl = np.array([u.qos.downlink for u in users])
+    rates_ul = np.array([u.qos.uplink for u in users])
+    pz = config.noise_power
+    out = {}
+    for name in config.pairings:
+        if name == "channel":
+            outcome = pair_by_channel(gains_dl, gains_ul)
+        elif name == "qos":
+            outcome = pair_by_qos(rates_dl, rates_ul, gains_dl, gains_ul,
+                                  key=config.qos_pairing_key)
+        else:
+            outcome = adaptive_pairing(rates_dl, rates_ul, gains_dl, gains_ul,
+                                       noise_power=pz, key=config.qos_pairing_key)
+        for strategy in config.strategies:
+            slots, dl, ul, total = [], [], [], 0.0
+            for pair in outcome.pairs:
+                slots += [pair.far, pair.near]
+                qos_far = QosRates(float(rates_dl[pair.far]), float(rates_ul[pair.far]))
+                qos_near = QosRates(float(rates_dl[pair.near]), float(rates_ul[pair.near]))
+                try:
+                    alloc = allocate(strategy, pair, qos_far, qos_near, pz)
+                except InfeasibleAllocationError:
+                    dl += [math.inf, math.inf]
+                    ul += [math.inf, math.inf]
+                    total += math.inf
+                    continue
+                dl += [alloc.far_dl, alloc.near_dl]
+                ul += [alloc.far_ul, alloc.near_ul]
+                total += alloc.total
+            if outcome.unpaired is not None:
+                u = outcome.unpaired
+                slots.append(u)
+                qos = QosRates(float(rates_dl[u]), float(rates_ul[u]))
+                try:
+                    p_dl, p_ul = single_user_allocation(
+                        float(gains_dl[u]), float(gains_ul[u]), qos, pz)
+                except InfeasibleAllocationError:
+                    p_dl = p_ul = math.inf
+                dl.append(p_dl)
+                ul.append(p_ul)
+                total += p_dl + p_ul
+            out[(strategy.value, name)] = (outcome.method, slots, dl, ul, total)
+    return out, rates_dl, rates_ul
+
+
+def oracle_ee(config, slots, dl, ul, total, rates_dl, rates_ul):
+    if not config.ee_served_only:
+        sum_rate = float(np.sum(rates_dl) + np.sum(rates_ul))
+        return sum_rate, (sum_rate / total if total > 0.0 else 0.0)
+    dl_served = ~downlink_outage_mask(dl, config.limits.max_total_dl)
+    ul_served = ~uplink_outage_mask(ul, config.limits.max_per_user_ul)
+    sum_rate = power = 0.0
+    for slot, user in enumerate(slots):
+        if dl_served[slot]:
+            sum_rate += float(rates_dl[user])
+            power += dl[slot]
+        if ul_served[slot]:
+            sum_rate += float(rates_ul[user])
+            power += ul[slot]
+    return sum_rate, (sum_rate / power if power > 0.0 else 0.0)
+
+
+def oracle_cells(config, users):
+    powers, rates_dl, rates_ul = oracle_powers(config, users)
+    cells = {}
+    for (strategy, pairing), (method, slots, dl, ul, total) in powers.items():
+        out_dl = downlink_uop(dl, config.limits.max_total_dl)
+        out_ul = uplink_uop(ul, config.limits.max_per_user_ul)
+        sum_rate, ee = oracle_ee(config, slots, dl, ul, total, rates_dl, rates_ul)
+        cells[(strategy, pairing)] = CellResult(
+            strategy, pairing, method, sum_rate, total, ee,
+            OutageResult(out_dl.k_out, out_ul.k_out, out_dl.uop, out_ul.uop),
+            tuple(dl), tuple(ul),
+        )
+    return cells
+
+
+def oracle_means(config, caps_dl, caps_ul):
+    """Trial-ordered sums of EE, power and both UOPs at each cap pair."""
+    sums = {}
+    for trial in range(config.trials):
+        users = sample_users(config, trial)
+        powers, rates_dl, rates_ul = oracle_powers(config, users)
+        for key, (_, slots, dl, ul, total) in powers.items():
+            _, ee = oracle_ee(config, slots, dl, ul, total, rates_dl, rates_ul)
+            row = [ee, total] + [downlink_uop(dl, c).uop for c in caps_dl] + \
+                [uplink_uop(ul, c).uop for c in caps_ul]
+            acc = sums.setdefault(key, [0.0] * len(row))
+            for i, value in enumerate(row):
+                acc[i] += value
+    return {key: [s / config.trials for s in acc] for key, acc in sums.items()}
+
+
+def config_grid():
+    inf = math.inf
+    for n in (2, 3, 5, 8, 9, 16):
+        for qos in ((1.0, 2.0, 3.0, 4.0), (0.3, 1.7, 2.25)):
+            yield ScenarioConfig(num_users=n, trials=1, seed=n, qos_set=qos, pairings=PAIRINGS)
+            yield ScenarioConfig(
+                num_users=n, trials=1, seed=100 + n, qos_set=qos, pairings=PAIRINGS,
+                limits=PowerLimits(2.0, 0.05), ee_served_only=True,
+            )
+    for n in (3, 5, 9):
+        # a narrower uplink FOV: zero uplink gains beside positive downlink
+        # ones, and role contradictions that must raise the pair error
+        yield ScenarioConfig(
+            num_users=n, trials=1, seed=9 + n, qos_set=(1.0, 2.0), pairings=PAIRINGS,
+            uplink_front_end=OpticalFrontEnd(fov_half_angle_deg=40.0),
+        )
+    for n in (3, 8):
+        # users outside a 40-degree FOV: infeasible pairs and unpaired users
+        yield ScenarioConfig(
+            num_users=n, trials=1, seed=7, qos_set=(1.0, 3.0), pairings=PAIRINGS,
+            front_end=OpticalFrontEnd(fov_half_angle_deg=40.0),
+            limits=PowerLimits(4.0, 0.1), ee_served_only=True,
+        )
+        yield ScenarioConfig(
+            num_users=n, trials=1, seed=8, qos_set=(0.0, 0.5, 2.5), pairings=PAIRINGS,
+            qos_coupled_links=True, qos_pairing_key="uplink", limits=PowerLimits(0.5, inf),
+        )
+
+
+@pytest.mark.parametrize("config", list(config_grid()),
+                         ids=lambda c: f"n{c.num_users}-s{c.seed}")
+def test_trial_cells_equal_the_oracle(config):
+    for trial in range(12):
+        try:
+            want = oracle_cells(config, sample_users(config, trial))
+        except ValueError as err:
+            with pytest.raises(ValueError) as got:
+                run_trial(config, trial).cells
+            assert str(got.value) == str(err)
+            continue
+        assert run_trial(config, trial, keep_user_powers=True).cells == want
+
+
+def test_adaptive_guard_resolves_rounding_ties_to_channel():
+    # uniform QoS: pairings with the same far users tie up to rounding; the
+    # guard keeps the channel pairing even where the QoS total rounds lower
+    config = ScenarioConfig(num_users=4, trials=1, pairings=("adaptive",))
+    ties = 0
+    for trial in range(100):
+        users = sample_users(config, trial)
+        assert run_trial(config, trial, True).cells == oracle_cells(config, users)
+        gains, _ = population_gains(users, config.front_end)
+        ones = np.ones(len(users))
+        total_channel, total_qos = (
+            opa_total_power(outcome, ones, ones, gains, noise_power=config.noise_power)
+            for outcome in (pair_by_channel(gains), pair_by_qos(ones, ones, gains))
+        )
+        ties += total_qos < total_channel <= total_qos * (1.0 + 1e-12)
+    assert ties
+
+
+def user(vertical, horizontal, rate_dl, rate_ul):
+    return UserNode(UserPosition(vertical, horizontal), QosRates(rate_dl, rate_ul))
+
+
+@pytest.mark.parametrize("users", [
+    # co-located users: equal gains, so NGDPA's ratio is a degenerate 0 and
+    # QoS pairing must give the far role to the lower index
+    [user(2.0, 1.0, 3.0, 1.0), user(2.0, 1.0, 1.0, 2.0),
+     user(2.0, 1.0, 2.0, 3.0), user(2.0, 1.0, 4.0, 4.0)],
+    # two identical pairs: equal powers, shed toward the lower slot
+    [user(2.0, 0.5, 2.0, 1.0), user(2.0, 2.0, 1.0, 2.0),
+     user(2.0, 0.5, 2.0, 1.0), user(2.0, 2.0, 1.0, 2.0), user(1.6, 0.1, 1.0, 1.0)],
+    # outside the FOV: a zero-gain pair member and a zero-gain leftover
+    [user(1.5, 2.9, 1.0, 1.0), user(2.0, 0.0, 2.0, 1.0), user(2.5, 2.9, 0.5, 0.5)],
+])
+@pytest.mark.parametrize("served_only", [False, True])
+def test_hand_built_populations_equal_the_oracle(users, served_only):
+    for caps in ((math.inf, math.inf), (0.3, 0.05), (1e-3, 1e-4)):
+        config = ScenarioConfig(
+            num_users=len(users), trials=1, pairings=PAIRINGS,
+            limits=PowerLimits(*caps), ee_served_only=served_only,
+        )
+        assert evaluate_population(config, users, keep_user_powers=True) == \
+            oracle_cells(config, users)
+
+
+def test_out_of_fov_users_make_infinite_pairs():
+    config = ScenarioConfig(num_users=8, trials=1, seed=7, pairings=PAIRINGS,
+                            front_end=OpticalFrontEnd(fov_half_angle_deg=40.0))
+    totals = [cell.total_power for t in range(12)
+              for cell in run_trial(config, t).cells.values()]
+    assert math.inf in totals  # the grid above does reach the infeasible branch
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("served_only", [False, True])
+def test_campaign_means_equal_the_oracle_across_chunks(workers, served_only):
+    # not a multiple of CHUNK, so 1 and 3 workers cut the chunks differently
+    config = ScenarioConfig(
+        num_users=9, trials=CHUNK + 37, seed=11, qos_set=(0.3, 1.0, 2.25, 4.0),
+        pairings=PAIRINGS, limits=PowerLimits(3.0, 0.2), ee_served_only=served_only,
+    )
+    limits = config.limits
+    want = oracle_means(config, (limits.max_total_dl,), (limits.max_per_user_ul,))
+    got = run_campaign(config, workers=workers).cells
+    assert list(got) == list(want)
+    for key, (ee, power, uop_dl, uop_ul) in want.items():
+        cell = got[key]
+        assert (cell.mean_ee, cell.mean_total_power, cell.mean_uop_dl, cell.mean_uop_ul) == (
+            ee, power, uop_dl, uop_ul)
+
+
+@pytest.mark.parametrize("link", ["dl", "ul"])
+def test_uop_sweep_means_equal_the_oracle(link):
+    grid = (0.5, 2.0, 8.0, math.inf) if link == "dl" else (0.01, 0.1, 1.0)
+    config = ScenarioConfig(
+        num_users=6, trials=40, seed=5, qos_set=(1.0, 2.0, 3.0, 4.0),
+        limits=PowerLimits(4.0, 0.5), uop_sweep_link=link, uop_sweep_grid=grid,
+    )
+    base_dl, base_ul = config.limits.max_total_dl, config.limits.max_per_user_ul
+    caps_dl, caps_ul = (grid, (base_ul,)) if link == "dl" else ((base_dl,), grid)
+    want = oracle_means(config, caps_dl, caps_ul)
+    points = run_uop_sweep(config)
+    assert [p.sweep_value for p in points] == list(grid)
+    for g, point in enumerate(points):
+        for key, row in want.items():
+            cell = point.cells[key]
+            uop_dl = row[2 + (g if link == "dl" else 0)]
+            uop_ul = row[2 + len(caps_dl) + (g if link == "ul" else 0)]
+            assert (cell.mean_ee, cell.mean_total_power, cell.mean_uop_dl,
+                    cell.mean_uop_ul) == (row[0], row[1], uop_dl, uop_ul)
+
+
+def test_split_front_ends_raise_the_pair_error():
+    # a 60-degree downlink and a 20-degree uplink LED rank some users'
+    # gains differently on the two links, which no pair may do
+    config = ScenarioConfig(
+        num_users=9, trials=1, qos_set=(1.0, 2.0), pairings=("qos", "adaptive"),
+        front_end=OpticalFrontEnd(semi_angle_deg=60.0),
+        uplink_front_end=OpticalFrontEnd(semi_angle_deg=20.0),
+    )
+    raised = 0
+    for trial in range(10):
+        try:
+            oracle_cells(config, sample_users(config, trial))
+        except ValueError as err:
+            raised += 1
+            with pytest.raises(ValueError) as got:
+                run_trial(config, trial).cells
+            assert str(got.value) == str(err)
+        else:
+            assert run_trial(config, trial).cells
+    assert raised
+    with pytest.raises(ValueError, match="far member must have the lower gain"):
+        run_campaign(replace(config, trials=10))

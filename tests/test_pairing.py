@@ -1,6 +1,7 @@
 """User pairing: sort rules, partition properties, the adaptive menu, and
 an exhaustive-matching oracle at small sizes."""
 
+import math
 
 import numpy as np
 import pytest
@@ -181,8 +182,24 @@ class TestOpaTotalPower:
             )
             assert got == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("gains", [[0.0, 1e-6, 2e-6, 3e-6], [1e-6, 2e-6, 0.0]])
+    def test_zero_gain_makes_the_total_infinite(self, gains):
+        # a user outside the FOV needs unbounded power, whether it is paired
+        # or (descending rates leave the last user over) standalone
+        gains = np.array(gains)
+        rates = np.arange(len(gains), 0.0, -1.0)
+        out = pair_by_qos(rates, rates, gains)
+        assert opa_total_power(out, rates, rates, gains, noise_power=PZ) == math.inf
+
 
 class TestAdaptivePairing:
+    def test_infinite_totals_tie_to_channel(self):
+        gains = np.array([0.0, 1e-6, 2e-6, 3e-6])
+        rates = np.array([4.0, 1.0, 2.0, 3.0])
+        adaptive = adaptive_pairing(rates, rates, gains, noise_power=PZ)
+        assert adaptive.method == "adaptive:channel"
+        assert adaptive.min_total_power == math.inf
+
     def test_equal_qos_collapses_to_channel(self):
         gains = np.array([3e-6, 1e-6, 4e-6, 2e-6])
         rates = np.array([1.0] * 4)

@@ -85,6 +85,30 @@ class TestSampling:
         mean_r = np.mean([u.position.horizontal for u in users])
         assert mean_r == pytest.approx(config.r_max / 2.0, rel=0.01)
 
+    @pytest.mark.parametrize("qos_count", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("num_users", [7, 16])
+    @pytest.mark.parametrize("coupled", [False, True])
+    def test_draw_matches_the_reference_sequence(self, qos_count, num_users, coupled):
+        # the contract, literally: uniform l, uniform r, uniform angle, then
+        # one choice per link from SeedSequence([seed, trial])
+        config = desk_config(num_users=num_users, qos_coupled_links=coupled,
+                             qos_set=tuple(0.5 + 0.75 * k for k in range(qos_count)))
+        for trial in (0, 3):
+            rng = np.random.default_rng([config.seed, trial])
+            n = config.num_users
+            vertical = rng.uniform(config.l_min, config.l_max, n)
+            horizontal = rng.uniform(0.0, config.r_max, n)
+            polar = rng.uniform(0.0, 2.0 * math.pi, n)
+            rates_dl = rng.choice(np.asarray(config.qos_set), size=n)
+            rates_ul = rates_dl if coupled else rng.choice(np.asarray(config.qos_set), size=n)
+            want = [a.tobytes() for a in (vertical, horizontal, polar, rates_dl, rates_ul)]
+            population = run_trial(config, trial).population
+            assert [a.tobytes() for a in population] == want
+            users = sample_users(config, trial)
+            assert np.array([(u.position.vertical, u.position.horizontal,
+                              u.position.polar_angle, u.qos.downlink, u.qos.uplink)
+                             for u in users]).T.tobytes() == b"".join(want)
+
     def test_negative_trial_index_rejected(self):
         with pytest.raises(ValueError):
             sample_users(desk_config(), -1)
