@@ -26,6 +26,7 @@ import sys
 from enum import Enum
 from pathlib import Path
 
+from . import __version__
 from .allocation import PowerLimits, Strategy
 from .channel import NoiseModel, OpticalFrontEnd
 from .simulation import (
@@ -38,8 +39,6 @@ from .simulation import (
 )
 
 __all__ = ["ScenarioParseError", "load_scenario", "run", "main", "console_entry"]
-
-TOOL_VERSION = "0.1.0"
 
 CSV_COLUMNS = (
     "scenario_id",
@@ -253,9 +252,7 @@ def _format_cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, float):
-        if not math.isfinite(value):
-            return ""
-        return repr(value)
+        return repr(value)  # an infinite mean stays "inf", not "not applicable"
     return str(value)
 
 
@@ -275,7 +272,7 @@ def _summary_rows(summaries: list[CampaignSummary]) -> list[list[str]]:
                 _format_cell(cell.mean_uop_ul),
                 _format_cell(summary.trials),
                 _format_cell(summary.seed),
-                TOOL_VERSION,
+                __version__,
             ])
     return rows
 
@@ -327,7 +324,7 @@ def run(command: str, config: ScenarioConfig, out_path, *, workers: int = 1) -> 
         "workers": workers,
         "rng": "numpy PCG64, per-trial streams from SeedSequence([seed, trial_index])",
         "output_csv": out_path.name,
-        "version": TOOL_VERSION,
+        "version": __version__,
     }
     with open(_summary_path(out_path), "w", encoding="utf-8") as handle:
         json.dump(summary_doc, handle, indent=2, sort_keys=True)

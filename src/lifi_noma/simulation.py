@@ -3,9 +3,12 @@
 A trial draws a random user population, pairs it with each configured
 pairing method, allocates powers with each configured strategy and records
 energy efficiency plus both links' outage probabilities. Campaigns average
-many trials. Per-trial RNG streams are derived from ``(seed, trial_index)``
-so results are bit-identical regardless of worker count or execution order;
-the per-cell averages are reduced in trial order.
+many trials. Trial ``i`` draws from the PCG64 stream of
+``SeedSequence([seed, i])``, the one ``numpy.random.default_rng([seed, i])``
+makes, so results are bit-identical regardless of worker count or execution
+order; the per-cell averages are reduced in trial order. The streams of a
+:data:`CHUNK`-aligned block of trials are seeded together, in one
+vectorized pass over SeedSequence's integer hash.
 
 Trials are evaluated in chunks of up to :data:`CHUNK`: every input and
 intermediate is a ``(trials, users)`` array, and one pass covers every
@@ -24,8 +27,10 @@ caps on each link.
 from __future__ import annotations
 
 import math
+import operator
+import threading
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -247,23 +252,112 @@ class CampaignSummary:
     sweep_value: float | None = None
 
 
+# SeedSequence's hash constants and PCG64's 128-bit multiplier, as in
+# NumPy's bit_generator.pyx and pcg64.h; _block_streams redoes their integer
+# arithmetic.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_POOL = 4  # SeedSequence's default pool size, in uint32 words
+
+
+def _words(value: int) -> list[int]:
+    """``value`` as the little-endian uint32 words SeedSequence splits it into."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+@lru_cache(maxsize=1)
+def _block_streams(seed: int, block: int) -> tuple[tuple[int, int], ...]:
+    """PCG64 ``(state, inc)`` of the trials ``block * CHUNK`` up to the next block.
+
+    Each is the state ``default_rng([seed, trial])`` starts from. The uint32
+    arithmetic of SeedSequence (hash pool, then ``generate_state(4,
+    uint64)``) runs on arrays over the whole block, PCG64's 128-bit seeding
+    step on Python ints per trial. CHUNK divides 2^32, so a block's trials
+    differ only in their lowest word. One block is kept: a run walks its
+    trials in order.
+    """
+    seed_words = _words(seed)
+    entropy = [np.full(CHUNK, w, dtype=np.uint32) for w in seed_words + _words(block * CHUNK)]
+    entropy[len(seed_words)] += np.arange(CHUNK, dtype=np.uint32)
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_L * x - _MIX_R * y
+        return result ^ result >> 16
+
+    zero = np.zeros(CHUNK, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight words cycling the pool, paired
+    # little-endian into (initstate high, low, initseq high, low)
+    hash_const = _INIT_B
+    words = []
+    for k in range(8):
+        value = pool[k % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append(value ^ value >> 16)
+    words = np.array(words, dtype=np.uint64)
+    seeds = (words[0::2] | words[1::2] << 32).tolist()
+    streams = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*seeds):
+        # PCG64's srandom_r: two LCG steps from 0, adding initstate between
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((state_hi << 64 | state_lo) + inc) * _PCG_MULT + inc & _MASK128
+        streams.append((state, inc))
+    return tuple(streams)
+
+
+# One Generator per thread, its state replaced before each trial's draws.
+# Made on first use: importing numpy.random with the package would add about
+# 12 ms to every start.
+_generators = threading.local()
+
+
 def _draw(config: ScenarioConfig, trial_index: int) -> _Population:
     """The one RNG stream of a trial; the draw order is part of the contract."""
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-    rng = np.random.default_rng([config.seed, trial_index])
+    block, offset = divmod(operator.index(trial_index), CHUNK)
+    state, inc = _block_streams(config.seed, block)[offset]
+    try:
+        rng = _generators.rng
+    except AttributeError:
+        rng = _generators.rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
     n = config.num_users
     vertical = rng.uniform(config.l_min, config.l_max, n)
     horizontal = rng.uniform(0.0, config.r_max, n)
     polar = rng.uniform(0.0, 2.0 * math.pi, n)
     choices = np.asarray(config.qos_set, dtype=float)
     # indexing with integers(0, k, n) is the draw rng.choice(choices, n)
-    # makes, without its argument checks
-    rates_dl = choices[rng.integers(0, len(choices), n)]
+    # makes, without its argument checks; one 2n draw is the downlink and
+    # the uplink n draws back to back, bit for bit
     if config.qos_coupled_links:
-        rates_ul = rates_dl
+        rates_dl = rates_ul = choices[rng.integers(0, len(choices), n)]
     else:
-        rates_ul = choices[rng.integers(0, len(choices), n)]
+        rates = choices[rng.integers(0, len(choices), 2 * n)]
+        rates_dl, rates_ul = rates[:n], rates[n:]
     return _Population(vertical, horizontal, polar, rates_dl, rates_ul)
 
 
@@ -742,8 +836,6 @@ def _default_sweep_values(config: ScenarioConfig, mode: str) -> tuple[float, ...
         return tuple(np.linspace(0.5, 0.5 * count, count))
     count = int(round((config.l_max - config.l_min) / 0.2)) + 1
     return tuple(np.linspace(config.l_min, config.l_max, count))
-
-
 
 
 def two_user_sweep(

@@ -1,10 +1,15 @@
-"""The benchmark's tracer (bench/spans.py) wraps engine functions by name.
+"""What the benchmark (bench/) relies on in the package.
 
-It replaces module attributes for one run and times ``simulation.run_trial``
-as the per-trial unit. A refactor that stops calling it, or drops a name
-the tracer looks up, breaks the traced benchmark; this test shows it first.
+Its tracer (bench/spans.py) wraps engine functions by name: it replaces
+module attributes for one run and times ``simulation.run_trial`` as the
+per-trial unit. A refactor that stops calling it, or drops a name the
+tracer looks up, breaks the traced benchmark; this test shows it first.
+Its ``setup_s`` times the package import, which must not pull in the
+modules the engine loads only on first use.
 """
 
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -29,3 +34,15 @@ def test_tracer_sees_every_trial(tmp_path, monkeypatch):
     metrics = spans.layer_metrics(tracer, wall_s, len(out.read_bytes()))
     assert metrics["simulation.trial_samples"]["value"] == 20
     assert metrics["cli.csv_bytes"]["value"] == len(out.read_bytes())
+
+
+def test_package_import_leaves_lazy_modules_unloaded():
+    # numpy.random (the per-trial Generator) and concurrent.futures (the
+    # worker pool) load on first use, not with the package
+    lazy = ("numpy.random", "concurrent.futures")
+    code = f"import sys, lifi_noma, lifi_noma.cli; print([m for m in {lazy!r} if m in sys.modules])"
+    src = str(BENCH.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                            capture_output=True, text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"

@@ -173,6 +173,8 @@ class TestCliRuns:
         assert [r["strategy"] for r in rows] == ["opa", "ngdpa", "grpa", "oma"]
         assert all(r["pairing"] == "adaptive" for r in rows)
         assert all(float(r["mean_uop_dl"]) > 0.0 for r in rows)
+        # an infinite mean is written as such, not as the empty "not applicable"
+        assert all(r["mean_total_power"] == "inf" for r in rows)
 
     def test_summary_document_echoes_config(self, tmp_path):
         scenario = write(tmp_path, "s.cfg", MINIMAL + "seed = 9\nqos_set = 1, 2\n")

@@ -2,6 +2,8 @@
 campaign reduction and the deterministic two-user sweeps."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from lifi_noma import (
     sample_users,
     two_user_sweep,
 )
+from lifi_noma.simulation import CHUNK, _block_streams
 
 GOLDEN_EE_OPA = 458.0979517717648
 GOLDEN_EE_NGDPA = 276.3050860830169
@@ -29,6 +32,23 @@ def desk_config(**overrides) -> ScenarioConfig:
     base = dict(num_users=8, trials=10, seed=5, qos_set=(1.0, 2.0, 3.0, 4.0))
     base.update(overrides)
     return ScenarioConfig(**base)
+
+
+def reference_draw(config: ScenarioConfig, trial: int) -> list[bytes]:
+    """The stream contract, literally: uniform l, uniform r, uniform angle,
+    then one choice per link, from default_rng([seed, trial])."""
+    rng = np.random.default_rng([config.seed, trial])
+    n = config.num_users
+    vertical = rng.uniform(config.l_min, config.l_max, n)
+    horizontal = rng.uniform(0.0, config.r_max, n)
+    polar = rng.uniform(0.0, 2.0 * math.pi, n)
+    rates_dl = rng.choice(np.asarray(config.qos_set), size=n)
+    rates_ul = rates_dl if config.qos_coupled_links else rng.choice(np.asarray(config.qos_set), size=n)
+    return [a.tobytes() for a in (vertical, horizontal, polar, rates_dl, rates_ul)]
+
+
+def drawn(config: ScenarioConfig, trial: int) -> list[bytes]:
+    return [a.tobytes() for a in run_trial(config, trial).population]
 
 
 def golden_users() -> list[UserNode]:
@@ -89,21 +109,12 @@ class TestSampling:
     @pytest.mark.parametrize("num_users", [7, 16])
     @pytest.mark.parametrize("coupled", [False, True])
     def test_draw_matches_the_reference_sequence(self, qos_count, num_users, coupled):
-        # the contract, literally: uniform l, uniform r, uniform angle, then
-        # one choice per link from SeedSequence([seed, trial])
         config = desk_config(num_users=num_users, qos_coupled_links=coupled,
                              qos_set=tuple(0.5 + 0.75 * k for k in range(qos_count)))
-        for trial in (0, 3):
-            rng = np.random.default_rng([config.seed, trial])
-            n = config.num_users
-            vertical = rng.uniform(config.l_min, config.l_max, n)
-            horizontal = rng.uniform(0.0, config.r_max, n)
-            polar = rng.uniform(0.0, 2.0 * math.pi, n)
-            rates_dl = rng.choice(np.asarray(config.qos_set), size=n)
-            rates_ul = rates_dl if coupled else rng.choice(np.asarray(config.qos_set), size=n)
-            want = [a.tobytes() for a in (vertical, horizontal, polar, rates_dl, rates_ul)]
-            population = run_trial(config, trial).population
-            assert [a.tobytes() for a in population] == want
+        # within the first block, then at and across a CHUNK boundary
+        for trial in (0, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7):
+            want = reference_draw(config, trial)
+            assert drawn(config, trial) == want
             users = sample_users(config, trial)
             assert np.array([(u.position.vertical, u.position.horizontal,
                               u.position.polar_angle, u.qos.downlink, u.qos.uplink)
@@ -112,6 +123,53 @@ class TestSampling:
     def test_negative_trial_index_rejected(self):
         with pytest.raises(ValueError):
             sample_users(desk_config(), -1)
+
+
+class TestStreamSeeding:
+    """Each CHUNK-aligned block of trials is seeded in one vectorized pass;
+    every trial must still start where default_rng([seed, trial]) does."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 1])
+    @pytest.mark.parametrize("trial", [0, 255, 256, 257, 2**32 - 1, 2**32, 2**32 + 5])
+    def test_state_and_draws_match_default_rng(self, seed, trial):
+        want = np.random.default_rng([seed, trial]).bit_generator.state["state"]
+        block, offset = divmod(trial, CHUNK)
+        assert _block_streams(seed, block)[offset] == (want["state"], want["inc"])
+        config = desk_config(seed=seed, num_users=7)
+        assert drawn(config, trial) == reference_draw(config, trial)
+
+    def test_out_of_order_draws_never_see_a_stale_block(self):
+        sequence = [(5, 300), (5, 3), (5, 300), (6, 300), (5, 3), (6, 3)]
+        for seed, trial in sequence:
+            config = desk_config(seed=seed)
+            assert drawn(config, trial) == reference_draw(config, trial)
+
+    def test_threads_drawing_at_once_each_get_their_own_stream(self):
+        # more threads than cores, switching often, on trials of different
+        # blocks: a shared set-state-then-draw would hand out wrong bytes
+        config = desk_config(num_users=16)
+        trials = [[t * CHUNK + k for k in range(0, 40, 3)] for t in range(4)]
+        want = {i: reference_draw(config, i) for row in trials for i in row}
+        wrong = []
+
+        def work(row):
+            for _ in range(20):
+                for i in row:
+                    if drawn(config, i) != want[i]:
+                        wrong.append(i)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(row,)) for row in trials]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
 
 
 class TestConfigValidation:
