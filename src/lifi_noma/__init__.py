@@ -23,7 +23,6 @@ files and writes CSV results; see the README.
 __version__ = "0.1.0"
 
 from .allocation import (
-    DecodingOrder,
     InfeasibleAllocationError,
     PowerAllocationSet,
     PowerLimits,
@@ -37,9 +36,7 @@ from .allocation import (
     downlink_power_requirements,
     oma_allocation,
     opa_set,
-    optimal_decoding_orders,
     single_user_allocation,
-    total_power,
     uplink_achievable_rates,
     uplink_power_requirements,
 )
@@ -48,16 +45,11 @@ from .channel import (
     OpticalFrontEnd,
     UserPosition,
     channel_gain,
-    lambertian_order,
-    lens_gain,
 )
 from .metrics import (
-    EnergyEfficiencyResult,
     LinkOutage,
-    OutageResult,
     downlink_outage_mask,
     downlink_uop,
-    energy_efficiency,
     uplink_outage_mask,
     uplink_uop,
 )
@@ -75,7 +67,6 @@ from .simulation import (
     CellSummary,
     ScenarioConfig,
     ScenarioValidationError,
-    TrialResult,
     UserNode,
     evaluate_population,
     population_gains,
@@ -92,12 +83,9 @@ __all__ = [
     "OpticalFrontEnd",
     "UserPosition",
     "NoiseModel",
-    "lambertian_order",
-    "lens_gain",
     "channel_gain",
     # allocation
     "Strategy",
-    "DecodingOrder",
     "QosRates",
     "UserPair",
     "PowerAllocationSet",
@@ -105,14 +93,12 @@ __all__ = [
     "InfeasibleAllocationError",
     "downlink_power_requirements",
     "uplink_power_requirements",
-    "optimal_decoding_orders",
     "opa_set",
     "channel_ratio",
     "channel_based_allocation",
     "oma_allocation",
     "single_user_allocation",
     "allocate",
-    "total_power",
     "downlink_achievable_rates",
     "uplink_achievable_rates",
     # pairing
@@ -123,10 +109,7 @@ __all__ = [
     "adaptive_pairing",
     "opa_total_power",
     # metrics
-    "EnergyEfficiencyResult",
     "LinkOutage",
-    "OutageResult",
-    "energy_efficiency",
     "downlink_uop",
     "uplink_uop",
     "downlink_outage_mask",
@@ -136,7 +119,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioValidationError",
     "CellResult",
-    "TrialResult",
     "CellSummary",
     "CampaignSummary",
     "sample_users",

@@ -19,11 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
 
 __all__ = [
     "Strategy",
-    "DecodingOrder",
     "QosRates",
     "UserPair",
     "PowerAllocationSet",
@@ -31,14 +29,12 @@ __all__ = [
     "InfeasibleAllocationError",
     "downlink_power_requirements",
     "uplink_power_requirements",
-    "optimal_decoding_orders",
     "opa_set",
     "channel_ratio",
     "channel_based_allocation",
     "oma_allocation",
     "single_user_allocation",
     "allocate",
-    "total_power",
     "downlink_achievable_rates",
     "uplink_achievable_rates",
 ]
@@ -48,7 +44,7 @@ class InfeasibleAllocationError(Exception):
     """The QoS targets cannot be met with any finite transmit power.
 
     Raised for zero channel gains (device outside the receiver FOV) and for
-    degenerate channel-based splits that would divide by a zero power ratio.
+    degenerate channel-based splits with a zero power ratio.
     Outage accounting treats the affected users as outages.
     """
 
@@ -60,13 +56,6 @@ class Strategy(Enum):
     GRPA = "grpa"
     NGDPA = "ngdpa"
     OMA = "oma"
-
-
-class DecodingOrder(Enum):
-    """Which pair member is decoded first (treating the other as interference)."""
-
-    FAR_FIRST = "far-first"
-    NEAR_FIRST = "near-first"
 
 
 @dataclass(frozen=True)
@@ -123,14 +112,6 @@ class PowerAllocationSet:
     @property
     def total(self) -> float:
         return self.far_dl + self.near_dl + self.far_ul + self.near_ul
-
-    @property
-    def downlink(self) -> tuple[float, float]:
-        return (self.far_dl, self.near_dl)
-
-    @property
-    def uplink(self) -> tuple[float, float]:
-        return (self.far_ul, self.near_ul)
 
 
 @dataclass(frozen=True)
@@ -231,15 +212,6 @@ def uplink_power_requirements(
     return p_high, p_low
 
 
-def optimal_decoding_orders() -> tuple[DecodingOrder, DecodingOrder]:
-    """Total-power-optimal decoding orders: (downlink, uplink).
-
-    Decoding the far user first on the downlink and the near user first on
-    the uplink never needs more total power than any other order choice.
-    """
-    return DecodingOrder.FAR_FIRST, DecodingOrder.NEAR_FIRST
-
-
 def opa_set(
     pair: UserPair,
     qos_far: QosRates,
@@ -264,8 +236,8 @@ def channel_ratio(strategy: Strategy, h_far: float, h_near: float) -> float:
     """Near-to-far power ratio prescribed by a channel-based strategy.
 
     GRPA uses ``(h_far / h_near)^2``; NGDPA uses ``(h_near - h_far) / h_near``.
-    Equal gains make the NGDPA ratio 0, which is degenerate: any allocation
-    branch that divides by it is infeasible.
+    Equal gains make the NGDPA ratio 0, which is degenerate: an allocation
+    with it is infeasible.
 
     Raises:
         ValueError: unless ``0 < h_far <= h_near`` and the strategy is one of
@@ -286,12 +258,14 @@ def _scaled_link_allocation(
 ) -> tuple[float, float]:
     # Keep the prescribed ratio while meeting both equality powers: scale the
     # near power up when alpha allows it, otherwise scale the far power up.
-    if alpha >= p_near_opt / p_far_opt:
-        return p_far_opt, alpha * p_far_opt
+    # A ratio of 0 reaches no positive near power (0 * inf when the far
+    # power overflows).
     if alpha == 0.0:
         raise InfeasibleAllocationError(
             "degenerate power ratio 0 cannot reach the near user's minimum power"
         )
+    if alpha >= p_near_opt / p_far_opt:
+        return p_far_opt, alpha * p_far_opt
     return p_near_opt / alpha, p_near_opt
 
 
@@ -308,8 +282,8 @@ def channel_based_allocation(
     the strategy's ratio, so every component is >= its optimal counterpart.
 
     Raises:
-        InfeasibleAllocationError: zero gains, or an NGDPA ratio of 0 on a
-            link whose near user needs nonzero power.
+        InfeasibleAllocationError: zero gains, or a ratio of 0 (NGDPA on
+            equal gains).
     """
     optimum = opa_set(pair, qos_far, qos_near, noise_power)
     alpha_dl = channel_ratio(strategy, pair.h_far_dl, pair.h_near_dl)
@@ -386,11 +360,6 @@ def allocate(
     if strategy is Strategy.OMA:
         return oma_allocation(pair, qos_far, qos_near, noise_power)
     raise ValueError(f"unknown strategy {strategy}")
-
-
-def total_power(allocations: Iterable[PowerAllocationSet]) -> float:
-    """Sum of all four components over any number of pairs (0 for none)."""
-    return sum(a.total for a in allocations)
 
 
 def downlink_achievable_rates(

@@ -20,52 +20,9 @@ __all__ = [
     "OpticalFrontEnd",
     "UserPosition",
     "NoiseModel",
-    "lambertian_order",
-    "lens_gain",
     "channel_gain",
     "los_gain",
 ]
-
-
-def lambertian_order(semi_angle_deg: float) -> float:
-    """Beam-shape exponent of a generalized Lambertian LED.
-
-    Args:
-        semi_angle_deg: half-power semi-angle of the emitter, in degrees,
-            strictly inside (0, 90).
-
-    Returns:
-        The exponent ``-ln 2 / ln(cos(semi_angle))``, always positive.
-
-    Raises:
-        ValueError: if the semi-angle is outside (0, 90) degrees.
-    """
-    if not 0.0 < semi_angle_deg < 90.0:
-        raise ValueError(
-            f"LED semi-angle must lie strictly inside (0, 90) degrees, got {semi_angle_deg}"
-        )
-    return -math.log(2.0) / math.log(math.cos(math.radians(semi_angle_deg)))
-
-
-def lens_gain(refractive_index: float, fov_half_angle_deg: float) -> float:
-    """Optical concentrator gain ``n^2 / sin^2(FOV)`` of the receiver lens.
-
-    Args:
-        refractive_index: lens refractive index, at least 1.
-        fov_half_angle_deg: receiver field-of-view half-angle, degrees, in
-            (0, 90]. (90 degrees means no concentration: gain ``n^2``.)
-
-    Raises:
-        ValueError: for a non-physical index or a FOV outside (0, 90].
-    """
-    if refractive_index < 1.0:
-        raise ValueError(f"lens refractive index must be >= 1, got {refractive_index}")
-    if not 0.0 < fov_half_angle_deg <= 90.0:
-        raise ValueError(
-            f"FOV half-angle must lie in (0, 90] degrees, got {fov_half_angle_deg}"
-        )
-    s = math.sin(math.radians(fov_half_angle_deg))
-    return refractive_index * refractive_index / (s * s)
 
 
 @dataclass(frozen=True)
@@ -110,16 +67,28 @@ class OpticalFrontEnd:
             problems.append(
                 f"refractive_index must be >= 1 and finite, got {self.refractive_index}"
             )
+        if not problems:
+            try:  # angles near 0 round cos to 1 or sin^2 to 0
+                constant = self.channel_constant
+            except ZeroDivisionError:
+                constant = math.inf
+            if not 0.0 < constant < math.inf:
+                problems.append("the gain constant of semi_angle_deg, responsivity, area, "
+                                "fov_half_angle_deg, filter_gain and refractive_index must "
+                                f"be positive and finite, got {constant}")
         if problems:
             raise ValueError("invalid optical front end: " + "; ".join(problems))
 
     @property
     def lambertian_order(self) -> float:
-        return lambertian_order(self.semi_angle_deg)
+        """Beam-shape exponent ``-ln 2 / ln(cos(semi_angle))`` of the LED, > 0."""
+        return -math.log(2.0) / math.log(math.cos(math.radians(self.semi_angle_deg)))
 
     @property
     def lens_gain(self) -> float:
-        return lens_gain(self.refractive_index, self.fov_half_angle_deg)
+        """Concentrator gain ``n^2 / sin^2(FOV)`` of the receiver lens."""
+        s = math.sin(math.radians(self.fov_half_angle_deg))
+        return self.refractive_index * self.refractive_index / (s * s)
 
     @property
     def channel_constant(self) -> float:
@@ -163,15 +132,6 @@ class UserPosition:
             raise ValueError(f"vertical distance must be positive, got {self.vertical}")
         if self.horizontal < 0.0:
             raise ValueError(f"horizontal distance must be >= 0, got {self.horizontal}")
-
-    @property
-    def distance(self) -> float:
-        return math.hypot(self.vertical, self.horizontal)
-
-    @property
-    def incidence_angle(self) -> float:
-        """Common emission/incidence angle, radians (vertical alignment)."""
-        return math.atan(self.horizontal / self.vertical)
 
 
 def los_gain(
@@ -227,6 +187,9 @@ class NoiseModel:
             raise ValueError(f"noise PSD must be positive and finite, got {self.psd}")
         if not 0.0 < self.bandwidth < math.inf:
             raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
+        if not 0.0 < self.noise_power < math.inf:
+            raise ValueError(f"noise power psd * bandwidth must be positive and finite, "
+                             f"got {self.noise_power}")
 
     @property
     def noise_power(self) -> float:

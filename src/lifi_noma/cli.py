@@ -172,6 +172,17 @@ def _strategies_from_tokens(tokens) -> tuple[Strategy, ...]:
     return tuple(values)
 
 
+# Scenario keys whose field has another name; every other key is its field.
+_FIELD_NAMES = {"area_m2": "area", "noise_psd": "psd", "bandwidth_hz": "bandwidth",
+                "p_max_dl": "max_total_dl", "p_max_ul": "max_per_user_ul",
+                "pairing": "pairings"}
+
+
+def _fields(raw: dict, *keys: str) -> dict:
+    """The given scenario keys that ``raw`` has, under their field names."""
+    return {_FIELD_NAMES.get(key, key): raw[key] for key in keys if key in raw}
+
+
 def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario file into a fully resolved config.
 
@@ -188,64 +199,24 @@ def load_scenario(path) -> ScenarioConfig:
     if problems:
         raise ScenarioValidationError(problems)
 
-    front_kwargs = {}
-    for key, attr in (
-        ("semi_angle_deg", "semi_angle_deg"),
-        ("responsivity", "responsivity"),
-        ("area_m2", "area"),
-        ("fov_half_angle_deg", "fov_half_angle_deg"),
-        ("filter_gain", "filter_gain"),
-        ("refractive_index", "refractive_index"),
-    ):
-        if key in raw:
-            front_kwargs[attr] = raw[key]
-    noise_kwargs = {}
-    if "noise_psd" in raw:
-        noise_kwargs["psd"] = raw["noise_psd"]
-    if "bandwidth_hz" in raw:
-        noise_kwargs["bandwidth"] = raw["bandwidth_hz"]
-    limit_kwargs = {}
-    if "p_max_dl" in raw:
-        limit_kwargs["max_total_dl"] = raw["p_max_dl"]
-    if "p_max_ul" in raw:
-        limit_kwargs["max_per_user_ul"] = raw["p_max_ul"]
-
     try:
-        front_end = OpticalFrontEnd(**front_kwargs)
-        noise = NoiseModel(**noise_kwargs)
-        limits = PowerLimits(**limit_kwargs)
+        front_end = OpticalFrontEnd(**_fields(
+            raw, "semi_angle_deg", "responsivity", "area_m2", "fov_half_angle_deg",
+            "filter_gain", "refractive_index"))
+        noise = NoiseModel(**_fields(raw, "noise_psd", "bandwidth_hz"))
+        limits = PowerLimits(**_fields(raw, "p_max_dl", "p_max_ul"))
     except ValueError as err:
         raise ScenarioValidationError([str(err)]) from None
 
-    config_kwargs = {
-        "num_users": raw["num_users"],
-        "trials": raw["trials"],
-        "scenario_id": raw.get("scenario_id", path.stem),
-        "front_end": front_end,
-        "noise": noise,
-        "limits": limits,
-    }
-    for key, attr in (
-        ("seed", "seed"),
-        ("qos_set", "qos_set"),
-        ("l_min", "l_min"),
-        ("l_max", "l_max"),
-        ("r_max", "r_max"),
-        ("pairing", "pairings"),
-        ("qos_pairing_key", "qos_pairing_key"),
-        ("qos_coupled_links", "qos_coupled_links"),
-        ("ee_served_only", "ee_served_only"),
-        ("sweep_mode", "sweep_mode"),
-        ("sweep_values", "sweep_values"),
-        ("sweep_rate", "sweep_rate"),
-        ("uop_sweep_link", "uop_sweep_link"),
-        ("uop_sweep_grid", "uop_sweep_grid"),
-    ):
-        if key in raw:
-            config_kwargs[attr] = raw[key]
+    config_kwargs = _fields(
+        raw, "seed", "qos_set", "l_min", "l_max", "r_max", "pairing", "qos_pairing_key",
+        "qos_coupled_links", "ee_served_only", "sweep_mode", "sweep_values", "sweep_rate",
+        "uop_sweep_link", "uop_sweep_grid")
     if "strategies" in raw:
         config_kwargs["strategies"] = _strategies_from_tokens(raw["strategies"])
-    return ScenarioConfig(**config_kwargs)
+    return ScenarioConfig(num_users=raw["num_users"], trials=raw["trials"],
+                          scenario_id=raw.get("scenario_id", path.stem), front_end=front_end,
+                          noise=noise, limits=limits, **config_kwargs)
 
 
 def _format_cell(value) -> str:
@@ -257,24 +228,14 @@ def _format_cell(value) -> str:
 
 
 def _summary_rows(summaries: list[CampaignSummary]) -> list[list[str]]:
-    rows = []
-    for summary in summaries:
-        for (strategy, pairing), cell in summary.cells.items():
-            rows.append([
-                _format_cell(summary.scenario_id),
-                _format_cell(summary.sweep_parameter),
-                _format_cell(summary.sweep_value),
-                _format_cell(strategy),
-                _format_cell(pairing),
-                _format_cell(cell.mean_ee),
-                _format_cell(cell.mean_total_power),
-                _format_cell(cell.mean_uop_dl),
-                _format_cell(cell.mean_uop_ul),
-                _format_cell(summary.trials),
-                _format_cell(summary.seed),
-                __version__,
-            ])
-    return rows
+    return [
+        [_format_cell(value) for value in (
+            summary.scenario_id, summary.sweep_parameter, summary.sweep_value, strategy,
+            pairing, cell.mean_ee, cell.mean_total_power, cell.mean_uop_dl, cell.mean_uop_ul,
+            summary.trials, summary.seed, __version__)]
+        for summary in summaries
+        for (strategy, pairing), cell in summary.cells.items()
+    ]
 
 
 def _jsonable(value):
@@ -370,6 +331,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.workers < 1:
+            raise _UsageError(f"--workers must be >= 1, got {args.workers}")
     except _UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1

@@ -1,9 +1,7 @@
-"""Energy efficiency and user outage probability metrics.
+"""User outage probability per link, the scalar reference of the engine.
 
-Energy efficiency is the target sum rate divided by the total electrical
-transmit power (bits/J/Hz in relative units). Outage is counted per link:
-downlink users go out when the access point cannot carry everyone below its
-total-power cap (highest-power users are shed first), uplink users go out
+Downlink users go out when the access point cannot carry everyone below its
+total-power cap (highest-power users are shed first); uplink users go out
 individually when their own required power exceeds the per-device cap.
 Powers of ``inf`` mark users whose allocation was infeasible; they always
 count as outages.
@@ -13,17 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .allocation import QosRates
-
 __all__ = [
-    "EnergyEfficiencyResult",
     "LinkOutage",
-    "OutageResult",
-    "energy_efficiency",
     "downlink_uop",
     "uplink_uop",
     "downlink_outage_mask",
@@ -32,47 +25,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class EnergyEfficiencyResult:
-    sum_rate: float
-    total_power: float
-    eta: float
-
-
-@dataclass(frozen=True)
 class LinkOutage:
     """Outage count and probability for one link."""
 
     k_out: int
     uop: float
-
-
-@dataclass(frozen=True)
-class OutageResult:
-    """Both links' outage statistics, mirroring the per-link parts."""
-
-    k_out_dl: int
-    k_out_ul: int
-    uop_dl: float
-    uop_ul: float
-
-    @classmethod
-    def from_links(cls, downlink: LinkOutage, uplink: LinkOutage) -> "OutageResult":
-        return cls(downlink.k_out, uplink.k_out, downlink.uop, uplink.uop)
-
-
-def energy_efficiency(rates: Iterable[QosRates], total_power: float) -> EnergyEfficiencyResult:
-    """Target sum rate over total transmit power.
-
-    ``rates`` is the served users' per-link requirements; an infinite power
-    (infeasible system) yields eta = 0.
-
-    Raises:
-        ValueError: for zero or negative power.
-    """
-    if total_power <= 0.0:
-        raise ValueError(f"total power must be positive, got {total_power}")
-    sum_rate = float(sum(q.combined for q in rates))
-    return EnergyEfficiencyResult(sum_rate, float(total_power), sum_rate / total_power)
 
 
 def downlink_uop(powers: Sequence[float], max_total_power: float) -> LinkOutage:
@@ -107,13 +64,16 @@ def uplink_uop(powers: Sequence[float], max_user_power: float) -> LinkOutage:
 def downlink_outage_mask(powers: Sequence[float], max_total_power: float) -> np.ndarray:
     """Boolean mask of the downlink users shed by the cap.
 
-    The shed set is the ``k_out`` highest-power users (ties resolved toward
-    the lower index), matching the tail-sum count of :func:`downlink_uop`.
+    One sort, heaviest first with ties toward the lower index; the tail sums
+    are walked from the smallest power up as in :func:`downlink_uop`, so the
+    shed set is its ``k_out`` highest-power users.
     """
-    k_out = downlink_uop(powers, max_total_power).k_out
     order = sorted(range(len(powers)), key=lambda i: (-float(powers[i]), i))
     mask = np.zeros(len(powers), dtype=bool)
-    mask[order[:k_out]] = True
+    tail = 0.0
+    for i in reversed(order):
+        tail += float(powers[i])
+        mask[i] = tail > max_total_power or math.isinf(tail)
     return mask
 
 

@@ -28,17 +28,18 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 import threading
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .allocation import PowerLimits, QosRates, Strategy, UserPair, _rate_factor
+from .allocation import PowerLimits, QosRates, Strategy, _rate_factor
 from .channel import NoiseModel, OpticalFrontEnd, UserPosition, channel_gain, los_gain
-from .metrics import OutageResult
+from .metrics import LinkOutage
 from .pairing import QOS_SORT_KEYS
 
 # The engine does not call these scalar reference functions; the benchmark's
@@ -60,7 +61,6 @@ __all__ = [
     "UserNode",
     "ScenarioConfig",
     "CellResult",
-    "TrialResult",
     "CellSummary",
     "CampaignSummary",
     "sample_users",
@@ -108,7 +108,9 @@ class ScenarioConfig:
     band at 1e-22 A^2/Hz noise, users uniform over l in [1.5, 2.5] m and
     r in [0, 3] m). Power caps default to infinity, i.e. no outage. Every
     float must be finite except the power caps; rates stay below
-    :data:`MAX_RATE`.
+    :data:`MAX_RATE`. Two-user sweep values are far-user distances from the
+    axis (>= 0) or heights (> 0); ``l_min`` and the heights must keep an
+    on-axis user's minimum power a normal float.
     """
 
     num_users: int
@@ -120,7 +122,6 @@ class ScenarioConfig:
     l_max: float = 2.5
     r_max: float = 3.0
     front_end: OpticalFrontEnd = field(default_factory=OpticalFrontEnd)
-    uplink_front_end: OpticalFrontEnd | None = None
     noise: NoiseModel = field(default_factory=NoiseModel)
     limits: PowerLimits = field(default_factory=PowerLimits)
     strategies: tuple[Strategy, ...] = (
@@ -158,6 +159,8 @@ class ScenarioConfig:
             problems.append(
                 f"need 0 < l_min <= l_max < inf, got ({self.l_min}, {self.l_max})"
             )
+        elif not self._resolves(self.l_min):
+            problems.append(f"l_min is too close to the access point, got {self.l_min}")
         if not 0.0 < self.r_max < math.inf:
             problems.append(f"r_max must be positive and finite, got {self.r_max}")
         if not self.strategies:
@@ -180,6 +183,18 @@ class ScenarioConfig:
                 problems.append("sweep_values must not be empty when given")
             elif not all(math.isfinite(v) for v in self.sweep_values):
                 problems.append(f"sweep_values must be finite, got {self.sweep_values}")
+            elif self.sweep_mode == "horizontal" and min(self.sweep_values) < 0.0:
+                problems.append(
+                    f"sweep_values (far-user distances from the axis) must be >= 0, "
+                    f"got {self.sweep_values}"
+                )
+            elif self.sweep_mode == "vertical" and not all(
+                v > 0.0 and self._resolves(v) for v in self.sweep_values
+            ):
+                problems.append(
+                    f"sweep_values (far-user heights) must be positive and not too close "
+                    f"to the access point, got {self.sweep_values}"
+                )
         if self.uop_sweep_link not in ("dl", "ul"):
             problems.append(f"uop_sweep_link must be 'dl' or 'ul', got {self.uop_sweep_link!r}")
         if not all(v > 0.0 for v in self.uop_sweep_grid):
@@ -191,10 +206,28 @@ class ScenarioConfig:
     def noise_power(self) -> float:
         return self.noise.noise_power
 
+    def _resolves(self, height: float) -> bool:
+        """Whether a user on the axis at ``height`` needs a normal, positive power.
+
+        Its gain ``C / height^2`` is the largest at that height. Closer in,
+        the squared distance underflows or the squared gain overflows, and
+        the minimum powers round to 0 instead of staying positive.
+        """
+        reach = height * height
+        if reach == 0.0:
+            return False
+        gain = self.front_end.channel_constant / reach
+        square = gain * gain  # 0 far away: unbounded powers, counted as outage
+        return square == 0.0 or self.noise_power / square >= sys.float_info.min
+
 
 @dataclass(frozen=True)
 class CellResult:
-    """One trial's outcome for one (strategy, pairing) combination."""
+    """One trial's outcome for one (strategy, pairing) combination.
+
+    ``dl_powers``/``ul_powers`` are per-slot powers: far, near of each pair
+    in pair order, then the unpaired user.
+    """
 
     strategy: str
     pairing: str
@@ -202,9 +235,10 @@ class CellResult:
     sum_rate: float
     total_power: float
     ee: float
-    outage: OutageResult
-    dl_powers: tuple[float, ...] | None = None
-    ul_powers: tuple[float, ...] | None = None
+    outage_dl: LinkOutage
+    outage_ul: LinkOutage
+    dl_powers: tuple[float, ...]
+    ul_powers: tuple[float, ...]
 
 
 class _Population(NamedTuple):
@@ -215,20 +249,6 @@ class _Population(NamedTuple):
     polar: np.ndarray
     rates_dl: np.ndarray
     rates_ul: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class TrialResult:
-    """One trial's population; ``cells`` is evaluated on first access."""
-
-    trial_index: int
-    config: ScenarioConfig = field(repr=False)
-    population: _Population = field(repr=False)
-    keep_user_powers: bool = False
-
-    @cached_property
-    def cells(self) -> dict[tuple[str, str], CellResult]:
-        return _cell_results(self.config, _stack([self.population]), self.keep_user_powers)
 
 
 @dataclass(frozen=True)
@@ -333,8 +353,17 @@ def _block_streams(seed: int, block: int) -> tuple[tuple[int, int], ...]:
 _generators = threading.local()
 
 
-def _draw(config: ScenarioConfig, trial_index: int) -> _Population:
-    """The one RNG stream of a trial; the draw order is part of the contract."""
+def run_trial(config: ScenarioConfig, trial_index: int) -> _Population:
+    """Draw trial ``trial_index``'s population as per-user arrays.
+
+    Vertical and horizontal distances are uniform over the configured
+    bounds, polar angles uniform over [0, 2 pi), and the two per-user rates
+    are drawn independently and uniformly from the QoS set (with
+    ``qos_coupled_links`` the uplink draw is skipped and reuses the
+    downlink rates). This is the one RNG stream of a trial, and the draw
+    order (l, r, angle, downlink rates, uplink rates) is part of the
+    contract. The chunk evaluator calls it once per trial it stacks.
+    """
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
     block, offset = divmod(operator.index(trial_index), CHUNK)
@@ -362,33 +391,17 @@ def _draw(config: ScenarioConfig, trial_index: int) -> _Population:
 
 
 def sample_users(config: ScenarioConfig, trial_index: int) -> list[UserNode]:
-    """Draw one trial's population, deterministically from (seed, trial_index).
-
-    Vertical and horizontal distances are uniform over the configured
-    bounds, polar angles uniform over [0, 2 pi), and the two per-user rates
-    are drawn independently and uniformly from the QoS set (with
-    ``qos_coupled_links`` the uplink draw is skipped and reuses the
-    downlink rates). The draw order (l, r, angle, downlink rates, uplink
-    rates) is part of the contract.
-    """
-    draw = _draw(config, trial_index)
+    """Trial ``trial_index``'s draw (:func:`run_trial`) as user objects."""
+    draw = run_trial(config, trial_index)
     return [
         UserNode(UserPosition(vertical, horizontal, polar), QosRates(dl, ul))
         for vertical, horizontal, polar, dl, ul in zip(*(a.tolist() for a in draw))
     ]
 
 
-def population_gains(
-    users: Sequence[UserNode],
-    front_end: OpticalFrontEnd,
-    uplink_front_end: OpticalFrontEnd | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-user LOS gains for both links (identical under one front end)."""
-    gains_dl = np.array([channel_gain(u.position, front_end) for u in users])
-    if uplink_front_end is None or uplink_front_end == front_end:
-        return gains_dl, gains_dl
-    gains_ul = np.array([channel_gain(u.position, uplink_front_end) for u in users])
-    return gains_dl, gains_ul
+def population_gains(users: Sequence[UserNode], front_end: OpticalFrontEnd) -> np.ndarray:
+    """Per-user LOS gains, shared by the downlink and the uplink."""
+    return np.array([channel_gain(u.position, front_end) for u in users])
 
 
 def _stack(populations: Sequence[_Population]) -> _Population:
@@ -434,47 +447,47 @@ def _scaled(alpha, p_far, p_near):
     keep = alpha >= p_near / p_far
     far = np.where(keep, p_far, p_near / alpha)
     near = np.where(keep, alpha * p_far, p_near)
-    return far, near, ~keep & (alpha == 0.0)
+    return far, near, alpha == 0.0
 
 
-def _opa_powers(pz: float, gains, factors) -> tuple:
+def _opa_powers(pz: float, h_far, h_near, factors) -> tuple:
     """``opa_set`` on arrays of pairs, computed once per pairing.
 
-    ``gains`` and ``factors`` (``2^(2R)``) are per-pair arrays ordered far
-    downlink, near downlink, far uplink, near uplink; so is the result.
-    Every expression keeps the operand order of the scalar closed form, so
-    each element rounds as it does there.
+    ``h_far``/``h_near`` are the pair members' gains, shared by both links.
+    ``factors`` (``2^(2R)``) and the result are per-pair arrays ordered far
+    downlink, near downlink, far uplink, near uplink. Every expression keeps
+    the operand order of the scalar closed form, so each element rounds as
+    it does there.
     """
-    hfd, hnd, hfu, hnu = gains
     # downlink far user decoded first, uplink near user first
-    near_dl = factors[1] * pz / (hnd * hnd)
-    far_dl = factors[0] * (near_dl + pz / (hfd * hfd))
-    far_ul = factors[2] * pz / (hfu * hfu)
-    near_ul = factors[3] * (1.0 + factors[2]) * pz / (hnu * hnu)
+    near_dl = factors[1] * pz / (h_near * h_near)
+    far_dl = factors[0] * (near_dl + pz / (h_far * h_far))
+    far_ul = factors[2] * pz / (h_far * h_far)
+    near_ul = factors[3] * (1.0 + factors[2]) * pz / (h_near * h_near)
     return far_dl, near_dl, far_ul, near_ul
 
 
-def _pair_powers(strategy: Strategy, pz: float, gains, opa, rates) -> tuple:
+def _pair_powers(strategy: Strategy, pz: float, h_far, h_near, opa, rates) -> tuple:
     """``allocate`` on arrays of pairs, from the pairing's OPA powers.
 
     Arguments and result are ordered as in :func:`_opa_powers`; ``rates``
     are the per-pair rate requirements.
     """
-    hfd, hnd, hfu, hnu = gains
-    infeasible = (hfd == 0.0) | (hnd == 0.0) | (hfu == 0.0) | (hnu == 0.0)
+    infeasible = h_far == 0.0  # the far member has the lower gain
     powers = opa
     if strategy is Strategy.OMA:
         k_dl = _rate_factors(rates[0] + rates[1]) * pz
         k_ul = _rate_factors(rates[2] + rates[3]) * pz
-        powers = (k_dl / (hfd * hfd), k_dl / (hnd * hnd), k_ul / (hfu * hfu), k_ul / (hnu * hnu))
+        far, near = h_far * h_far, h_near * h_near
+        powers = (k_dl / far, k_dl / near, k_ul / far, k_ul / near)
     elif strategy is not Strategy.OPA:
         if strategy is Strategy.GRPA:
-            ratio_dl, ratio_ul = hfd / hnd, hfu / hnu
-            alpha_dl, alpha_ul = ratio_dl * ratio_dl, ratio_ul * ratio_ul
+            ratio = h_far / h_near
+            alpha = ratio * ratio
         else:  # NGDPA
-            alpha_dl, alpha_ul = (hnd - hfd) / hnd, (hnu - hfu) / hnu
-        fd, nd, bad_dl = _scaled(alpha_dl, opa[0], opa[1])
-        fu, nu, bad_ul = _scaled(alpha_ul, opa[2], opa[3])
+            alpha = (h_near - h_far) / h_near
+        fd, nd, bad_dl = _scaled(alpha, opa[0], opa[1])
+        fu, nu, bad_ul = _scaled(alpha, opa[2], opa[3])
         powers = (fd, nd, fu, nu)
         infeasible = infeasible | bad_dl | bad_ul
     # an infeasible pair goes out whole: all four demands unbounded
@@ -503,12 +516,7 @@ class _Chunk:
 
     def __init__(self, config, population, caps_dl, caps_ul):
         self.config = config
-        self.gains_dl = _gains(config.front_end, population)
-        uplink = config.uplink_front_end
-        if uplink is None or uplink == config.front_end:
-            self.gains_ul = self.gains_dl
-        else:
-            self.gains_ul = _gains(uplink, population)
+        self.gains = _gains(config.front_end, population)  # both links
         self.rates_dl = population.rates_dl
         self.rates_ul = population.rates_ul
         self.factor_dl = _rate_factors(self.rates_dl)
@@ -520,7 +528,7 @@ class _Chunk:
 
     def sort_order(self, method: str) -> np.ndarray:
         if method == "channel":  # ascending (gain, index)
-            return np.argsort(self.gains_dl, axis=1, kind="stable")
+            return np.argsort(self.gains, axis=1, kind="stable")
         key = self.config.qos_pairing_key
         values = {"sum": self.rates_dl + self.rates_ul, "downlink": self.rates_dl,
                   "uplink": self.rates_ul}[key]
@@ -530,39 +538,20 @@ class _Chunk:
         """Pair the i-th with the (n/2 + i)-th sorted user; far is the lower (gain, index)."""
         half = order.shape[1] // 2
         a, b = order[:, :half], order[:, half:2 * half]
-        gain_a = np.take_along_axis(self.gains_dl, a, 1)
-        gain_b = np.take_along_axis(self.gains_dl, b, 1)
+        gain_a = np.take_along_axis(self.gains, a, 1)
+        gain_b = np.take_along_axis(self.gains, b, 1)
         swap = (gain_b < gain_a) | ((gain_b == gain_a) & (b < a))
         slots = order.copy()
         slots[:, 0:2 * half:2] = np.where(swap, b, a)
         slots[:, 1:2 * half:2] = np.where(swap, a, b)
         return slots
 
-    def check_roles(self, slots_by_method: dict[str, np.ndarray]) -> None:
-        """Raise the ``UserPair`` error for the first pair, in evaluation order,
-        whose uplink gains contradict its downlink roles."""
-        bad = {}
-        for method, slots in slots_by_method.items():
-            half = slots.shape[1] // 2
-            gains = np.take_along_axis(self.gains_ul, slots[:, :2 * half], 1)
-            bad[method] = gains[:, 0::2] > gains[:, 1::2]
-        rows = np.flatnonzero(np.any([m.any(axis=1) for m in bad.values()], axis=0))
-        if not rows.size:
-            return
-        trial = rows[0]
-        method = next(m for m in bad if bad[m][trial].any())
-        j = int(np.argmax(bad[method][trial]))
-        far, near = slots_by_method[method][trial, 2 * j:2 * j + 2].tolist()
-        gdl, gul = self.gains_dl[trial].tolist(), self.gains_ul[trial].tolist()
-        UserPair(far, near, gdl[far], gdl[near], gul[far], gul[near])  # raises
-
     def cells(self, slots: np.ndarray, strategies) -> tuple[dict[Strategy, _Cells], np.ndarray]:
         """Every strategy's cell on one pairing, plus that pairing's OPA total."""
         pz = self.config.noise_power
-        h_dl, h_ul, f_dl, f_ul, r_dl, r_ul = (
+        h, f_dl, f_ul, r_dl, r_ul = (
             np.take_along_axis(x, slots, 1)
-            for x in (self.gains_dl, self.gains_ul, self.factor_dl, self.factor_ul,
-                      self.rates_dl, self.rates_ul)
+            for x in (self.gains, self.factor_dl, self.factor_ul, self.rates_dl, self.rates_ul)
         )
         half = slots.shape[1] // 2
         far, near = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
@@ -570,16 +559,17 @@ class _Chunk:
         def per_pair(dl, ul):  # far_dl, near_dl, far_ul, near_ul
             return dl[:, far], dl[:, near], ul[:, far], ul[:, near]
 
-        gains, factors, rates = per_pair(h_dl, h_ul), per_pair(f_dl, f_ul), per_pair(r_dl, r_ul)
+        h_far, h_near = h[:, far], h[:, near]
+        factors, rates = per_pair(f_dl, f_ul), per_pair(r_dl, r_ul)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lone = None
             if slots.shape[1] % 2:  # single_user_allocation for the leftover
-                h_dl_u, h_ul_u = h_dl[:, -1], h_ul[:, -1]
-                zero = (h_dl_u == 0.0) | (h_ul_u == 0.0)
-                lone = (np.where(zero, math.inf, f_dl[:, -1] * pz / (h_dl_u * h_dl_u)),
-                        np.where(zero, math.inf, f_ul[:, -1] * pz / (h_ul_u * h_ul_u)))
-            opa = _opa_powers(pz, gains, factors)
-            powers = {s: _pair_powers(s, pz, gains, opa, rates)
+                h_u = h[:, -1]
+                zero = h_u == 0.0
+                lone = (np.where(zero, math.inf, f_dl[:, -1] * pz / (h_u * h_u)),
+                        np.where(zero, math.inf, f_ul[:, -1] * pz / (h_u * h_u)))
+            opa = _opa_powers(pz, h_far, h_near, factors)
+            powers = {s: _pair_powers(s, pz, h_far, h_near, opa, rates)
                       for s in (Strategy.OPA, *strategies)}
         totals = {}
         for strategy, (fd, nd, fu, nu) in powers.items():
@@ -590,7 +580,7 @@ class _Chunk:
         cells = {}
         for strategy in strategies:
             fd, nd, fu, nu = powers[strategy]
-            dl, ul = np.empty(h_dl.shape), np.empty(h_dl.shape)
+            dl, ul = np.empty(h.shape), np.empty(h.shape)
             dl[:, far], dl[:, near], ul[:, far], ul[:, near] = fd, nd, fu, nu
             if lone is not None:
                 dl[:, -1], ul[:, -1] = lone
@@ -648,15 +638,10 @@ def _evaluate(
     if population.vertical.shape[1] < 2:
         raise ValueError(f"pairing needs at least 2 users, got {population.vertical.shape[1]}")
     chunk = _Chunk(config, population, caps_dl, caps_ul)
-    # the order in which one trial meets the pairings, for error parity
-    methods: list[str] = []
-    for name in config.pairings:
-        for method in ("channel", "qos") if name == "adaptive" else (name,):
-            if method not in methods:
-                methods.append(method)
-    slots = {m: chunk.slots(chunk.sort_order(m)) for m in methods}
-    chunk.check_roles(slots)
-    by_method = {m: chunk.cells(slots[m], config.strategies) for m in methods}
+    methods = dict.fromkeys(m for name in config.pairings
+                            for m in (("channel", "qos") if name == "adaptive" else (name,)))
+    by_method = {m: chunk.cells(chunk.slots(chunk.sort_order(m)), config.strategies)
+                 for m in methods}
     out = {}
     for name in config.pairings:
         if name == "adaptive":
@@ -670,13 +655,14 @@ def _evaluate(
     return out
 
 
-def _cell_results(
-    config: ScenarioConfig, population: _Population, keep_user_powers: bool
+def evaluate_population(
+    config: ScenarioConfig, users: Sequence[UserNode]
 ) -> dict[tuple[str, str], CellResult]:
-    """The cells of a chunk of one trial as result objects."""
+    """Run every configured (pairing, strategy) combination on one population."""
     limits = config.limits
-    cells = _evaluate(config, population, (limits.max_total_dl,), (limits.max_per_user_ul,))
-    n = population.vertical.shape[1]
+    cells = _evaluate(config, _stack([_population_of(users)]),
+                      (limits.max_total_dl,), (limits.max_per_user_ul,))
+    n = len(users)
     out = {}
     for (strategy, pairing), cell in cells.items():
         method = pairing
@@ -690,27 +676,12 @@ def _cell_results(
             sum_rate=float(cell.sum_rate[0]),
             total_power=float(cell.total[0]),
             ee=float(cell.ee[0]),
-            outage=OutageResult(k_dl, k_ul, k_dl / n, k_ul / n),
-            dl_powers=tuple(cell.dl[0].tolist()) if keep_user_powers else None,
-            ul_powers=tuple(cell.ul[0].tolist()) if keep_user_powers else None,
+            outage_dl=LinkOutage(k_dl, k_dl / n),
+            outage_ul=LinkOutage(k_ul, k_ul / n),
+            dl_powers=tuple(cell.dl[0].tolist()),
+            ul_powers=tuple(cell.ul[0].tolist()),
         )
     return out
-
-
-def evaluate_population(
-    config: ScenarioConfig,
-    users: Sequence[UserNode],
-    keep_user_powers: bool = False,
-) -> dict[tuple[str, str], CellResult]:
-    """Run every configured (pairing, strategy) combination on one population."""
-    return _cell_results(config, _stack([_population_of(users)]), keep_user_powers)
-
-
-def run_trial(
-    config: ScenarioConfig, trial_index: int, keep_user_powers: bool = False
-) -> TrialResult:
-    """Draw one population; its strategy/pairing grid is evaluated on access."""
-    return TrialResult(trial_index, config, _draw(config, trial_index), keep_user_powers)
 
 
 def _cell_keys(config: ScenarioConfig) -> list[tuple[str, str]]:
@@ -724,7 +695,7 @@ def _chunk_values(config: ScenarioConfig, trials: range, caps_dl, caps_ul) -> np
     downlink UOP at each of ``caps_dl``, the uplink UOP at each of ``caps_ul``.
     """
     # run_trial is looked up per call, so one trial stays the traceable unit
-    population = _stack([run_trial(config, i).population for i in trials])
+    population = _stack([run_trial(config, i) for i in trials])
     cells = _evaluate(config, population, caps_dl, caps_ul)
     n = config.num_users
     columns = []
@@ -756,8 +727,10 @@ def _reduce(
     """Trial-ordered means of every cell, one cells dict per swept cap."""
     keys = _cell_keys(config)
     width = 2 + len(caps_dl) + len(caps_ul)
-    args = (repeat(config), _trial_ranges(config.trials, workers),
-            repeat(caps_dl), repeat(caps_ul))
+    ranges = _trial_ranges(config.trials, workers)
+    args = (repeat(config), ranges, repeat(caps_dl), repeat(caps_ul))
+    # a pool starts all its processes at once: never more than it has tasks
+    workers = min(workers, len(ranges))
     if workers <= 1:
         sums = _sums_in_trial_order(map(_chunk_values, *args), width * len(keys))
     else:
@@ -830,12 +803,25 @@ def run_uop_sweep(config: ScenarioConfig, workers: int = 1) -> list[CampaignSumm
     ]
 
 
+# Default two-user grids step 0.5 m out to r_max or 0.2 m from l_min to l_max;
+# a cell too small for one step or so large that the grid outgrows this
+# needs explicit sweep_values.
+_MAX_DEFAULT_POINTS = 10_000
+
+
 def _default_sweep_values(config: ScenarioConfig, mode: str) -> tuple[float, ...]:
     if mode == "horizontal":
         count = int(round(config.r_max / 0.5))
-        return tuple(np.linspace(0.5, 0.5 * count, count))
-    count = int(round((config.l_max - config.l_min) / 0.2)) + 1
-    return tuple(np.linspace(config.l_min, config.l_max, count))
+        first, last = 0.5, 0.5 * count
+    else:
+        count = int(round((config.l_max - config.l_min) / 0.2)) + 1
+        first, last = config.l_min, config.l_max
+    if not 1 <= count <= _MAX_DEFAULT_POINTS:
+        raise ScenarioValidationError(
+            [f"sweep_values: the default {mode} grid would have {count} points, "
+             f"outside [1, {_MAX_DEFAULT_POINTS}]; give sweep_values"]
+        )
+    return tuple(np.linspace(first, last, count))
 
 
 def two_user_sweep(

@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifi_noma import (
-    DecodingOrder,
     InfeasibleAllocationError,
     QosRates,
+    ScenarioConfig,
     Strategy,
     UserPair,
     allocate,
@@ -20,10 +20,11 @@ from lifi_noma import (
     downlink_power_requirements,
     oma_allocation,
     opa_set,
-    optimal_decoding_orders,
     single_user_allocation,
-    total_power,
     uplink_achievable_rates,
+    UserNode,
+    UserPosition,
+    evaluate_population,
     uplink_power_requirements,
 )
 from lifi_noma.allocation import _scaled_link_allocation
@@ -146,12 +147,6 @@ def _order_total_ul(h_far, h_near, r_far, r_near, far_first: bool) -> float:
 
 
 class TestDecodingOrders:
-    def test_constants(self):
-        assert optimal_decoding_orders() == (
-            DecodingOrder.FAR_FIRST,
-            DecodingOrder.NEAR_FIRST,
-        )
-
     def test_equal_gains_make_orders_tie(self):
         h = 2.5e-6
         assert _order_total_dl(h, h, 1.0, 2.0, True) == pytest.approx(
@@ -335,17 +330,22 @@ class TestOmaAllocation:
         assert oma - noma >= -1e-12 * oma
 
 
-class TestTotals:
-    def test_empty_is_zero(self):
-        assert total_power([]) == 0.0
+def system_total(positions) -> float:
+    """The engine's OPA total of a channel-paired population at unit rates."""
+    users = [UserNode(UserPosition(*p), QosRates(1.0, 1.0)) for p in positions]
+    config = ScenarioConfig(num_users=len(users), trials=1, pairings=("channel",),
+                            strategies=(Strategy.OPA,))
+    return evaluate_population(config, users)[("opa", "channel")].total_power
 
+
+class TestTotals:
+    # the golden pair is the users at (2.5 m, 1.5 m) and (2.5 m, 0 m)
     def test_single_pair(self):
-        alloc = opa_set(golden_pair(), QosRates(1.0, 1.0), QosRates(1.0, 1.0), PZ)
-        assert total_power([alloc]) == pytest.approx(GOLDEN_OPA_TOTAL, rel=REL)
+        assert system_total([(2.5, 0.0), (2.5, 1.5)]) == pytest.approx(GOLDEN_OPA_TOTAL, rel=REL)
 
     def test_two_identical_pairs_double(self):
-        alloc = opa_set(golden_pair(), QosRates(1.0, 1.0), QosRates(1.0, 1.0), PZ)
-        assert total_power([alloc, alloc]) == 2.0 * alloc.total
+        pair = [(2.5, 0.0), (2.5, 1.5)]
+        assert system_total(pair * 2) == 2.0 * system_total(pair)
 
 
 class TestSingleUserAllocation:

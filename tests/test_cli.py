@@ -176,6 +176,32 @@ class TestCliRuns:
         # an infinite mean is written as such, not as the empty "not applicable"
         assert all(r["mean_total_power"] == "inf" for r in rows)
 
+    def test_pool_never_outnumbers_its_tasks(self, tmp_path, monkeypatch):
+        # a pool forks all of its processes up front; this stand-in starts
+        # none and only records the size it was asked for
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            map = staticmethod(map)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        scenario = write(tmp_path, "s.cfg", "num_users = 4\ntrials = 3\n")
+        outs = [tmp_path / "one.csv", tmp_path / "many.csv"]
+        for out, workers in zip(outs, ("1", "5")):
+            assert main(["campaign", "--scenario", str(scenario), "--out", str(out),
+                         "--workers", workers]) == 0
+        assert sizes == [3]  # one task per trial, and no pool for 1 worker
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
     def test_summary_document_echoes_config(self, tmp_path):
         scenario = write(tmp_path, "s.cfg", MINIMAL + "seed = 9\nqos_set = 1, 2\n")
         out = tmp_path / "c.csv"
@@ -226,6 +252,28 @@ class TestExitCodes:
         assert main(["campaign", "--scenario", str(scenario),
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, lines, field", [
+        ("sweep-two-user", "sweep_values = 0.5, -1", "sweep_values"),
+        ("sweep-two-user", "sweep_mode = vertical\nsweep_values = 0.5, -1", "sweep_values"),
+        ("sweep-two-user", "sweep_mode = vertical\nsweep_values = 0.5, 0", "sweep_values"),
+        ("sweep-two-user", "sweep_mode = vertical\nsweep_values = 0.5, 1e-200", "sweep_values"),
+        ("campaign", "l_min = 1e-200\nl_max = 1e-200\nr_max = 1e-200", "l_min"),
+    ])
+    def test_unusable_geometry_is_two(self, tmp_path, capsys, command, lines, field):
+        scenario = write(tmp_path, "s.cfg", MINIMAL + lines + "\n")
+        assert main([command, "--scenario", str(scenario),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_a_usage_error(self, tmp_path, capsys, workers):
+        scenario = write(tmp_path, "s.cfg", MINIMAL)
+        out = tmp_path / "x.csv"
+        assert main(["campaign", "--scenario", str(scenario), "--out", str(out),
+                     "--workers", workers]) == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_scenario_is_three(self, tmp_path, capsys):
         assert main(["campaign", "--scenario", str(tmp_path / "absent.cfg"),

@@ -8,7 +8,6 @@ patterns included, so every comparison is ``==``.
 """
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,14 +30,12 @@ from lifi_noma import (
     pair_by_qos,
     population_gains,
     run_campaign,
-    run_trial,
     run_uop_sweep,
     sample_users,
     single_user_allocation,
     uplink_outage_mask,
     uplink_uop,
 )
-from lifi_noma.metrics import OutageResult
 from lifi_noma.simulation import CHUNK, CellResult
 
 PAIRINGS = ("channel", "qos", "adaptive")
@@ -46,19 +43,18 @@ PAIRINGS = ("channel", "qos", "adaptive")
 
 def oracle_powers(config, users):
     """Per (strategy, pairing): method, slot users, slot powers and total."""
-    gains_dl, gains_ul = population_gains(users, config.front_end, config.uplink_front_end)
+    gains = population_gains(users, config.front_end)
     rates_dl = np.array([u.qos.downlink for u in users])
     rates_ul = np.array([u.qos.uplink for u in users])
     pz = config.noise_power
     out = {}
     for name in config.pairings:
         if name == "channel":
-            outcome = pair_by_channel(gains_dl, gains_ul)
+            outcome = pair_by_channel(gains)
         elif name == "qos":
-            outcome = pair_by_qos(rates_dl, rates_ul, gains_dl, gains_ul,
-                                  key=config.qos_pairing_key)
+            outcome = pair_by_qos(rates_dl, rates_ul, gains, key=config.qos_pairing_key)
         else:
-            outcome = adaptive_pairing(rates_dl, rates_ul, gains_dl, gains_ul,
+            outcome = adaptive_pairing(rates_dl, rates_ul, gains,
                                        noise_power=pz, key=config.qos_pairing_key)
         for strategy in config.strategies:
             slots, dl, ul, total = [], [], [], 0.0
@@ -82,7 +78,7 @@ def oracle_powers(config, users):
                 qos = QosRates(float(rates_dl[u]), float(rates_ul[u]))
                 try:
                     p_dl, p_ul = single_user_allocation(
-                        float(gains_dl[u]), float(gains_ul[u]), qos, pz)
+                        float(gains[u]), float(gains[u]), qos, pz)
                 except InfeasibleAllocationError:
                     p_dl = p_ul = math.inf
                 dl.append(p_dl)
@@ -113,12 +109,11 @@ def oracle_cells(config, users):
     powers, rates_dl, rates_ul = oracle_powers(config, users)
     cells = {}
     for (strategy, pairing), (method, slots, dl, ul, total) in powers.items():
-        out_dl = downlink_uop(dl, config.limits.max_total_dl)
-        out_ul = uplink_uop(ul, config.limits.max_per_user_ul)
         sum_rate, ee = oracle_ee(config, slots, dl, ul, total, rates_dl, rates_ul)
         cells[(strategy, pairing)] = CellResult(
             strategy, pairing, method, sum_rate, total, ee,
-            OutageResult(out_dl.k_out, out_ul.k_out, out_dl.uop, out_ul.uop),
+            downlink_uop(dl, config.limits.max_total_dl),
+            uplink_uop(ul, config.limits.max_per_user_ul),
             tuple(dl), tuple(ul),
         )
     return cells
@@ -150,11 +145,11 @@ def config_grid():
                 limits=PowerLimits(2.0, 0.05), ee_served_only=True,
             )
     for n in (3, 5, 9):
-        # a narrower uplink FOV: zero uplink gains beside positive downlink
-        # ones, and role contradictions that must raise the pair error
+        # a 40-degree FOV under uncapped links: zero gains in pairs and in
+        # the leftover slot, with no cap to hide them
         yield ScenarioConfig(
             num_users=n, trials=1, seed=9 + n, qos_set=(1.0, 2.0), pairings=PAIRINGS,
-            uplink_front_end=OpticalFrontEnd(fov_half_angle_deg=40.0),
+            front_end=OpticalFrontEnd(fov_half_angle_deg=40.0),
         )
     for n in (3, 8):
         # users outside a 40-degree FOV: infeasible pairs and unpaired users
@@ -173,14 +168,8 @@ def config_grid():
                          ids=lambda c: f"n{c.num_users}-s{c.seed}")
 def test_trial_cells_equal_the_oracle(config):
     for trial in range(12):
-        try:
-            want = oracle_cells(config, sample_users(config, trial))
-        except ValueError as err:
-            with pytest.raises(ValueError) as got:
-                run_trial(config, trial).cells
-            assert str(got.value) == str(err)
-            continue
-        assert run_trial(config, trial, keep_user_powers=True).cells == want
+        users = sample_users(config, trial)
+        assert evaluate_population(config, users) == oracle_cells(config, users)
 
 
 def test_adaptive_guard_resolves_rounding_ties_to_channel():
@@ -190,8 +179,8 @@ def test_adaptive_guard_resolves_rounding_ties_to_channel():
     ties = 0
     for trial in range(100):
         users = sample_users(config, trial)
-        assert run_trial(config, trial, True).cells == oracle_cells(config, users)
-        gains, _ = population_gains(users, config.front_end)
+        assert evaluate_population(config, users) == oracle_cells(config, users)
+        gains = population_gains(users, config.front_end)
         ones = np.ones(len(users))
         total_channel, total_qos = (
             opa_total_power(outcome, ones, ones, gains, noise_power=config.noise_power)
@@ -223,15 +212,14 @@ def test_hand_built_populations_equal_the_oracle(users, served_only):
             num_users=len(users), trials=1, pairings=PAIRINGS,
             limits=PowerLimits(*caps), ee_served_only=served_only,
         )
-        assert evaluate_population(config, users, keep_user_powers=True) == \
-            oracle_cells(config, users)
+        assert evaluate_population(config, users) == oracle_cells(config, users)
 
 
 def test_out_of_fov_users_make_infinite_pairs():
     config = ScenarioConfig(num_users=8, trials=1, seed=7, pairings=PAIRINGS,
                             front_end=OpticalFrontEnd(fov_half_angle_deg=40.0))
     totals = [cell.total_power for t in range(12)
-              for cell in run_trial(config, t).cells.values()]
+              for cell in evaluate_population(config, sample_users(config, t)).values()]
     assert math.inf in totals  # the grid above does reach the infeasible branch
 
 
@@ -272,27 +260,3 @@ def test_uop_sweep_means_equal_the_oracle(link):
             uop_ul = row[2 + len(caps_dl) + (g if link == "ul" else 0)]
             assert (cell.mean_ee, cell.mean_total_power, cell.mean_uop_dl,
                     cell.mean_uop_ul) == (row[0], row[1], uop_dl, uop_ul)
-
-
-def test_split_front_ends_raise_the_pair_error():
-    # a 60-degree downlink and a 20-degree uplink LED rank some users'
-    # gains differently on the two links, which no pair may do
-    config = ScenarioConfig(
-        num_users=9, trials=1, qos_set=(1.0, 2.0), pairings=("qos", "adaptive"),
-        front_end=OpticalFrontEnd(semi_angle_deg=60.0),
-        uplink_front_end=OpticalFrontEnd(semi_angle_deg=20.0),
-    )
-    raised = 0
-    for trial in range(10):
-        try:
-            oracle_cells(config, sample_users(config, trial))
-        except ValueError as err:
-            raised += 1
-            with pytest.raises(ValueError) as got:
-                run_trial(config, trial).cells
-            assert str(got.value) == str(err)
-        else:
-            assert run_trial(config, trial).cells
-    assert raised
-    with pytest.raises(ValueError, match="far member must have the lower gain"):
-        run_campaign(replace(config, trials=10))

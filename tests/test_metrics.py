@@ -1,5 +1,6 @@
-"""Energy efficiency and outage counting, including the greedy/tail-sum
-equivalence of the downlink procedure."""
+"""Energy efficiency (computed by the engine) and the scalar outage
+counting, including the greedy/tail-sum equivalence of the downlink
+procedure."""
 
 import math
 
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 
 from lifi_noma import (
     LinkOutage,
-    OutageResult,
     QosRates,
+    ScenarioConfig,
+    UserNode,
+    UserPosition,
     downlink_outage_mask,
     downlink_uop,
-    energy_efficiency,
+    evaluate_population,
     uplink_outage_mask,
     uplink_uop,
 )
@@ -33,25 +36,29 @@ def greedy_downlink_k_out(powers, cap) -> int:
     return shed
 
 
+def opa_cell(positions, qos):
+    """The OPA cell of one channel-paired population, every user at ``qos``."""
+    users = [UserNode(UserPosition(*p), qos) for p in positions]
+    config = ScenarioConfig(num_users=len(users), trials=1, pairings=("channel",))
+    return evaluate_population(config, users)[("opa", "channel")]
+
+
 class TestEnergyEfficiency:
+    # target sum rate over total power, as the engine accounts it
     def test_golden_point(self):
-        rates = [QosRates(1.0, 1.0), QosRates(1.0, 1.0)]
-        result = energy_efficiency(rates, GOLDEN_TOTAL)
-        assert result.sum_rate == 4.0
-        assert result.eta == pytest.approx(GOLDEN_EE, rel=1e-12)
+        cell = opa_cell([(2.5, 0.0), (2.5, 1.5)], QosRates(1.0, 1.0))
+        assert cell.sum_rate == 4.0
+        assert cell.total_power == pytest.approx(GOLDEN_TOTAL, rel=1e-12)
+        assert cell.ee == pytest.approx(GOLDEN_EE, rel=1e-12)
 
     def test_zero_rate_zero_eta(self):
-        result = energy_efficiency([QosRates(0.0, 0.0)], 1.0e-3)
-        assert result.eta == 0.0
+        assert opa_cell([(2.5, 0.0), (2.5, 1.5)], QosRates(0.0, 0.0)).ee == 0.0
 
     def test_infinite_power_zero_eta(self):
-        result = energy_efficiency([QosRates(1.0, 1.0)], math.inf)
-        assert result.eta == 0.0
-
-    @pytest.mark.parametrize("power", [0.0, -1.0])
-    def test_rejects_non_positive_power(self, power):
-        with pytest.raises(ValueError):
-            energy_efficiency([QosRates(1.0, 1.0)], power)
+        # 3 m off axis at 1 m height is outside the 70-degree FOV
+        cell = opa_cell([(2.5, 0.0), (1.0, 3.0)], QosRates(1.0, 1.0))
+        assert cell.total_power == math.inf
+        assert cell.ee == 0.0
 
 
 class TestDownlinkOutage:
@@ -129,12 +136,3 @@ class TestOutageMasks:
     def test_uplink_mask(self):
         mask = uplink_outage_mask([0.5, 3.0, math.inf], 2.0)
         assert list(mask) == [False, True, True]
-
-
-class TestOutageResult:
-    def test_from_links(self):
-        result = OutageResult.from_links(LinkOutage(1, 0.25), LinkOutage(2, 0.5))
-        assert result.k_out_dl == 1
-        assert result.uop_dl == 0.25
-        assert result.k_out_ul == 2
-        assert result.uop_ul == 0.5

@@ -48,7 +48,7 @@ def reference_draw(config: ScenarioConfig, trial: int) -> list[bytes]:
 
 
 def drawn(config: ScenarioConfig, trial: int) -> list[bytes]:
-    return [a.tobytes() for a in run_trial(config, trial).population]
+    return [a.tobytes() for a in run_trial(config, trial)]
 
 
 def golden_users() -> list[UserNode]:
@@ -209,15 +209,15 @@ class TestTrialEvaluation:
         cells = evaluate_population(config, users)
         cell = cells[("opa", "channel")]
         assert cell.ee == 0.0
-        assert cell.outage.uop_dl == 0.0
-        assert cell.outage.uop_ul == 0.0
+        assert cell.outage_dl.uop == 0.0
+        assert cell.outage_ul.uop == 0.0
 
     def test_adaptive_equals_channel_under_equal_qos(self):
         config = desk_config(qos_set=(1.0,), pairings=("channel", "adaptive"))
-        result = run_trial(config, 0)
+        cells = evaluate_population(config, sample_users(config, 0))
         for strategy in ("opa", "ngdpa", "grpa", "oma"):
-            channel_cell = result.cells[(strategy, "channel")]
-            adaptive_cell = result.cells[(strategy, "adaptive")]
+            channel_cell = cells[(strategy, "channel")]
+            adaptive_cell = cells[(strategy, "adaptive")]
             assert adaptive_cell.total_power == channel_cell.total_power
             assert adaptive_cell.ee == channel_cell.ee
             assert adaptive_cell.method_used == "adaptive:channel"
@@ -225,7 +225,7 @@ class TestTrialEvaluation:
     def test_adaptive_total_is_menu_minimum(self):
         config = desk_config(num_users=12, pairings=("channel", "qos", "adaptive"))
         for trial in range(10):
-            cells = run_trial(config, trial).cells
+            cells = evaluate_population(config, sample_users(config, trial))
             assert cells[("opa", "adaptive")].total_power == min(
                 cells[("opa", "channel")].total_power,
                 cells[("opa", "qos")].total_power,
@@ -233,15 +233,14 @@ class TestTrialEvaluation:
 
     def test_odd_population_is_fully_served(self):
         config = desk_config(num_users=9)
-        result = run_trial(config, 1, keep_user_powers=True)
-        cell = result.cells[("opa", "adaptive")]
+        cell = evaluate_population(config, sample_users(config, 1))[("opa", "adaptive")]
         assert len(cell.dl_powers) == 9
         assert len(cell.ul_powers) == 9
         assert all(math.isfinite(p) for p in cell.dl_powers)
 
     def test_kept_powers_sum_to_total(self):
         config = desk_config()
-        cell = run_trial(config, 2, keep_user_powers=True).cells[("opa", "adaptive")]
+        cell = evaluate_population(config, sample_users(config, 2))[("opa", "adaptive")]
         assert sum(cell.dl_powers) + sum(cell.ul_powers) == pytest.approx(
             cell.total_power, rel=1e-12
         )
@@ -251,10 +250,10 @@ class TestCampaigns:
     def test_single_trial_campaign_equals_trial(self):
         config = desk_config(trials=1)
         summary = run_campaign(config)
-        trial = run_trial(config, 0)
+        cells = evaluate_population(config, sample_users(config, 0))
         for key, cell_summary in summary.cells.items():
-            assert cell_summary.mean_ee == trial.cells[key].ee
-            assert cell_summary.mean_total_power == trial.cells[key].total_power
+            assert cell_summary.mean_ee == cells[key].ee
+            assert cell_summary.mean_total_power == cells[key].total_power
 
     def test_worker_count_cannot_change_results(self):
         config = desk_config(trials=12)
@@ -278,7 +277,7 @@ class TestCampaigns:
     def test_optimum_dominates_in_every_single_trial(self):
         config = desk_config(trials=40)
         for trial in range(config.trials):
-            cells = run_trial(config, trial).cells
+            cells = evaluate_population(config, sample_users(config, trial))
             best = cells[("opa", "adaptive")].ee
             for strategy in ("ngdpa", "grpa", "oma"):
                 assert best >= cells[(strategy, "adaptive")].ee
@@ -368,5 +367,5 @@ class TestServedOnlyAccounting:
             limits=PowerLimits(max_total_dl=math.inf, max_per_user_ul=2.0e-3),
         )
         cell = evaluate_population(config, users)[("opa", "channel")]
-        assert cell.outage.uop_ul == 0.5
+        assert cell.outage_ul.uop == 0.5
         assert cell.sum_rate == 3.0  # one uplink rate excluded
