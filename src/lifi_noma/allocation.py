@@ -140,6 +140,14 @@ def _rate_factor(rate: float) -> float:
     return 2.0 ** (2.0 * rate)
 
 
+def _per_square(demand: float, h: float) -> float:
+    # demand / h^2 as IEEE floats, as the batched engine computes it: a gain
+    # whose square underflows to 0 needs unbounded power (demand > 0), where
+    # Python's float division would raise
+    square = h * h
+    return demand / square if square else math.inf
+
+
 def _check_inputs(h_high: float, h_low: float, rate_high: float, rate_low: float,
                   noise_power: float) -> None:
     if rate_high < 0.0 or rate_low < 0.0:
@@ -181,8 +189,8 @@ def downlink_power_requirements(
     """
     _check_inputs(h_high, h_low, rate_high, rate_low, noise_power)
     h_min = min(h_high, h_low)
-    p_low = _rate_factor(rate_low) * noise_power / (h_low * h_low)
-    p_high = _rate_factor(rate_high) * (p_low + noise_power / (h_min * h_min))
+    p_low = _per_square(_rate_factor(rate_low) * noise_power, h_low)
+    p_high = _rate_factor(rate_high) * (p_low + _per_square(noise_power, h_min))
     return p_high, p_low
 
 
@@ -202,12 +210,9 @@ def uplink_power_requirements(
     Args and returns as in :func:`downlink_power_requirements`.
     """
     _check_inputs(h_high, h_low, rate_high, rate_low, noise_power)
-    p_low = _rate_factor(rate_low) * noise_power / (h_low * h_low)
-    p_high = (
-        _rate_factor(rate_high)
-        * (1.0 + _rate_factor(rate_low))
-        * noise_power
-        / (h_high * h_high)
+    p_low = _per_square(_rate_factor(rate_low) * noise_power, h_low)
+    p_high = _per_square(
+        _rate_factor(rate_high) * (1.0 + _rate_factor(rate_low)) * noise_power, h_high
     )
     return p_high, p_low
 
@@ -317,8 +322,8 @@ def oma_allocation(
                 "zero channel gain: the rate target needs unbounded power"
             )
         factor = _rate_factor(r_far + r_near)
-        out.append((factor * noise_power / (h_far * h_far),
-                    factor * noise_power / (h_near * h_near)))
+        out.append((_per_square(factor * noise_power, h_far),
+                    _per_square(factor * noise_power, h_near)))
     (far_dl, near_dl), (far_ul, near_ul) = out
     return PowerAllocationSet(far_dl, near_dl, far_ul, near_ul)
 
@@ -340,8 +345,8 @@ def single_user_allocation(
             "zero channel gain: the rate target needs unbounded power"
         )
     return (
-        _rate_factor(qos.downlink) * noise_power / (h_dl * h_dl),
-        _rate_factor(qos.uplink) * noise_power / (h_ul * h_ul),
+        _per_square(_rate_factor(qos.downlink) * noise_power, h_dl),
+        _per_square(_rate_factor(qos.uplink) * noise_power, h_ul),
     )
 
 

@@ -140,10 +140,11 @@ def los_gain(
     """LOS gain of one device from plain floats; see :func:`channel_gain`.
 
     ``tan_fov``, ``exponent`` and ``constant`` are a front end's
-    :attr:`OpticalFrontEnd.gain_terms`. This is the one place the gain is
-    computed: the batched engine maps it over whole arrays of distances, so
-    both paths agree to the last bit (``math.cos``/``math.atan`` and NumPy's
-    vectorized versions may round differently).
+    :attr:`OpticalFrontEnd.gain_terms`. This is the scalar reference of the
+    batched engine, which evaluates the same expression on arrays and keeps
+    the ``math`` calls for ``cos(atan(.)) ** exponent``, so both paths agree
+    to the last bit (NumPy's vectorized ``cos``/``arctan`` may round
+    differently).
     """
     ratio = horizontal / vertical
     if ratio > tan_fov:

@@ -261,6 +261,8 @@ def run(command: str, config: ScenarioConfig, out_path, *, workers: int = 1) -> 
 
     Returns the path of the written CSV.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     if command == "sweep-two-user":
         summaries = two_user_sweep(config)
     elif command == "campaign":

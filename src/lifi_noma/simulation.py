@@ -8,15 +8,18 @@ many trials. Trial ``i`` draws from the PCG64 stream of
 makes, so results are bit-identical regardless of worker count or execution
 order; the per-cell averages are reduced in trial order. The streams of a
 :data:`CHUNK`-aligned block of trials are seeded together, in one
-vectorized pass over SeedSequence's integer hash.
+vectorized pass over SeedSequence's integer hash. A trial reads its raw
+64-bit words in one call (:func:`run_trial`); the words of a chunk are
+converted together, by NumPy's own ``uniform`` and ``integers``
+arithmetic, into the same draws ``default_rng`` makes.
 
 Trials are evaluated in chunks of up to :data:`CHUNK`: every input and
 intermediate is a ``(trials, users)`` array, and one pass covers every
 strategy and pairing. The scalar closed forms in :mod:`.allocation`,
 :mod:`.pairing` and :mod:`.metrics` are the reference the chunked arrays
-reproduce bit for bit: gains come from the same float kernel
-(:func:`.channel.los_gain`), rate factors from the same ``2 ** (2R)``, and
-every sum adds its terms in the scalar order.
+reproduce bit for bit: gains are :func:`.channel.los_gain` on arrays, with
+its ``math`` (libm) calls kept, rate factors come from the same
+``2 ** (2R)``, and every sum adds its terms in the scalar order.
 
 Energy efficiency is computed from the full (pre-cap) minimum powers by
 default; the power caps only enter the outage statistics. Setting
@@ -38,7 +41,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .allocation import PowerLimits, QosRates, Strategy, _rate_factor
-from .channel import NoiseModel, OpticalFrontEnd, UserPosition, channel_gain, los_gain
+from .channel import NoiseModel, OpticalFrontEnd, UserPosition, channel_gain
 from .metrics import LinkOutage
 from .pairing import QOS_SORT_KEYS
 
@@ -353,17 +356,8 @@ def _block_streams(seed: int, block: int) -> tuple[tuple[int, int], ...]:
 _generators = threading.local()
 
 
-def run_trial(config: ScenarioConfig, trial_index: int) -> _Population:
-    """Draw trial ``trial_index``'s population as per-user arrays.
-
-    Vertical and horizontal distances are uniform over the configured
-    bounds, polar angles uniform over [0, 2 pi), and the two per-user rates
-    are drawn independently and uniformly from the QoS set (with
-    ``qos_coupled_links`` the uplink draw is skipped and reuses the
-    downlink rates). This is the one RNG stream of a trial, and the draw
-    order (l, r, angle, downlink rates, uplink rates) is part of the
-    contract. The chunk evaluator calls it once per trial it stacks.
-    """
+def _stream(config: ScenarioConfig, trial_index: int) -> np.random.Generator:
+    """This thread's Generator, set to the start of trial ``trial_index``'s stream."""
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
     block, offset = divmod(operator.index(trial_index), CHUNK)
@@ -374,28 +368,81 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> _Population:
         rng = _generators.rng = np.random.Generator(np.random.PCG64(0))
     rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                                "has_uint32": 0, "uinteger": 0}
+    return rng
+
+
+def _rate_draws(config: ScenarioConfig) -> int:
+    """How many 32-bit integer draws pick a trial's rates (none from one rate)."""
+    if len(config.qos_set) == 1:
+        return 0
+    return config.num_users if config.qos_coupled_links else 2 * config.num_users
+
+
+def _word_count(config: ScenarioConfig) -> int:
+    """Raw 64-bit words of one trial: ``3n`` uniforms, then the rate draws in pairs."""
+    return 3 * config.num_users + (_rate_draws(config) + 1) // 2
+
+
+def run_trial(config: ScenarioConfig, trial_index: int) -> np.ndarray:
+    """Trial ``trial_index``'s raw PCG64 words: all that its draw consumes.
+
+    The draw (see :func:`_population_from_words`) takes one 64-bit word per
+    uniform (vertical and horizontal distances, polar angles; ``3n``) and
+    one 32-bit half-word per rate index, low half first: ``2n``, or ``n``
+    with ``qos_coupled_links``, or none from a one-rate QoS set. This is
+    the one RNG stream of a trial, and that order is part of the contract.
+    The chunk evaluator calls it once per trial.
+    """
+    return _stream(config, trial_index).bit_generator.random_raw(_word_count(config))
+
+
+def _population_from_words(
+    config: ScenarioConfig, trials: Sequence[int], words: np.ndarray
+) -> _Population:
+    """The draws of ``trials`` from their :func:`run_trial` words, one row each.
+
+    Redoes NumPy's conversions on the whole ``(trials, words)`` array, bit
+    for bit, as ``default_rng([seed, i])`` draws them: ``uniform(low,
+    high)`` is ``low + (high - low) * d`` with ``d = (word >> 11) * 2^-53``,
+    and each rate is ``qos_set[integers(0, k)]``, which is Lemire's
+    ``(u32 * k) >> 32``. Lemire's method rejects a ``u32`` whose low product
+    word is below ``(2^32 - k) % k`` and draws again; a row with such a word
+    has its rate draws redone by the Generator, past the ``3n`` uniforms.
+    """
     n = config.num_users
-    vertical = rng.uniform(config.l_min, config.l_max, n)
-    horizontal = rng.uniform(0.0, config.r_max, n)
-    polar = rng.uniform(0.0, 2.0 * math.pi, n)
+    unit = (words[:, :3 * n] >> 11) * 2.0 ** -53
+    vertical, horizontal, polar = (
+        low + (high - low) * unit[:, part * n:(part + 1) * n]
+        for part, (low, high) in enumerate(
+            ((config.l_min, config.l_max), (0.0, config.r_max), (0.0, 2.0 * math.pi)))
+    )
     choices = np.asarray(config.qos_set, dtype=float)
-    # indexing with integers(0, k, n) is the draw rng.choice(choices, n)
-    # makes, without its argument checks; one 2n draw is the downlink and
-    # the uplink n draws back to back, bit for bit
-    if config.qos_coupled_links:
-        rates_dl = rates_ul = choices[rng.integers(0, len(choices), n)]
+    k, draws = len(choices), _rate_draws(config)
+    if draws:
+        tail = words[:, 3 * n:]
+        halves = np.stack((tail & _MASK32, tail >> 32), axis=2).reshape(len(words), -1)
+        scaled = halves[:, :draws] * np.uint64(k)
+        index = scaled >> 32
+        threshold = ((1 << 32) - k) % k
+        if threshold:
+            for row in np.flatnonzero(((scaled & _MASK32) < threshold).any(axis=1)).tolist():
+                rng = _stream(config, trials[row])
+                rng.bit_generator.advance(3 * n)
+                index[row] = rng.integers(0, k, draws)
     else:
-        rates = choices[rng.integers(0, len(choices), 2 * n)]
-        rates_dl, rates_ul = rates[:n], rates[n:]
-    return _Population(vertical, horizontal, polar, rates_dl, rates_ul)
+        index = np.zeros((len(words), n), dtype=np.intp)
+    rates = choices[index]
+    # coupled links (and a one-rate set) draw one index per user for both
+    return _Population(vertical, horizontal, polar, rates[:, :n], rates[:, -n:])
 
 
 def sample_users(config: ScenarioConfig, trial_index: int) -> list[UserNode]:
-    """Trial ``trial_index``'s draw (:func:`run_trial`) as user objects."""
-    draw = run_trial(config, trial_index)
+    """Trial ``trial_index``'s draw, converted from its :func:`run_trial` words, as users."""
+    words = run_trial(config, trial_index)[None]
+    draw = _population_from_words(config, [trial_index], words)
     return [
         UserNode(UserPosition(vertical, horizontal, polar), QosRates(dl, ul))
-        for vertical, horizontal, polar, dl, ul in zip(*(a.tolist() for a in draw))
+        for vertical, horizontal, polar, dl, ul in zip(*(a[0].tolist() for a in draw))
     ]
 
 
@@ -419,14 +466,22 @@ def _population_of(users: Sequence[UserNode]) -> _Population:
 
 
 def _gains(front_end: OpticalFrontEnd, population: _Population) -> np.ndarray:
-    vertical = population.vertical
-    gains = map(
-        los_gain,
-        vertical.ravel().tolist(),
-        population.horizontal.ravel().tolist(),
-        *(repeat(term) for term in front_end.gain_terms),
-    )
-    return np.fromiter(gains, float, vertical.size).reshape(vertical.shape)
+    """:func:`.channel.los_gain` of every user, bit for bit.
+
+    Its arithmetic runs on the arrays; ``cos(atan(r / l)) ** (m + 1)`` stays
+    with the ``math`` functions, mapped over the ratios, because NumPy's
+    vectorized ``cos``/``arctan`` may round differently. Out-of-FOV users
+    get 0.
+    """
+    tan_fov, exponent, constant = front_end.gain_terms
+    vertical, horizontal = population.vertical, population.horizontal
+    with np.errstate(over="ignore"):  # an overflow is inf, as in los_gain
+        ratio = horizontal / vertical
+        reach = vertical * vertical + horizontal * horizontal
+    cosines = map(math.cos, map(math.atan, ratio.ravel().tolist()))
+    attenuation = np.fromiter(map(math.pow, cosines, repeat(exponent)), float, ratio.size)
+    gains = constant / reach * attenuation.reshape(ratio.shape)
+    return np.where(ratio > tan_fov, 0.0, gains)
 
 
 def _rate_factors(rates: np.ndarray) -> np.ndarray:
@@ -694,8 +749,11 @@ def _chunk_values(config: ScenarioConfig, trials: range, caps_dl, caps_ul) -> np
     Columns per cell, in :func:`_cell_keys` order: EE, total power, the
     downlink UOP at each of ``caps_dl``, the uplink UOP at each of ``caps_ul``.
     """
-    # run_trial is looked up per call, so one trial stays the traceable unit
-    population = _stack([run_trial(config, i) for i in trials])
+    words = np.empty((len(trials), _word_count(config)), dtype=np.uint64)
+    for row, i in enumerate(trials):
+        # run_trial is looked up per call, so one trial stays the traceable unit
+        words[row] = run_trial(config, i)
+    population = _population_from_words(config, trials, words)
     cells = _evaluate(config, population, caps_dl, caps_ul)
     n = config.num_users
     columns = []
@@ -725,6 +783,8 @@ def _reduce(
     config: ScenarioConfig, caps_dl: Sequence[float], caps_ul: Sequence[float], workers: int
 ) -> list[dict[tuple[str, str], CellSummary]]:
     """Trial-ordered means of every cell, one cells dict per swept cap."""
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     keys = _cell_keys(config)
     width = 2 + len(caps_dl) + len(caps_ul)
     ranges = _trial_ranges(config.trials, workers)

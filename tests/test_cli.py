@@ -7,12 +7,21 @@ import math
 
 import pytest
 
-from lifi_noma import NoiseModel, OpticalFrontEnd, ScenarioValidationError, Strategy
+from lifi_noma import (
+    NoiseModel,
+    OpticalFrontEnd,
+    ScenarioConfig,
+    ScenarioValidationError,
+    Strategy,
+    run_campaign,
+    run_uop_sweep,
+)
 from lifi_noma.cli import (
     CSV_COLUMNS,
     ScenarioParseError,
     load_scenario,
     main,
+    run,
 )
 
 MINIMAL = "num_users = 4\ntrials = 2\n"
@@ -274,6 +283,18 @@ class TestExitCodes:
                      "--workers", workers]) == 1
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_library_entry_points_reject_a_worker_count_below_one(self, tmp_path, workers):
+        config = ScenarioConfig(num_users=4, trials=2, uop_sweep_grid=(1.0, 2.0))
+        for call in (run_campaign, run_uop_sweep):
+            with pytest.raises(ValueError, match="workers"):
+                call(config, workers=workers)
+        for command in ("campaign", "uop-sweep", "sweep-two-user"):
+            out = tmp_path / f"{command}.csv"
+            with pytest.raises(ValueError, match="workers"):
+                run(command, config, out, workers=workers)
+            assert not out.exists()
 
     def test_missing_scenario_is_three(self, tmp_path, capsys):
         assert main(["campaign", "--scenario", str(tmp_path / "absent.cfg"),

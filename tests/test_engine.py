@@ -36,7 +36,8 @@ from lifi_noma import (
     uplink_outage_mask,
     uplink_uop,
 )
-from lifi_noma.simulation import CHUNK, CellResult
+from lifi_noma.channel import los_gain
+from lifi_noma.simulation import CHUNK, CellResult, _gains, _Population
 
 PAIRINGS = ("channel", "qos", "adaptive")
 
@@ -190,6 +191,36 @@ def test_adaptive_guard_resolves_rounding_ties_to_channel():
     assert ties
 
 
+@pytest.mark.parametrize("front_end", [
+    OpticalFrontEnd(),
+    OpticalFrontEnd(semi_angle_deg=15.0, fov_half_angle_deg=40.0),
+    OpticalFrontEnd(semi_angle_deg=85.0, fov_half_angle_deg=89.0),
+], ids=["desk", "narrow", "wide"])
+def test_gains_equal_los_gain_per_user(front_end):
+    tan_fov = front_end.gain_terms[0]
+    rng = np.random.default_rng(17)
+    vertical = np.concatenate([
+        10.0 ** rng.uniform(-3.0, 3.0, 2000),
+        # on the FOV edge, r / l == tan(FOV) exactly: the visible branch
+        [1.0, 2.0, 0.25],
+        # so far away that the gain's square underflows, on and off the axis
+        [1e85, 1e85, 3e84],
+    ])
+    horizontal = np.concatenate([
+        vertical[:2000] * rng.uniform(0.0, 2.0 * tan_fov, 2000),  # half out of FOV
+        [tan_fov, 2.0 * tan_fov, 0.25 * tan_fov],
+        [0.0, 1e84, 1e84],
+    ])
+    rows = np.stack([vertical, horizontal]).reshape(2, 2, -1)  # a chunk of 2 trials
+    zeros = np.zeros(rows[0].shape)
+    got = _gains(front_end, _Population(rows[0], rows[1], zeros, zeros, zeros))
+    want = [los_gain(l, r, *front_end.gain_terms) for l, r in zip(vertical, horizontal)]
+    assert got.shape == rows[0].shape
+    assert got.ravel().tolist() == want
+    assert 0.0 < min(want[2000:])  # the edge and the far users are visible
+    assert want.count(0.0) > 500  # out-of-FOV users
+
+
 def user(vertical, horizontal, rate_dl, rate_ul):
     return UserNode(UserPosition(vertical, horizontal), QosRates(rate_dl, rate_ul))
 
@@ -204,6 +235,10 @@ def user(vertical, horizontal, rate_dl, rate_ul):
      user(2.0, 0.5, 2.0, 1.0), user(2.0, 2.0, 1.0, 2.0), user(1.6, 0.1, 1.0, 1.0)],
     # outside the FOV: a zero-gain pair member and a zero-gain leftover
     [user(1.5, 2.9, 1.0, 1.0), user(2.0, 0.0, 2.0, 1.0), user(2.5, 2.9, 0.5, 0.5)],
+    # so far away that a positive gain's square underflows to 0: unbounded
+    # powers in pairs and, under QoS pairing, for the leftover user
+    [user(1e85, 0.0, 1.0, 2.0), user(2.0, 0.5, 2.0, 1.0), user(1e85, 1e84, 0.5, 1.0),
+     user(1.8, 1.0, 1.0, 1.0), user(3e84, 0.0, 2.0, 2.0)],
 ])
 @pytest.mark.parametrize("served_only", [False, True])
 def test_hand_built_populations_equal_the_oracle(users, served_only):

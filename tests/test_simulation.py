@@ -22,7 +22,7 @@ from lifi_noma import (
     sample_users,
     two_user_sweep,
 )
-from lifi_noma.simulation import CHUNK, _block_streams
+from lifi_noma.simulation import CHUNK, _block_streams, _population_from_words
 
 GOLDEN_EE_OPA = 458.0979517717648
 GOLDEN_EE_NGDPA = 276.3050860830169
@@ -48,7 +48,9 @@ def reference_draw(config: ScenarioConfig, trial: int) -> list[bytes]:
 
 
 def drawn(config: ScenarioConfig, trial: int) -> list[bytes]:
-    return [a.tobytes() for a in run_trial(config, trial)]
+    # run_trial returns the trial's raw words; the chunk converter draws from them
+    words = run_trial(config, trial)[None]
+    return [a.tobytes() for a in _population_from_words(config, [trial], words)]
 
 
 def golden_users() -> list[UserNode]:
@@ -170,6 +172,63 @@ class TestStreamSeeding:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+
+
+def reads_past_its_words(config: ScenarioConfig, trial: int) -> bool:
+    """Whether default_rng's uncoupled rate draws of ``trial`` read more than
+    n words: Lemire's method rejected a 32-bit draw and drew again."""
+    n = config.num_users
+    rng = np.random.default_rng([config.seed, trial])
+    rng.random(3 * n)
+    rng.integers(0, len(config.qos_set), 2 * n)
+    fresh = np.random.default_rng([config.seed, trial])
+    fresh.bit_generator.advance(4 * n)
+    return rng.bit_generator.state["state"] != fresh.bit_generator.state["state"]
+
+
+class TestRawWords:
+    """run_trial returns a trial's raw PCG64 words; the chunk converter redoes
+    NumPy's uniform and bounded-integer conversions on them, bit for bit."""
+
+    def test_uniform_is_low_plus_range_times_the_raw_unit_draw(self):
+        # the converter's arithmetic; a NumPy build whose C random_uniform
+        # fuses it into an FMA rounds differently and must fail here
+        raw = np.random.Generator(np.random.PCG64(9)).bit_generator.random_raw(4096)
+        unit = (raw >> 11) * 2.0 ** -53
+        assert np.random.default_rng(9).random(4096).tobytes() == unit.tobytes()
+        for low, high in ((1.5, 2.5), (0.0, 3.0), (0.0, 2.0 * math.pi), (-7.25, 1e3)):
+            want = np.random.default_rng(9).uniform(low, high, 4096)
+            assert want.tobytes() == (low + (high - low) * unit).tobytes()
+
+    @pytest.mark.parametrize("num_users, qos_count, coupled, words", [
+        (9, 1, False, 27),  # one rate: no integer draw
+        (9, 1, True, 27),
+        (9, 3, True, 27 + 5),  # 9 half-words, the last word's high half unused
+        (9, 2**16, False, 27 + 9),  # a power of two: never rejects
+        (8, 2**16, True, 24 + 4),
+    ])
+    def test_word_count_and_draws(self, num_users, qos_count, coupled, words):
+        config = desk_config(num_users=num_users, qos_coupled_links=coupled,
+                             qos_set=tuple(k * 2.0 ** -9 for k in range(qos_count)))
+        for trial in (0, 1, CHUNK + 2):
+            assert run_trial(config, trial).shape == (words,)
+            assert drawn(config, trial) == reference_draw(config, trial)
+
+    def test_rejected_rate_draws_are_redrawn_exactly(self):
+        # (2^32 - k) % k is 67,296 for k = 100,000: Lemire's method rejects
+        # about one 32-bit draw in 64,000, and a trial with 2n = 64 draws
+        # about once in 1,000 trials
+        config = desk_config(num_users=32, qos_set=tuple(k * 2.5e-3 for k in range(100_000)))
+        rejecting = [t for t in range(4000) if reads_past_its_words(config, t)]
+        assert rejecting
+        for trial in rejecting:
+            assert drawn(config, trial) == reference_draw(config, trial)
+        # converted as one chunk: only the rejecting rows are redrawn
+        trials = range(rejecting[0] - 2, rejecting[0] + 3)
+        words = np.stack([run_trial(config, i) for i in trials])
+        draws = _population_from_words(config, trials, words)
+        for row, trial in enumerate(trials):
+            assert [a[row].tobytes() for a in draws] == reference_draw(config, trial)
 
 
 class TestConfigValidation:
