@@ -117,10 +117,10 @@ class UserPosition:
     """Polar-cylindrical device location relative to the access point.
 
     Attributes:
-        vertical: vertical distance to the access point, m, positive.
-        horizontal: horizontal distance from the cell axis, m, non-negative.
-        polar_angle: polar angle around the axis, radians. Carried for
-            completeness; the LOS gain does not depend on it.
+        vertical: vertical distance to the access point, m, positive, finite.
+        horizontal: horizontal distance from the cell axis, m, >= 0, finite.
+        polar_angle: polar angle around the axis, radians, finite. Carried
+            for completeness; the LOS gain does not depend on it.
     """
 
     vertical: float
@@ -128,6 +128,9 @@ class UserPosition:
     polar_angle: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("vertical", "horizontal", "polar_angle"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.vertical <= 0.0:
             raise ValueError(f"vertical distance must be positive, got {self.vertical}")
         if self.horizontal < 0.0:

@@ -13,13 +13,16 @@ vectorized pass over SeedSequence's integer hash. A trial reads its raw
 converted together, by NumPy's own ``uniform`` and ``integers``
 arithmetic, into the same draws ``default_rng`` makes.
 
-Trials are evaluated in chunks of up to :data:`CHUNK`: every input and
-intermediate is a ``(trials, users)`` array, and one pass covers every
-strategy and pairing. The scalar closed forms in :mod:`.allocation`,
-:mod:`.pairing` and :mod:`.metrics` are the reference the chunked arrays
-reproduce bit for bit: gains are :func:`.channel.los_gain` on arrays, with
-its ``math`` (libm) calls kept, rate factors come from the same
-``2 ** (2R)``, and every sum adds its terms in the scalar order.
+Trials are evaluated in chunks of up to :data:`CHUNK`: every input is a
+``(trials, users)`` array, and each pairing method's slot powers are
+computed in one pass with the strategies on a leading axis. Adaptive
+pairing picks its powers per trial before outage is counted, so outage and
+EE are counted once per reported pairing. The scalar closed forms in
+:mod:`.allocation`, :mod:`.pairing` and :mod:`.metrics` are the reference
+the chunked arrays reproduce bit for bit: gains are
+:func:`.channel.los_gain` on arrays, with its ``math`` (libm) calls kept,
+rate factors come from the scalar ``2 ** (2R)`` once per distinct rate or
+rate pair, and every sum adds its terms in the scalar order.
 
 Energy efficiency is computed from the full (pre-cap) minimum powers by
 default; the power caps only enter the outage statistics. Setting
@@ -451,18 +454,11 @@ def population_gains(users: Sequence[UserNode], front_end: OpticalFrontEnd) -> n
     return np.array([channel_gain(u.position, front_end) for u in users])
 
 
-def _stack(populations: Sequence[_Population]) -> _Population:
-    return _Population(*(np.stack(arrays) for arrays in zip(*populations)))
-
-
-def _population_of(users: Sequence[UserNode]) -> _Population:
-    return _Population(
-        np.array([u.position.vertical for u in users]),
-        np.array([u.position.horizontal for u in users]),
-        np.array([u.position.polar_angle for u in users]),
-        np.array([u.qos.downlink for u in users], dtype=float),
-        np.array([u.qos.uplink for u in users], dtype=float),
-    )
+def _population_of(rows: Sequence[Sequence[UserNode]]) -> _Population:
+    """A chunk of given users, one trial per row."""
+    fields = [[(u.position.vertical, u.position.horizontal, u.position.polar_angle,
+                u.qos.downlink, u.qos.uplink) for u in users] for users in rows]
+    return _Population(*np.array(fields, dtype=float).reshape(len(rows), -1, 5).transpose(2, 0, 1))
 
 
 def _gains(front_end: OpticalFrontEnd, population: _Population) -> np.ndarray:
@@ -484,25 +480,9 @@ def _gains(front_end: OpticalFrontEnd, population: _Population) -> np.ndarray:
     return np.where(ratio > tan_fov, 0.0, gains)
 
 
-def _rate_factors(rates: np.ndarray) -> np.ndarray:
-    """``2^(2R)`` of each rate, from the scalar closed form per distinct rate."""
-    values, inverse = np.unique(rates, return_inverse=True)
-    table = np.array([_rate_factor(r) for r in values.tolist()])
-    return table[inverse].reshape(rates.shape)
-
-
 def _interleave(*columns: np.ndarray) -> np.ndarray:
-    """``(trials, k)`` arrays merged column by column into ``(trials, len * k)``."""
-    return np.stack(columns, axis=2).reshape(columns[0].shape[0], -1)
-
-
-def _scaled(alpha, p_far, p_near):
-    # _scaled_link_allocation on arrays; the third result marks the pairs
-    # whose ratio is degenerate (infeasible)
-    keep = alpha >= p_near / p_far
-    far = np.where(keep, p_far, p_near / alpha)
-    near = np.where(keep, alpha * p_far, p_near)
-    return far, near, alpha == 0.0
+    """``(..., k)`` arrays merged along the last axis into ``(..., len * k)``."""
+    return np.stack(columns, axis=-1).reshape(columns[0].shape[:-1] + (-1,))
 
 
 def _opa_powers(pz: float, h_far, h_near, factors) -> tuple:
@@ -522,17 +502,17 @@ def _opa_powers(pz: float, h_far, h_near, factors) -> tuple:
     return far_dl, near_dl, far_ul, near_ul
 
 
-def _pair_powers(strategy: Strategy, pz: float, h_far, h_near, opa, rates) -> tuple:
+def _pair_powers(strategy: Strategy, pz: float, h_far, h_near, opa, oma) -> tuple:
     """``allocate`` on arrays of pairs, from the pairing's OPA powers.
 
-    Arguments and result are ordered as in :func:`_opa_powers`; ``rates``
-    are the per-pair rate requirements.
+    Arguments and powers are ordered as in :func:`_opa_powers`; ``oma``
+    holds each pair's ``2^(2 (R_far + R_near))`` per link, downlink first.
+    Also returns the infeasible pairs, whose four demands are unbounded.
     """
     infeasible = h_far == 0.0  # the far member has the lower gain
     powers = opa
     if strategy is Strategy.OMA:
-        k_dl = _rate_factors(rates[0] + rates[1]) * pz
-        k_ul = _rate_factors(rates[2] + rates[3]) * pz
+        k_dl, k_ul = oma[0] * pz, oma[1] * pz
         far, near = h_far * h_far, h_near * h_near
         powers = (k_dl / far, k_dl / near, k_ul / far, k_ul / near)
     elif strategy is not Strategy.OPA:
@@ -541,45 +521,71 @@ def _pair_powers(strategy: Strategy, pz: float, h_far, h_near, opa, rates) -> tu
             alpha = ratio * ratio
         else:  # NGDPA
             alpha = (h_near - h_far) / h_near
-        fd, nd, bad_dl = _scaled(alpha, opa[0], opa[1])
-        fu, nu, bad_ul = _scaled(alpha, opa[2], opa[3])
-        powers = (fd, nd, fu, nu)
-        infeasible = infeasible | bad_dl | bad_ul
-    # an infeasible pair goes out whole: all four demands unbounded
-    return tuple(np.where(infeasible, math.inf, p) for p in powers)
+        powers = []
+        for p_far, p_near in (opa[:2], opa[2:]):  # _scaled_link_allocation per link
+            keep = alpha >= p_near / p_far
+            powers += [np.where(keep, p_far, p_near / alpha),
+                       np.where(keep, alpha * p_far, p_near)]
+        infeasible = infeasible | (alpha == 0.0)  # a degenerate ratio
+    return powers, infeasible
+
+
+class _Powers(NamedTuple):
+    """One pairing's slot powers, leading axis strategies.
+
+    Slots are far, near of each pair in pair order, then the unpaired user.
+    """
+
+    dl: np.ndarray  # (strategies, trials, users)
+    ul: np.ndarray
+    total: np.ndarray  # (strategies, trials)
+    slots: np.ndarray  # (trials, users): each slot's user, a flat index into the chunk
 
 
 class _Cells(NamedTuple):
-    """One (strategy, pairing) cell over a chunk, leading axis trials.
+    """One pairing's cells over a chunk, leading axes strategies and trials."""
 
-    ``dl``/``ul`` hold per-slot powers, slots being far, near of each pair
-    in pair order and then the unpaired user.
-    """
-
-    used_qos: np.ndarray  # where adaptive pairing kept the QoS pairing
-    dl: np.ndarray
+    used_qos: np.ndarray  # (trials,): where adaptive pairing kept the QoS pairing
+    dl: np.ndarray  # slot powers as in _Powers
     ul: np.ndarray
     total: np.ndarray
     sum_rate: np.ndarray
     ee: np.ndarray
-    k_out_dl: np.ndarray  # (trials, caps_dl)
-    k_out_ul: np.ndarray  # (trials, caps_ul)
+    k_out_dl: np.ndarray  # (strategies, trials, caps_dl)
+    k_out_ul: np.ndarray  # (strategies, trials, caps_ul)
 
 
 class _Chunk:
-    """Shared per-chunk inputs: gains, rates and the caps to count outage at."""
+    """Shared per-chunk inputs: gains, rates, rate factors and the caps.
+
+    Slot powers are stacked over the configured strategies in config order,
+    plus OPA last when it is not one of them: adaptive pairing needs its total.
+    """
 
     def __init__(self, config, population, caps_dl, caps_ul):
         self.config = config
-        self.gains = _gains(config.front_end, population)  # both links
-        self.rates_dl = population.rates_dl
-        self.rates_ul = population.rates_ul
-        self.factor_dl = _rate_factors(self.rates_dl)
-        self.factor_ul = _rate_factors(self.rates_ul)
+        trials, n = population.vertical.shape
+        self.rates_dl, self.rates_ul = population.rates_dl, population.rates_ul
+        self.row_start = np.arange(0, trials * n, n)[:, None]
+        # 2^(2R) from the scalar closed form, once per distinct rate of either link
+        self.values, index = np.unique(np.concatenate((self.rates_dl, self.rates_ul), axis=1),
+                                       return_inverse=True)
+        index = index.reshape(trials, 2 * n)
+        factors = np.array([_rate_factor(r) for r in self.values.tolist()])[index]
+        # per user, flat over the chunk: gain (both links) and factors; rate indices
+        self.users = np.stack((_gains(config.front_end, population), factors[:, :n],
+                               factors[:, n:])).reshape(3, -1)
+        self.gains = self.users[0].reshape(trials, n)
+        self.rate_index = np.stack((index[:, :n], index[:, n:])).reshape(2, -1)
         # summed in user order, as np.sum sums one trial's rates
         self.sum_rate = np.sum(self.rates_dl, axis=1) + np.sum(self.rates_ul, axis=1)
-        self.caps_dl = np.asarray(caps_dl, dtype=float)
-        self.caps_ul = np.asarray(caps_ul, dtype=float)
+        # a cap clamped to the largest float counts infinite (infeasible)
+        # demands as outages even where the cap is infinite
+        self.caps_dl = np.minimum(np.asarray(caps_dl, dtype=float), sys.float_info.max)
+        self.caps_ul = np.minimum(np.asarray(caps_ul, dtype=float), sys.float_info.max)
+        strategies = tuple(config.strategies)
+        self.strategies = strategies + (() if Strategy.OPA in strategies else (Strategy.OPA,))
+        self.opa = self.strategies.index(Strategy.OPA)
 
     def sort_order(self, method: str) -> np.ndarray:
         if method == "channel":  # ascending (gain, index)
@@ -593,121 +599,125 @@ class _Chunk:
         """Pair the i-th with the (n/2 + i)-th sorted user; far is the lower (gain, index)."""
         half = order.shape[1] // 2
         a, b = order[:, :half], order[:, half:2 * half]
-        gain_a = np.take_along_axis(self.gains, a, 1)
-        gain_b = np.take_along_axis(self.gains, b, 1)
+        gains = np.take(self.users[0], order + self.row_start)
+        gain_a, gain_b = gains[:, :half], gains[:, half:2 * half]
         swap = (gain_b < gain_a) | ((gain_b == gain_a) & (b < a))
         slots = order.copy()
         slots[:, 0:2 * half:2] = np.where(swap, b, a)
         slots[:, 1:2 * half:2] = np.where(swap, a, b)
         return slots
 
-    def cells(self, slots: np.ndarray, strategies) -> tuple[dict[Strategy, _Cells], np.ndarray]:
-        """Every strategy's cell on one pairing, plus that pairing's OPA total."""
+    def oma_factors(self, far: np.ndarray, near: np.ndarray) -> np.ndarray:
+        """``2^(2 (R_far + R_near))`` of rate index pairs, from the scalar closed
+        form once per distinct index pair present."""
+        values, k = self.values.tolist(), len(self.values)
+        present, codes = np.unique(far * k + near, return_inverse=True)
+        table = np.array([_rate_factor(values[c // k] + values[c % k]) for c in present.tolist()])
+        return table[codes.reshape(far.shape)]
+
+    def powers(self, method: str) -> _Powers:
+        """Every strategy's slot powers on one pairing method."""
+        slots = self.slots(self.sort_order(method)) + self.row_start
+        h, f_dl, f_ul = self.users.take(slots, axis=1)
         pz = self.config.noise_power
-        h, f_dl, f_ul, r_dl, r_ul = (
-            np.take_along_axis(x, slots, 1)
-            for x in (self.gains, self.factor_dl, self.factor_ul, self.rates_dl, self.rates_ul)
-        )
+        shape = (len(self.strategies),) + slots.shape
         half = slots.shape[1] // 2
         far, near = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
-
-        def per_pair(dl, ul):  # far_dl, near_dl, far_ul, near_ul
-            return dl[:, far], dl[:, near], ul[:, far], ul[:, near]
-
         h_far, h_near = h[:, far], h[:, near]
-        factors, rates = per_pair(f_dl, f_ul), per_pair(r_dl, r_ul)
+        oma = None
+        if Strategy.OMA in self.strategies:
+            index = self.rate_index.take(slots, axis=1)
+            oma = self.oma_factors(index[:, :, far], index[:, :, near])
+        dl, ul = np.empty(shape), np.empty(shape)
+        pairs = dl[..., far], dl[..., near], ul[..., far], ul[..., near]  # as in _opa_powers
+        infeasible = np.empty(shape[:2] + h_far.shape[1:], dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            lone = None
+            opa = _opa_powers(pz, h_far, h_near,
+                              (f_dl[:, far], f_dl[:, near], f_ul[:, far], f_ul[:, near]))
+            for row, strategy in enumerate(self.strategies):
+                powers, infeasible[row] = _pair_powers(strategy, pz, h_far, h_near, opa, oma)
+                for slot, power in zip(pairs, powers):
+                    slot[row] = power
             if slots.shape[1] % 2:  # single_user_allocation for the leftover
                 h_u = h[:, -1]
                 zero = h_u == 0.0
-                lone = (np.where(zero, math.inf, f_dl[:, -1] * pz / (h_u * h_u)),
-                        np.where(zero, math.inf, f_ul[:, -1] * pz / (h_u * h_u)))
-            opa = _opa_powers(pz, h_far, h_near, factors)
-            powers = {s: _pair_powers(s, pz, h_far, h_near, opa, rates)
-                      for s in (Strategy.OPA, *strategies)}
-        totals = {}
-        for strategy, (fd, nd, fu, nu) in powers.items():
-            # pair by pair, each ((far_dl + near_dl) + far_ul) + near_ul, then
-            # the leftover user's two links
-            total = np.cumsum(((fd + nd) + fu) + nu, axis=1)[:, -1]
-            totals[strategy] = total if lone is None else total + (lone[0] + lone[1])
-        cells = {}
-        for strategy in strategies:
-            fd, nd, fu, nu = powers[strategy]
-            dl, ul = np.empty(h.shape), np.empty(h.shape)
-            dl[:, far], dl[:, near], ul[:, far], ul[:, near] = fd, nd, fu, nu
-            if lone is not None:
-                dl[:, -1], ul[:, -1] = lone
-            cells[strategy] = self.outcome(dl, ul, totals[strategy], r_dl, r_ul)
-        return cells, totals[Strategy.OPA]
+                dl[:, :, -1] = np.where(zero, math.inf, f_dl[:, -1] * pz / (h_u * h_u))
+                ul[:, :, -1] = np.where(zero, math.inf, f_ul[:, -1] * pz / (h_u * h_u))
+        # an infeasible pair goes out whole: all four demands unbounded
+        for slot in pairs:
+            np.copyto(slot, math.inf, where=infeasible)
+        # pair by pair, each ((far_dl + near_dl) + far_ul) + near_ul, then the
+        # leftover user's two links
+        total = np.cumsum(((pairs[0] + pairs[1]) + pairs[2]) + pairs[3], axis=-1)[..., -1]
+        if slots.shape[1] % 2:
+            total = total + (dl[..., -1] + ul[..., -1])
+        return _Powers(dl, ul, total, slots)
 
-    def outcome(self, dl, ul, total, r_dl, r_ul) -> _Cells:
-        """Outage counts at every cap and the EE of one cell's slot powers."""
+    def outcome(self, powers: _Powers, used_qos: np.ndarray | None) -> _Cells:
+        """Outage counts at every cap and the EE of the configured strategies."""
+        if used_qos is None:
+            used_qos = np.zeros(len(self.sum_rate), dtype=bool)
+        count = len(self.config.strategies)
+        dl, ul, total = powers.dl[:count], powers.ul[:count], powers.total[:count]
         # downlink_uop: tail sums from the smallest power up, sorted once for
-        # every cap; infeasible demands are outages even under no cap
-        tails = np.cumsum(np.sort(dl, axis=1), axis=1)
-        tail_inf = np.isinf(tails)
-        k_out_dl = ((tails[:, :, None] > self.caps_dl) | tail_inf[:, :, None]).sum(axis=1)
-        ul_inf = np.isinf(ul)
-        k_out_ul = ((ul[:, :, None] > self.caps_ul) | ul_inf[:, :, None]).sum(axis=1)
-        sum_rate, power = self.sum_rate, total
+        # every cap
+        tails = np.sort(dl, axis=-1)
+        np.cumsum(tails, axis=-1, out=tails)
+        k_out_dl = (tails[..., None, :] > self.caps_dl[:, None]).sum(axis=-1)
+        k_out_ul = (ul[..., None, :] > self.caps_ul[:, None]).sum(axis=-1)
+        sum_rate, power = np.broadcast_to(self.sum_rate, total.shape), total
         if self.config.ee_served_only:
             limits = self.config.limits
-            shed_count = ((tails > limits.max_total_dl) | tail_inf).sum(axis=1)
+            cap_dl, cap_ul = (min(cap, sys.float_info.max)
+                              for cap in (limits.max_total_dl, limits.max_per_user_ul))
+            shed_count = (tails > cap_dl).sum(axis=-1)
             # downlink_outage_mask: the heaviest users go first, ties toward
             # the lower slot
-            heaviest = np.argsort(-dl, axis=1, kind="stable")
+            heaviest = np.argsort(-dl, axis=-1, kind="stable")
             served_dl = np.empty(dl.shape, dtype=bool)
-            np.put_along_axis(
-                served_dl, heaviest, np.arange(dl.shape[1]) >= shed_count[:, None], axis=1
-            )
-            served_ul = ~((ul > limits.max_per_user_ul) | ul_inf)
+            np.put_along_axis(served_dl, heaviest,
+                              np.arange(dl.shape[-1]) >= shed_count[..., None], axis=-1)
+            served_ul = ~(ul > cap_ul)
             # slot by slot, downlink before uplink; a skipped term adds 0.0
-            sum_rate = np.cumsum(_interleave(np.where(served_dl, r_dl, 0.0),
-                                             np.where(served_ul, r_ul, 0.0)), axis=1)[:, -1]
+            rates_dl, rates_ul = (np.take(r, powers.slots) for r in (self.rates_dl, self.rates_ul))
+            sum_rate = np.cumsum(_interleave(np.where(served_dl, rates_dl, 0.0),
+                                             np.where(served_ul, rates_ul, 0.0)),
+                                 axis=-1)[..., -1]
             power = np.cumsum(_interleave(np.where(served_dl, dl, 0.0),
-                                          np.where(served_ul, ul, 0.0)), axis=1)[:, -1]
+                                          np.where(served_ul, ul, 0.0)), axis=-1)[..., -1]
         with np.errstate(divide="ignore", invalid="ignore"):
             ee = np.where(power > 0.0, sum_rate / power, 0.0)
-        return _Cells(np.zeros(len(total), dtype=bool), dl, ul, total, sum_rate, ee,
-                      k_out_dl, k_out_ul)
-
-
-def _select(use_b: np.ndarray, a: _Cells, b: _Cells) -> _Cells:
-    """Per trial, ``b``'s cell where ``use_b`` holds and ``a``'s elsewhere."""
-    fields = [np.where(use_b.reshape((-1,) + (1,) * (x.ndim - 1)), y, x)
-              for x, y in zip(a[1:], b[1:])]
-    return _Cells(use_b, *fields)
+        return _Cells(used_qos, dl, ul, total, sum_rate, ee, k_out_dl, k_out_ul)
 
 
 def _evaluate(
     config: ScenarioConfig, population: _Population, caps_dl, caps_ul
-) -> dict[tuple[str, str], _Cells]:
-    """Every (strategy, pairing) cell of a chunk of trials, in config order.
+) -> dict[str, _Cells]:
+    """Every configured pairing's cells over a chunk of trials, in config order.
 
-    Adaptive pairing reuses the channel and QoS pairings' cells: per trial
-    it keeps the QoS one where its OPA total is cheaper under the scalar
-    relative guard.
+    Each pairing method's slot powers are computed once, for all strategies
+    at a time. Adaptive pairing picks, per trial, the channel or the QoS
+    pairing's powers and slot rates (the QoS ones where their OPA total is
+    cheaper under the scalar relative guard); outage and EE are then counted
+    once per reported pairing.
     """
     if population.vertical.shape[1] < 2:
         raise ValueError(f"pairing needs at least 2 users, got {population.vertical.shape[1]}")
     chunk = _Chunk(config, population, caps_dl, caps_ul)
     methods = dict.fromkeys(m for name in config.pairings
                             for m in (("channel", "qos") if name == "adaptive" else (name,)))
-    by_method = {m: chunk.cells(chunk.slots(chunk.sort_order(m)), config.strategies)
-                 for m in methods}
-    out = {}
-    for name in config.pairings:
-        if name == "adaptive":
-            (channel, total_channel), (qos, total_qos) = by_method["channel"], by_method["qos"]
-            use_qos = ~(total_channel <= total_qos * (1.0 + 1e-12))
-            cells = {s: _select(use_qos, channel[s], qos[s]) for s in config.strategies}
-        else:
-            cells = by_method[name][0]
-        for strategy in config.strategies:
-            out[(strategy.value, name)] = cells[strategy]
-    return out
+    powers = {m: chunk.powers(m) for m in methods}
+    used_qos = None
+    if "adaptive" in config.pairings:
+        # the pairings it picks from are dropped unless reported themselves
+        channel, qos = (powers[m] if m in config.pairings else powers.pop(m)
+                        for m in ("channel", "qos"))
+        used_qos = ~(channel.total[chunk.opa] <= qos.total[chunk.opa] * (1.0 + 1e-12))
+        pick = used_qos[:, None]
+        powers["adaptive"] = _Powers(*map(np.where, (pick, pick, used_qos, pick), qos, channel))
+        del channel, qos
+    return {name: chunk.outcome(powers[name], used_qos if name == "adaptive" else None)
+            for name in dict.fromkeys(config.pairings)}
 
 
 def evaluate_population(
@@ -715,27 +725,28 @@ def evaluate_population(
 ) -> dict[tuple[str, str], CellResult]:
     """Run every configured (pairing, strategy) combination on one population."""
     limits = config.limits
-    cells = _evaluate(config, _stack([_population_of(users)]),
+    cells = _evaluate(config, _population_of([users]),
                       (limits.max_total_dl,), (limits.max_per_user_ul,))
     n = len(users)
     out = {}
-    for (strategy, pairing), cell in cells.items():
+    for pairing, cell in cells.items():
         method = pairing
         if pairing == "adaptive":
             method = "adaptive:qos" if cell.used_qos[0] else "adaptive:channel"
-        k_dl, k_ul = int(cell.k_out_dl[0, 0]), int(cell.k_out_ul[0, 0])
-        out[(strategy, pairing)] = CellResult(
-            strategy=strategy,
-            pairing=pairing,
-            method_used=method,
-            sum_rate=float(cell.sum_rate[0]),
-            total_power=float(cell.total[0]),
-            ee=float(cell.ee[0]),
-            outage_dl=LinkOutage(k_dl, k_dl / n),
-            outage_ul=LinkOutage(k_ul, k_ul / n),
-            dl_powers=tuple(cell.dl[0].tolist()),
-            ul_powers=tuple(cell.ul[0].tolist()),
-        )
+        for row, strategy in enumerate(config.strategies):
+            k_dl, k_ul = int(cell.k_out_dl[row, 0, 0]), int(cell.k_out_ul[row, 0, 0])
+            out[(strategy.value, pairing)] = CellResult(
+                strategy=strategy.value,
+                pairing=pairing,
+                method_used=method,
+                sum_rate=float(cell.sum_rate[row, 0]),
+                total_power=float(cell.total[row, 0]),
+                ee=float(cell.ee[row, 0]),
+                outage_dl=LinkOutage(k_dl, k_dl / n),
+                outage_ul=LinkOutage(k_ul, k_ul / n),
+                dl_powers=tuple(cell.dl[row, 0].tolist()),
+                ul_powers=tuple(cell.ul[row, 0].tolist()),
+            )
     return out
 
 
@@ -757,9 +768,11 @@ def _chunk_values(config: ScenarioConfig, trials: range, caps_dl, caps_ul) -> np
     cells = _evaluate(config, population, caps_dl, caps_ul)
     n = config.num_users
     columns = []
-    for key in _cell_keys(config):
-        cell = cells[key]
-        columns += [cell.ee[:, None], cell.total[:, None], cell.k_out_dl / n, cell.k_out_ul / n]
+    for name in config.pairings:
+        cell = cells[name]
+        block = np.concatenate((cell.ee[..., None], cell.total[..., None], cell.k_out_dl / n,
+                                cell.k_out_ul / n), axis=-1)  # (strategies, trials, width)
+        columns.append(block.transpose(1, 0, 2).reshape(len(trials), -1))
     return np.concatenate(columns, axis=1)
 
 
@@ -913,28 +926,27 @@ def two_user_sweep(
             far = UserPosition(config.l_max, float(value))
         else:
             near = UserPosition(config.l_min, 0.0)
-            far = UserPosition(float(value), config.r_max * float(value) / config.l_max)
-        points.append(_population_of([UserNode(near, qos), UserNode(far, qos)]))
+            # clamped to a finite position: where r overflows, the gain is 0
+            # either way (out of the FOV, or l * l overflows too)
+            r = config.r_max * float(value) / config.l_max
+            far = UserPosition(float(value), min(r, sys.float_info.max))
+        points.append([UserNode(near, qos), UserNode(far, qos)])
     if not points:
         return []
     # channel pairing of two users is their one pair, roles by gain
     pair_config = replace(config, pairings=("channel",), ee_served_only=False)
     limits = config.limits
-    cells = _evaluate(pair_config, _stack(points), (limits.max_total_dl,),
-                      (limits.max_per_user_ul,))
-    by_strategy = {
-        s.value: (cells[(s.value, "channel")].ee.tolist(),
-                  cells[(s.value, "channel")].total.tolist())
-        for s in config.strategies
-    }
+    cell = _evaluate(pair_config, _population_of(points), (limits.max_total_dl,),
+                     (limits.max_per_user_ul,))["channel"]
+    ee, total = cell.ee.tolist(), cell.total.tolist()  # (strategies, points)
     return [
         CampaignSummary(
             scenario_id=config.scenario_id,
             num_users=2,
             trials=1,
             seed=config.seed,
-            cells={(s, "none"): CellSummary(ee[i], total[i], None, None)
-                   for s, (ee, total) in by_strategy.items()},
+            cells={(s.value, "none"): CellSummary(ee[row][i], total[row][i], None, None)
+                   for row, s in enumerate(config.strategies)},
             sweep_parameter="r_far" if mode == "horizontal" else "l_far",
             sweep_value=float(value),
         )

@@ -1,6 +1,7 @@
 """LOS channel model: frozen reference values and geometric properties."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -9,8 +10,12 @@ from hypothesis import strategies as st
 from lifi_noma import (
     NoiseModel,
     OpticalFrontEnd,
+    QosRates,
+    ScenarioConfig,
+    UserNode,
     UserPosition,
     channel_gain,
+    evaluate_population,
 )
 
 # Frozen from a 50-digit mpmath evaluation of the same formulas.
@@ -99,6 +104,32 @@ class TestUserPosition:
     def test_rejects_negative_radius(self):
         with pytest.raises(ValueError):
             UserPosition(2.0, -0.1)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["vertical", "horizontal", "polar_angle"])
+    def test_rejects_a_non_finite_field_by_name(self, name, value):
+        fields = {"vertical": 2.0, "horizontal": 1.0, "polar_angle": 0.5, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            UserPosition(**fields)
+
+    def test_evaluate_population_yields_no_nan(self):
+        # a NaN distance made a NaN total power with EE 0; it is now refused
+        # when the user is built, and the farthest users that remain (the
+        # largest floats) are outages with finite EE
+        with pytest.raises(ValueError, match="vertical"):
+            UserNode(UserPosition(math.nan, 1.0), QosRates(1.0, 1.0))
+        far = sys.float_info.max
+        users = [UserNode(UserPosition(far, far, 1.0), QosRates(1.0, 2.0)),
+                 UserNode(UserPosition(far, 0.0), QosRates(2.0, 1.0)),
+                 UserNode(UserPosition(2.0, 0.5), QosRates(1.0, 1.0))]
+        for served_only in (False, True):
+            config = ScenarioConfig(num_users=3, trials=1, ee_served_only=served_only,
+                                    pairings=("channel", "qos", "adaptive"))
+            for cell in evaluate_population(config, users).values():
+                values = [cell.sum_rate, cell.total_power, cell.ee, *cell.dl_powers,
+                          *cell.ul_powers]
+                assert not any(math.isnan(v) for v in values)
+                assert cell.total_power == math.inf
 
 
 class TestChannelGain:

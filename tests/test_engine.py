@@ -18,6 +18,7 @@ from lifi_noma import (
     PowerLimits,
     QosRates,
     ScenarioConfig,
+    Strategy,
     UserNode,
     UserPosition,
     adaptive_pairing,
@@ -173,6 +174,99 @@ def test_trial_cells_equal_the_oracle(config):
         assert evaluate_population(config, users) == oracle_cells(config, users)
 
 
+def vector_rounding_rates(count=4000, seed=6):
+    """Rates ``(a, b)`` whose ``2^(2R)`` NumPy's vectorized math rounds differently.
+
+    Found by a fixed-seed search: ``np.exp2`` and ``np.power`` both differ
+    in the last bit from the scalar ``2.0 ** (2R)`` for ``a`` and for the
+    OMA sum ``a + b``, on this NumPy build and libm. An engine whose rate
+    factors came from either would fail the oracle on them. None where the
+    search finds no such pair.
+    """
+    def rounds_differently(rates):
+        twice = 2.0 * rates
+        scalar = np.array([2.0 ** x for x in twice.tolist()])
+        return (scalar != np.exp2(twice)) & (scalar != np.power(2.0, twice))
+
+    rates = np.random.default_rng(seed).uniform(0.0, 8.0, count)
+    for a in rates[rounds_differently(rates)].tolist():
+        sums = rounds_differently(a + rates)
+        if sums.any():
+            return a, float(rates[sums][0])
+    return None
+
+
+def hazard_grid():
+    """Configs where stacking strategies and picking adaptive inputs could go wrong."""
+    inf = math.inf
+    capped = PowerLimits(3.0, 0.2)
+    yield "oma-grpa-no-opa", ScenarioConfig(
+        num_users=7, trials=1, seed=201, qos_set=(0.3, 1.7, 2.25),
+        strategies=(Strategy.OMA, Strategy.GRPA), pairings=("adaptive",), limits=capped)
+    yield "grpa-channel-and-adaptive", ScenarioConfig(
+        num_users=8, trials=1, seed=202, qos_set=(1.0, 2.0, 4.0),
+        strategies=(Strategy.GRPA,), pairings=("channel", "adaptive"), limits=capped,
+        ee_served_only=True)
+    yield "ngdpa-opa-reversed", ScenarioConfig(
+        num_users=9, trials=1, seed=203, qos_set=(1.0, 2.0, 3.0, 4.0),
+        strategies=(Strategy.NGDPA, Strategy.OPA), pairings=PAIRINGS, limits=capped)
+    yield "qos-then-channel", ScenarioConfig(
+        num_users=9, trials=1, seed=204, qos_set=(0.3, 1.7, 2.25), pairings=("qos", "channel"),
+        limits=capped, ee_served_only=True)
+    yield "adaptive-only", ScenarioConfig(
+        num_users=6, trials=1, seed=205, qos_set=(1.0, 2.0, 3.0, 4.0), pairings=("adaptive",),
+        limits=capped)
+    for name, limits in (("dl", PowerLimits(inf, 0.05)), ("ul", PowerLimits(2.0, inf)),
+                         ("both", PowerLimits(inf, inf))):
+        # a 40-degree FOV: infinite demands under an infinite cap are shed
+        yield f"served-only-infinite-{name}-cap", ScenarioConfig(
+            num_users=9, trials=1, seed=206, qos_set=(1.0, 3.0), pairings=PAIRINGS,
+            front_end=OpticalFrontEnd(fov_half_angle_deg=40.0), limits=limits,
+            ee_served_only=True)
+
+
+HAZARDS = dict(hazard_grid())
+
+
+@pytest.mark.parametrize("name", list(HAZARDS))
+def test_stacking_hazards_equal_the_oracle(name):
+    config = HAZARDS[name]
+    for trial in range(12):
+        users = sample_users(config, trial)
+        assert evaluate_population(config, users) == oracle_cells(config, users)
+
+
+@pytest.fixture(scope="module")
+def rounding_config():
+    rates = vector_rounding_rates()
+    assert rates is not None, (
+        "no searched rate's 2^(2R) rounds differently under np.exp2 and np.power on this "
+        "build, so the vector-rounding pin would not catch a vectorized rate factor")
+    return ScenarioConfig(num_users=8, trials=1, seed=207, qos_set=rates, pairings=PAIRINGS,
+                          limits=PowerLimits(3.0, 0.2))
+
+
+def test_vector_rounding_rates_equal_the_oracle(rounding_config):
+    for trial in range(12):
+        users = sample_users(rounding_config, trial)
+        assert evaluate_population(rounding_config, users) == oracle_cells(rounding_config, users)
+
+
+def test_vector_rounding_rates_meet_in_oma_pairs(rounding_config):
+    # the oracle test pins the OMA sum only if an OMA pair holds both rates
+    config = rounding_config
+    a, b = config.qos_set
+    mixed = 0
+    for trial in range(12):
+        powers, rates_dl, rates_ul = oracle_powers(config, sample_users(config, trial))
+        for (strategy, _), (_, slots, *_) in powers.items():
+            if strategy == "oma":
+                paired = slots[:len(slots) // 2 * 2]
+                mixed += sum({x, y} == {a, b} for rates in (rates_dl, rates_ul)
+                             for x, y in rates[paired].reshape(-1, 2).tolist())
+    assert a != b and mixed
+
+
 def test_adaptive_guard_resolves_rounding_ties_to_channel():
     # uniform QoS: pairings with the same far users tie up to rounding; the
     # guard keeps the channel pairing even where the QoS total rounds lower
@@ -265,6 +359,26 @@ def test_campaign_means_equal_the_oracle_across_chunks(workers, served_only):
     config = ScenarioConfig(
         num_users=9, trials=CHUNK + 37, seed=11, qos_set=(0.3, 1.0, 2.25, 4.0),
         pairings=PAIRINGS, limits=PowerLimits(3.0, 0.2), ee_served_only=served_only,
+    )
+    limits = config.limits
+    want = oracle_means(config, (limits.max_total_dl,), (limits.max_per_user_ul,))
+    got = run_campaign(config, workers=workers).cells
+    assert list(got) == list(want)
+    for key, (ee, power, uop_dl, uop_ul) in want.items():
+        cell = got[key]
+        assert (cell.mean_ee, cell.mean_total_power, cell.mean_uop_dl, cell.mean_uop_ul) == (
+            ee, power, uop_dl, uop_ul)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_campaign_means_of_a_strategy_subset_equal_the_oracle(workers):
+    # OMA and GRPA without OPA, adaptive before QoS, an infinite downlink
+    # cap under served-only EE; chunks cut differently on 1 and 3 workers
+    config = ScenarioConfig(
+        num_users=9, trials=CHUNK + 37, seed=12, qos_set=(0.3, 1.0, 2.25, 4.0),
+        strategies=(Strategy.OMA, Strategy.GRPA), pairings=("adaptive", "qos"),
+        front_end=OpticalFrontEnd(fov_half_angle_deg=40.0),
+        limits=PowerLimits(math.inf, 0.2), ee_served_only=True,
     )
     limits = config.limits
     want = oracle_means(config, (limits.max_total_dl,), (limits.max_per_user_ul,))

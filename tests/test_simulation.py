@@ -405,6 +405,15 @@ class TestTwoUserSweep:
         cell = points[0].cells[("opa", "none")]
         assert cell.mean_ee == pytest.approx(2.0 / cell.mean_total_power, rel=1e-12)
 
+    def test_vertical_sweep_past_the_largest_float_gives_no_gain(self):
+        # r = r_max * l / l_max overflows for these heights; the far user
+        # has gain 0 (and unbounded powers) as it would at r = inf
+        config = ScenarioConfig(num_users=2, trials=1, l_min=1e-50, l_max=1e-50,
+                                sweep_mode="vertical", sweep_values=(1e250, 1e300))
+        for point in two_user_sweep(config):
+            for cell in point.cells.values():
+                assert (cell.mean_ee, cell.mean_total_power) == (0.0, math.inf)
+
 
 class TestServedOnlyAccounting:
     def test_uncapped_served_only_matches_default(self):
