@@ -16,6 +16,8 @@ Things to look for in the output:
 Run:  python demos/two_user_energy_efficiency.py
 """
 
+from dataclasses import replace
+
 from lifi_noma import ScenarioConfig, two_user_sweep
 
 config = ScenarioConfig(num_users=2, trials=1)
@@ -32,8 +34,8 @@ def show(points, label):
     return points
 
 
-horizontal = show(two_user_sweep(config, mode="horizontal"), "r_far [m]")
-vertical = show(two_user_sweep(config, mode="vertical"), "l_far [m]")
+horizontal = show(two_user_sweep(replace(config, sweep_mode="horizontal")), "r_far [m]")
+vertical = show(two_user_sweep(replace(config, sweep_mode="vertical")), "l_far [m]")
 
 best = max(horizontal[2].cells.items(), key=lambda kv: kv[1].mean_ee)
 print(f"\nAt 1.5 m separation the best strategy is {best[0][0]} "

@@ -24,21 +24,15 @@ __version__ = "0.1.0"
 
 from .allocation import (
     InfeasibleAllocationError,
-    PowerAllocationSet,
     PowerLimits,
     QosRates,
     Strategy,
     UserPair,
     allocate,
     channel_based_allocation,
-    channel_ratio,
-    downlink_achievable_rates,
-    downlink_power_requirements,
     oma_allocation,
     opa_set,
     single_user_allocation,
-    uplink_achievable_rates,
-    uplink_power_requirements,
 )
 from .channel import (
     NoiseModel,
@@ -48,16 +42,11 @@ from .channel import (
 )
 from .metrics import (
     LinkOutage,
-    downlink_outage_mask,
     downlink_uop,
-    uplink_outage_mask,
     uplink_uop,
 )
 from .pairing import (
-    PairingOutcome,
     adaptive_pairing,
-    make_pair,
-    opa_total_power,
     pair_by_channel,
     pair_by_qos,
 )
@@ -69,7 +58,6 @@ from .simulation import (
     ScenarioValidationError,
     UserNode,
     evaluate_population,
-    population_gains,
     run_campaign,
     run_trial,
     run_uop_sweep,
@@ -88,32 +76,21 @@ __all__ = [
     "Strategy",
     "QosRates",
     "UserPair",
-    "PowerAllocationSet",
     "PowerLimits",
     "InfeasibleAllocationError",
-    "downlink_power_requirements",
-    "uplink_power_requirements",
     "opa_set",
-    "channel_ratio",
     "channel_based_allocation",
     "oma_allocation",
     "single_user_allocation",
     "allocate",
-    "downlink_achievable_rates",
-    "uplink_achievable_rates",
     # pairing
-    "PairingOutcome",
-    "make_pair",
     "pair_by_channel",
     "pair_by_qos",
     "adaptive_pairing",
-    "opa_total_power",
     # metrics
     "LinkOutage",
     "downlink_uop",
     "uplink_uop",
-    "downlink_outage_mask",
-    "uplink_outage_mask",
     # simulation
     "UserNode",
     "ScenarioConfig",
@@ -122,7 +99,6 @@ __all__ = [
     "CellSummary",
     "CampaignSummary",
     "sample_users",
-    "population_gains",
     "evaluate_population",
     "run_trial",
     "run_campaign",

@@ -66,6 +66,9 @@ class QosRates:
     uplink: float
 
     def __post_init__(self) -> None:
+        for name in ("downlink", "uplink"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.downlink < 0.0 or self.uplink < 0.0:
             raise ValueError(f"rate requirements must be >= 0, got {self}")
 
@@ -76,28 +79,22 @@ class QosRates:
 
 @dataclass(frozen=True)
 class UserPair:
-    """Ordered (far, near) pair with its per-link channel gains.
+    """Ordered (far, near) pair with the two users' channel gains.
 
     ``far`` and ``near`` are caller-side user references (indices in the
-    population arrays). The far member must not out-gain the near member on
-    either link.
+    population arrays). Downlink and uplink share one front end, so each
+    user has one gain for both links; the far member's must not exceed the
+    near member's.
     """
 
     far: int
     near: int
-    h_far_dl: float
-    h_near_dl: float
-    h_far_ul: float
-    h_near_ul: float
+    h_far: float
+    h_near: float
 
     def __post_init__(self) -> None:
-        if min(self.h_far_dl, self.h_near_dl, self.h_far_ul, self.h_near_ul) < 0.0:
-            raise ValueError("channel gains must be >= 0")
-        if self.h_far_dl > self.h_near_dl or self.h_far_ul > self.h_near_ul:
-            raise ValueError(
-                "far member must have the lower gain on both links: "
-                f"dl ({self.h_far_dl}, {self.h_near_dl}), ul ({self.h_far_ul}, {self.h_near_ul})"
-            )
+        if not 0.0 <= self.h_far <= self.h_near:  # also rejects NaN
+            raise ValueError(f"need 0 <= h_far <= h_near, got ({self.h_far}, {self.h_near})")
 
 
 @dataclass(frozen=True)
@@ -229,10 +226,10 @@ def opa_set(
     each of the four powers is the smallest value meeting its user's rate.
     """
     p_far_dl, p_near_dl = downlink_power_requirements(
-        pair.h_far_dl, pair.h_near_dl, qos_far.downlink, qos_near.downlink, noise_power
+        pair.h_far, pair.h_near, qos_far.downlink, qos_near.downlink, noise_power
     )
     p_near_ul, p_far_ul = uplink_power_requirements(
-        pair.h_near_ul, pair.h_far_ul, qos_near.uplink, qos_far.uplink, noise_power
+        pair.h_near, pair.h_far, qos_near.uplink, qos_far.uplink, noise_power
     )
     return PowerAllocationSet(p_far_dl, p_near_dl, p_far_ul, p_near_ul)
 
@@ -291,10 +288,9 @@ def channel_based_allocation(
             equal gains).
     """
     optimum = opa_set(pair, qos_far, qos_near, noise_power)
-    alpha_dl = channel_ratio(strategy, pair.h_far_dl, pair.h_near_dl)
-    alpha_ul = channel_ratio(strategy, pair.h_far_ul, pair.h_near_ul)
-    far_dl, near_dl = _scaled_link_allocation(alpha_dl, optimum.far_dl, optimum.near_dl)
-    far_ul, near_ul = _scaled_link_allocation(alpha_ul, optimum.far_ul, optimum.near_ul)
+    alpha = channel_ratio(strategy, pair.h_far, pair.h_near)
+    far_dl, near_dl = _scaled_link_allocation(alpha, optimum.far_dl, optimum.near_dl)
+    far_ul, near_ul = _scaled_link_allocation(alpha, optimum.far_ul, optimum.near_ul)
     return PowerAllocationSet(far_dl, near_dl, far_ul, near_ul)
 
 
@@ -312,41 +308,37 @@ def oma_allocation(
     """
     if noise_power <= 0.0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
-    out = []
-    for h_far, h_near, r_far, r_near in (
-        (pair.h_far_dl, pair.h_near_dl, qos_far.downlink, qos_near.downlink),
-        (pair.h_far_ul, pair.h_near_ul, qos_far.uplink, qos_near.uplink),
-    ):
-        if h_far == 0.0 or h_near == 0.0:
-            raise InfeasibleAllocationError(
-                "zero channel gain: the rate target needs unbounded power"
-            )
-        factor = _rate_factor(r_far + r_near)
-        out.append((_per_square(factor * noise_power, h_far),
-                    _per_square(factor * noise_power, h_near)))
-    (far_dl, near_dl), (far_ul, near_ul) = out
-    return PowerAllocationSet(far_dl, near_dl, far_ul, near_ul)
+    if pair.h_far == 0.0:  # h_near >= h_far
+        raise InfeasibleAllocationError(
+            "zero channel gain: the rate target needs unbounded power"
+        )
+    demand_dl = _rate_factor(qos_far.downlink + qos_near.downlink) * noise_power
+    demand_ul = _rate_factor(qos_far.uplink + qos_near.uplink) * noise_power
+    return PowerAllocationSet(
+        _per_square(demand_dl, pair.h_far),
+        _per_square(demand_dl, pair.h_near),
+        _per_square(demand_ul, pair.h_far),
+        _per_square(demand_ul, pair.h_near),
+    )
 
 
-def single_user_allocation(
-    h_dl: float, h_ul: float, qos: QosRates, noise_power: float
-) -> tuple[float, float]:
-    """Minimum per-link powers for a standalone (unpaired) user.
+def single_user_allocation(h: float, qos: QosRates, noise_power: float) -> tuple[float, float]:
+    """Minimum ``(downlink, uplink)`` powers for a standalone (unpaired) user.
 
     An odd user left over by pairing gets its own band, so it only fights
-    noise: ``p = 2^(2R) Pz / h^2`` per link.
+    noise: ``p = 2^(2R) Pz / h^2`` per link, with the user's one gain ``h``.
     """
     if noise_power <= 0.0:
         raise ValueError(f"noise power must be positive, got {noise_power}")
-    if h_dl < 0.0 or h_ul < 0.0:
-        raise ValueError(f"gains must be >= 0, got ({h_dl}, {h_ul})")
-    if h_dl == 0.0 or h_ul == 0.0:
+    if h < 0.0:
+        raise ValueError(f"gain must be >= 0, got {h}")
+    if h == 0.0:
         raise InfeasibleAllocationError(
             "zero channel gain: the rate target needs unbounded power"
         )
     return (
-        _per_square(_rate_factor(qos.downlink) * noise_power, h_dl),
-        _per_square(_rate_factor(qos.uplink) * noise_power, h_ul),
+        _per_square(_rate_factor(qos.downlink) * noise_power, h),
+        _per_square(_rate_factor(qos.uplink) * noise_power, h),
     )
 
 

@@ -2,7 +2,8 @@
 
 Three approaches: sort by channel gain (pair the i-th weakest with the i-th
 strongest), sort by QoS requirement, or adaptively keep whichever of the two
-needs less total optimal power. One shared pairing is used for both links;
+needs less total optimal power. Downlink and uplink share one front end, so
+each user has one channel gain and one shared pairing serves both links;
 with an odd population the last sorted user stays unpaired and is served
 standalone on its own band.
 """
@@ -58,53 +59,44 @@ class PairingOutcome:
         return 2 * len(self.pairs) + (self.unpaired is not None)
 
 
-def _gain_arrays(gains_dl, gains_ul) -> tuple[np.ndarray, np.ndarray]:
-    dl = np.asarray(gains_dl, dtype=float)
-    ul = dl if gains_ul is None else np.asarray(gains_ul, dtype=float)
-    if dl.ndim != 1 or ul.shape != dl.shape:
-        raise ValueError("gain arrays must be 1-D and equally shaped")
-    if len(dl) < 2:
-        raise ValueError(f"pairing needs at least 2 users, got {len(dl)}")
-    return dl, ul
+def _gain_array(gains) -> np.ndarray:
+    gains = np.asarray(gains, dtype=float)
+    if gains.ndim != 1:
+        raise ValueError("the gain array must be 1-D")
+    if len(gains) < 2:
+        raise ValueError(f"pairing needs at least 2 users, got {len(gains)}")
+    return gains
 
 
-def make_pair(a: int, b: int, gains_dl: np.ndarray, gains_ul: np.ndarray) -> UserPair:
+def make_pair(a: int, b: int, gains: np.ndarray) -> UserPair:
     """Build a pair from two user indices, assigning far/near roles.
 
-    The far role goes to the lower downlink gain; ties fall back to the
-    lower original index so results are reproducible.
+    The far role goes to the lower gain (one gain per user serves both
+    links); ties fall back to the lower original index so results are
+    reproducible.
     """
-    if (gains_dl[b], b) < (gains_dl[a], a):
+    if (gains[b], b) < (gains[a], a):
         a, b = b, a
-    return UserPair(
-        far=a,
-        near=b,
-        h_far_dl=float(gains_dl[a]),
-        h_near_dl=float(gains_dl[b]),
-        h_far_ul=float(gains_ul[a]),
-        h_near_ul=float(gains_ul[b]),
-    )
+    return UserPair(far=a, near=b, h_far=float(gains[a]), h_near=float(gains[b]))
 
 
-def _pair_halves(order: list[int], gains_dl, gains_ul, method: str) -> PairingOutcome:
+def _pair_halves(order: list[int], gains, method: str) -> PairingOutcome:
     n = len(order) // 2
     unpaired = order[-1] if len(order) % 2 else None
-    pairs = tuple(
-        make_pair(order[i], order[n + i], gains_dl, gains_ul) for i in range(n)
-    )
+    pairs = tuple(make_pair(order[i], order[n + i], gains) for i in range(n))
     return PairingOutcome(pairs=pairs, method=method, unpaired=unpaired)
 
 
-def pair_by_channel(gains_dl, gains_ul=None) -> PairingOutcome:
+def pair_by_channel(gains) -> PairingOutcome:
     """Pair users by sorting their channel gains in ascending order.
 
     The weaker half is matched index-by-index with the stronger half, so the
     i-th pair joins the i-th weakest and the i-th strongest-of-the-weak-half
     partner. Ties keep the original index order.
     """
-    gains_dl, gains_ul = _gain_arrays(gains_dl, gains_ul)
-    order = sorted(range(len(gains_dl)), key=lambda k: (gains_dl[k], k))
-    return _pair_halves(order, gains_dl, gains_ul, "channel")
+    gains = _gain_array(gains)
+    order = sorted(range(len(gains)), key=lambda k: (gains[k], k))
+    return _pair_halves(order, gains, "channel")
 
 
 def _qos_sort_values(rates_dl, rates_ul, key: str) -> np.ndarray:
@@ -121,7 +113,7 @@ def _qos_sort_values(rates_dl, rates_ul, key: str) -> np.ndarray:
     raise ValueError(f"unknown QoS sort key {key!r}, expected one of {QOS_SORT_KEYS}")
 
 
-def pair_by_qos(rates_dl, rates_ul, gains_dl, gains_ul=None, key: str = "sum") -> PairingOutcome:
+def pair_by_qos(rates_dl, rates_ul, gains, key: str = "sum") -> PairingOutcome:
     """Pair users by sorting their QoS requirements in descending order.
 
     ``key`` selects the per-user sort value: the default "sum" uses the
@@ -129,19 +121,18 @@ def pair_by_qos(rates_dl, rates_ul, gains_dl, gains_ul=None, key: str = "sum") -
     Far/near roles inside each pair still follow the channel gains.
     """
     values = _qos_sort_values(rates_dl, rates_ul, key)
-    gains_dl, gains_ul = _gain_arrays(gains_dl, gains_ul)
-    if len(values) != len(gains_dl):
+    gains = _gain_array(gains)
+    if len(values) != len(gains):
         raise ValueError("rates and gains must cover the same users")
     order = sorted(range(len(values)), key=lambda k: (-values[k], k))
-    return _pair_halves(order, gains_dl, gains_ul, "qos")
+    return _pair_halves(order, gains, "qos")
 
 
 def opa_total_power(
     outcome: PairingOutcome,
     rates_dl: Sequence[float],
     rates_ul: Sequence[float],
-    gains_dl,
-    gains_ul=None,
+    gains,
     *,
     noise_power: float,
 ) -> float:
@@ -152,7 +143,7 @@ def opa_total_power(
     requires the same order. A pairing with an infeasible member (a zero
     gain, i.e. a user outside the FOV) needs unbounded power: ``inf``.
     """
-    gains_dl, gains_ul = _gain_arrays(gains_dl, gains_ul)
+    gains = _gain_array(gains)
     total = 0.0
     try:
         for pair in outcome.pairs:
@@ -162,9 +153,7 @@ def opa_total_power(
         if outcome.unpaired is not None:
             u = outcome.unpaired
             qos = QosRates(float(rates_dl[u]), float(rates_ul[u]))
-            p_dl, p_ul = single_user_allocation(
-                float(gains_dl[u]), float(gains_ul[u]), qos, noise_power
-            )
+            p_dl, p_ul = single_user_allocation(float(gains[u]), qos, noise_power)
             total += p_dl + p_ul
     except InfeasibleAllocationError:
         return math.inf
@@ -172,13 +161,7 @@ def opa_total_power(
 
 
 def adaptive_pairing(
-    rates_dl,
-    rates_ul,
-    gains_dl,
-    gains_ul=None,
-    *,
-    noise_power: float,
-    key: str = "sum",
+    rates_dl, rates_ul, gains, *, noise_power: float, key: str = "sum"
 ) -> PairingOutcome:
     """Keep whichever of the channel / QoS pairings needs less total power.
 
@@ -192,14 +175,10 @@ def adaptive_pairing(
     float totals then differ only by rounding. The comparison carries a
     relative guard so such ties still resolve to the channel-based pairing.
     """
-    by_channel = pair_by_channel(gains_dl, gains_ul)
-    by_qos = pair_by_qos(rates_dl, rates_ul, gains_dl, gains_ul, key=key)
-    total_channel = opa_total_power(
-        by_channel, rates_dl, rates_ul, gains_dl, gains_ul, noise_power=noise_power
-    )
-    total_qos = opa_total_power(
-        by_qos, rates_dl, rates_ul, gains_dl, gains_ul, noise_power=noise_power
-    )
+    by_channel = pair_by_channel(gains)
+    by_qos = pair_by_qos(rates_dl, rates_ul, gains, key=key)
+    total_channel = opa_total_power(by_channel, rates_dl, rates_ul, gains, noise_power=noise_power)
+    total_qos = opa_total_power(by_qos, rates_dl, rates_ul, gains, noise_power=noise_power)
     if total_channel <= total_qos * (1.0 + 1e-12):
         return replace(by_channel, method="adaptive:channel", min_total_power=total_channel)
     return replace(by_qos, method="adaptive:qos", min_total_power=total_qos)

@@ -882,8 +882,8 @@ def run_uop_sweep(config: ScenarioConfig, workers: int = 1) -> list[CampaignSumm
 _MAX_DEFAULT_POINTS = 10_000
 
 
-def _default_sweep_values(config: ScenarioConfig, mode: str) -> tuple[float, ...]:
-    if mode == "horizontal":
+def _default_sweep_values(config: ScenarioConfig) -> tuple[float, ...]:
+    if config.sweep_mode == "horizontal":
         count = int(round(config.r_max / 0.5))
         first, last = 0.5, 0.5 * count
     else:
@@ -891,34 +891,27 @@ def _default_sweep_values(config: ScenarioConfig, mode: str) -> tuple[float, ...
         first, last = config.l_min, config.l_max
     if not 1 <= count <= _MAX_DEFAULT_POINTS:
         raise ScenarioValidationError(
-            [f"sweep_values: the default {mode} grid would have {count} points, "
+            [f"sweep_values: the default {config.sweep_mode} grid would have {count} points, "
              f"outside [1, {_MAX_DEFAULT_POINTS}]; give sweep_values"]
         )
     return tuple(np.linspace(first, last, count))
 
 
-def two_user_sweep(
-    config: ScenarioConfig,
-    mode: str | None = None,
-    values: Sequence[float] | None = None,
-    rate: float | None = None,
-) -> list[CampaignSummary]:
+def two_user_sweep(config: ScenarioConfig) -> list[CampaignSummary]:
     """Deterministic two-user geometry sweep (no sampling).
 
+    The config sets the sweep: ``sweep_mode`` its geometry, ``sweep_values``
+    its coordinates (a default grid when None) and ``sweep_rate`` the rate.
     Horizontal mode fixes both users at ``l_max`` height with the near user
     on the axis and sweeps the far user's horizontal distance. Vertical mode
     fixes the near user at ``(l_min, 0)`` and sweeps the far user's height,
     keeping its incidence angle constant via ``r = r_max * l / l_max``. All
-    four per-link rates equal ``rate``. Each sweep point is one row of a
-    chunk; EE counts all four rates whatever ``ee_served_only`` says.
+    four per-link rates equal ``sweep_rate``. Each sweep point is one row of
+    a chunk; EE counts all four rates whatever ``ee_served_only`` says.
     """
-    mode = config.sweep_mode if mode is None else mode
-    if mode not in ("horizontal", "vertical"):
-        raise ValueError(f"sweep mode must be 'horizontal' or 'vertical', got {mode!r}")
-    if values is None:
-        values = config.sweep_values or _default_sweep_values(config, mode)
-    rate = config.sweep_rate if rate is None else rate
-    qos = QosRates(rate, rate)
+    mode = config.sweep_mode
+    values = config.sweep_values or _default_sweep_values(config)
+    qos = QosRates(config.sweep_rate, config.sweep_rate)
     points = []
     for value in values:
         if mode == "horizontal":
@@ -931,8 +924,6 @@ def two_user_sweep(
             r = config.r_max * float(value) / config.l_max
             far = UserPosition(float(value), min(r, sys.float_info.max))
         points.append([UserNode(near, qos), UserNode(far, qos)])
-    if not points:
-        return []
     # channel pairing of two users is their one pair, roles by gain
     pair_config = replace(config, pairings=("channel",), ee_served_only=False)
     limits = config.limits

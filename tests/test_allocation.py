@@ -2,6 +2,9 @@
 optimality, dominance and rate-closure properties."""
 
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,19 +18,21 @@ from lifi_noma import (
     UserPair,
     allocate,
     channel_based_allocation,
-    channel_ratio,
-    downlink_achievable_rates,
-    downlink_power_requirements,
     oma_allocation,
     opa_set,
     single_user_allocation,
-    uplink_achievable_rates,
     UserNode,
     UserPosition,
     evaluate_population,
+)
+from lifi_noma.allocation import (
+    channel_ratio,
+    downlink_achievable_rates,
+    downlink_power_requirements,
+    uplink_achievable_rates,
+    _scaled_link_allocation,
     uplink_power_requirements,
 )
-from lifi_noma.allocation import _scaled_link_allocation
 
 PZ = 2e-15
 REL = 1e-12
@@ -65,7 +70,7 @@ GOLDEN_OMA_TOTAL = 0.01761123880674241
 
 
 def golden_pair() -> UserPair:
-    return UserPair(1, 0, H_FAR, H_NEAR, H_FAR, H_NEAR)
+    return UserPair(1, 0, H_FAR, H_NEAR)
 
 
 def rate_grid():
@@ -184,7 +189,7 @@ class TestOpaSet:
 
     def test_zero_rates_equal_gains_exact(self):
         h = 4e-6
-        pair = UserPair(0, 1, h, h, h, h)
+        pair = UserPair(0, 1, h, h)
         alloc = opa_set(pair, QosRates(0.0, 0.0), QosRates(0.0, 0.0), PZ)
         unit = PZ / (h * h)
         assert alloc.far_dl == 2.0 * unit
@@ -197,7 +202,7 @@ class TestOpaSet:
     def test_scales_linearly_with_noise_power(self, gains, rd_f, rd_n, ru_f, ru_n, k):
         # power-of-two noise scaling keeps the proportionality float-exact
         h_far, h_near = gains
-        pair = UserPair(0, 1, h_far, h_near, h_far, h_near)
+        pair = UserPair(0, 1, h_far, h_near)
         qos_far, qos_near = QosRates(rd_f, ru_f), QosRates(rd_n, ru_n)
         base = opa_set(pair, qos_far, qos_near, PZ)
         scaled = opa_set(pair, qos_far, qos_near, PZ * 2.0**k)
@@ -261,7 +266,7 @@ class TestChannelBasedAllocation:
 
     def test_degenerate_zero_ratio_is_infeasible(self):
         h = 2e-6
-        pair = UserPair(0, 1, h, h, h, h)
+        pair = UserPair(0, 1, h, h)
         with pytest.raises(InfeasibleAllocationError):
             channel_based_allocation(
                 Strategy.NGDPA, pair, QosRates(1.0, 1.0), QosRates(1.0, 1.0), PZ
@@ -272,7 +277,7 @@ class TestChannelBasedAllocation:
     @settings(max_examples=200)
     def test_never_undercuts_the_optimum(self, gains, rd_f, rd_n, ru_f, ru_n, strategy):
         h_far, h_near = gains
-        pair = UserPair(0, 1, h_far, h_near, h_far, h_near)
+        pair = UserPair(0, 1, h_far, h_near)
         qos_far, qos_near = QosRates(rd_f, ru_f), QosRates(rd_n, ru_n)
         optimum = opa_set(pair, qos_far, qos_near, PZ)
         baseline = channel_based_allocation(strategy, pair, qos_far, qos_near, PZ)
@@ -294,14 +299,14 @@ class TestOmaAllocation:
 
     def test_zero_rates_cost_noise_floor(self):
         h_far, h_near = 1e-6, 2e-6
-        pair = UserPair(0, 1, h_far, h_near, h_far, h_near)
+        pair = UserPair(0, 1, h_far, h_near)
         alloc = oma_allocation(pair, QosRates(0.0, 0.0), QosRates(0.0, 0.0), PZ)
         assert alloc.far_dl == PZ / h_far**2
         assert alloc.near_dl == PZ / h_near**2
 
     def test_symmetric_pair_equal_components(self):
         h = 3e-6
-        pair = UserPair(0, 1, h, h, h, h)
+        pair = UserPair(0, 1, h, h)
         alloc = oma_allocation(pair, QosRates(0.5, 0.5), QosRates(0.5, 0.5), PZ)
         expected = 4.0 * PZ / (h * h)  # combined rate 1 -> factor 2^2
         for component in (alloc.far_dl, alloc.near_dl, alloc.far_ul, alloc.near_ul):
@@ -310,7 +315,7 @@ class TestOmaAllocation:
     def test_colocated_pair_still_loses_to_the_optimum(self):
         # equal gains, unit rates: 48 vs 64 noise-floor units
         h = 3e-6
-        pair = UserPair(0, 1, h, h, h, h)
+        pair = UserPair(0, 1, h, h)
         qos = QosRates(1.0, 1.0)
         assert opa_set(pair, qos, qos, PZ).total < oma_allocation(pair, qos, qos, PZ).total
 
@@ -323,7 +328,7 @@ class TestOmaAllocation:
     def test_never_cheaper_than_noma_optimum(self, gains, rd_f, rd_n, ru_f, ru_n):
         # holds whenever every rate is at least 1/2 bit/s/Hz
         h_far, h_near = gains
-        pair = UserPair(0, 1, h_far, h_near, h_far, h_near)
+        pair = UserPair(0, 1, h_far, h_near)
         qos_far, qos_near = QosRates(rd_f, ru_f), QosRates(rd_n, ru_n)
         noma = opa_set(pair, qos_far, qos_near, PZ).total
         oma = oma_allocation(pair, qos_far, qos_near, PZ).total
@@ -350,18 +355,18 @@ class TestTotals:
 
 class TestSingleUserAllocation:
     def test_noise_floor_at_zero_rate(self):
-        p_dl, p_ul = single_user_allocation(2e-6, 2e-6, QosRates(0.0, 0.0), PZ)
+        p_dl, p_ul = single_user_allocation(2e-6, QosRates(0.0, 0.0), PZ)
         assert p_dl == PZ / (2e-6) ** 2
         assert p_ul == PZ / (2e-6) ** 2
 
     def test_rate_factor(self):
-        p_dl, p_ul = single_user_allocation(2e-6, 1e-6, QosRates(1.0, 2.0), PZ)
+        p_dl, p_ul = single_user_allocation(2e-6, QosRates(1.0, 2.0), PZ)
         assert p_dl == pytest.approx(4.0 * PZ / (2e-6) ** 2, rel=REL)
-        assert p_ul == pytest.approx(16.0 * PZ / (1e-6) ** 2, rel=REL)
+        assert p_ul == pytest.approx(16.0 * PZ / (2e-6) ** 2, rel=REL)
 
     def test_zero_gain_is_infeasible(self):
         with pytest.raises(InfeasibleAllocationError):
-            single_user_allocation(0.0, 1e-6, QosRates(1.0, 1.0), PZ)
+            single_user_allocation(0.0, QosRates(1.0, 1.0), PZ)
 
 
 class TestRateClosure:
@@ -383,7 +388,7 @@ class TestRateClosure:
     @settings(max_examples=200)
     def test_optimal_powers_achieve_exactly_the_requests(self, gains, rd_f, rd_n, ru_f, ru_n):
         h_far, h_near = gains
-        pair = UserPair(0, 1, h_far, h_near, h_far, h_near)
+        pair = UserPair(0, 1, h_far, h_near)
         alloc = opa_set(pair, QosRates(rd_f, ru_f), QosRates(rd_n, ru_n), PZ)
         r_far, r_near, r_cross = downlink_achievable_rates(
             h_far, h_near, alloc.far_dl, alloc.near_dl, PZ
@@ -413,4 +418,49 @@ class TestDispatch:
 
     def test_pair_invariant_enforced(self):
         with pytest.raises(ValueError):
-            UserPair(0, 1, 3e-6, 2e-6, 2e-6, 3e-6)
+            UserPair(0, 1, 3e-6, 2e-6)
+
+
+class TestQosRates:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["downlink", "uplink"])
+    def test_rejects_a_non_finite_rate_by_name(self, name, value):
+        rates = {"downlink": 1.0, "uplink": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            QosRates(**rates)
+
+    def test_evaluate_population_yields_no_nan(self):
+        # a NaN rate made a NaN total power with EE 0 and an infinite one a
+        # NaN EE; both are now refused when the rates are built, and the
+        # largest rates a scenario allows give no NaN either
+        for value in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="downlink"):
+                UserNode(UserPosition(2.5, 0.0), QosRates(value, 1.0))
+        high = 255.0
+        users = [UserNode(UserPosition(2.5, 0.0), QosRates(high, 1.0)),
+                 UserNode(UserPosition(2.5, 1.5), QosRates(1.0, high)),
+                 UserNode(UserPosition(2.5, 1.0), QosRates(high, high))]
+        for served_only in (False, True):
+            config = ScenarioConfig(num_users=3, trials=1, ee_served_only=served_only,
+                                    pairings=("channel", "qos", "adaptive"))
+            for cell in evaluate_population(config, users).values():
+                values = [cell.sum_rate, cell.total_power, cell.ee, *cell.dl_powers,
+                          *cell.ul_powers]
+                assert not any(math.isnan(v) for v in values)
+
+
+class TestUserPair:
+    @pytest.mark.parametrize("h_far, h_near", [
+        (math.nan, 1e-6),
+        (1e-6, math.nan),
+        (-1e-6, 1e-6),
+        (3e-6, 2e-6),
+    ], ids=["nan-far", "nan-near", "negative-far", "far-above-near"])
+    def test_rejects_gains_outside_the_pair_order(self, h_far, h_near):
+        with pytest.raises(ValueError, match="h_far <= h_near"):
+            UserPair(0, 1, h_far, h_near)
+
+    def test_holds_one_gain_per_user(self):
+        pair = UserPair(0, 1, 0.0, 0.0)
+        assert (pair.h_far, pair.h_near) == (0.0, 0.0)
+        assert [f.name for f in dataclasses.fields(UserPair)] == ["far", "near", "h_far", "h_near"]

@@ -23,22 +23,20 @@ from lifi_noma import (
     UserPosition,
     adaptive_pairing,
     allocate,
-    downlink_outage_mask,
     downlink_uop,
     evaluate_population,
-    opa_total_power,
     pair_by_channel,
     pair_by_qos,
-    population_gains,
     run_campaign,
     run_uop_sweep,
     sample_users,
     single_user_allocation,
-    uplink_outage_mask,
     uplink_uop,
 )
+from lifi_noma.metrics import downlink_outage_mask, uplink_outage_mask
+from lifi_noma.pairing import opa_total_power
 from lifi_noma.channel import los_gain
-from lifi_noma.simulation import CHUNK, CellResult, _gains, _Population
+from lifi_noma.simulation import CHUNK, CellResult, _gains, _Population, population_gains
 
 PAIRINGS = ("channel", "qos", "adaptive")
 
@@ -79,8 +77,7 @@ def oracle_powers(config, users):
                 slots.append(u)
                 qos = QosRates(float(rates_dl[u]), float(rates_ul[u]))
                 try:
-                    p_dl, p_ul = single_user_allocation(
-                        float(gains[u]), float(gains[u]), qos, pz)
+                    p_dl, p_ul = single_user_allocation(float(gains[u]), qos, pz)
                 except InfeasibleAllocationError:
                     p_dl = p_ul = math.inf
                 dl.append(p_dl)

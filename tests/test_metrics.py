@@ -15,12 +15,11 @@ from lifi_noma import (
     ScenarioConfig,
     UserNode,
     UserPosition,
-    downlink_outage_mask,
     downlink_uop,
     evaluate_population,
-    uplink_outage_mask,
     uplink_uop,
 )
+from lifi_noma.metrics import downlink_outage_mask, uplink_outage_mask
 
 GOLDEN_TOTAL = 0.008731757006398698
 GOLDEN_EE = 458.0979517717648

@@ -391,7 +391,7 @@ class TestTwoUserSweep:
         assert max(ees) == ees[2]  # peak at r_far = 1.5 m
 
     def test_vertical_sweep_decreases(self):
-        points = two_user_sweep(ScenarioConfig(num_users=2, trials=1), mode="vertical")
+        points = two_user_sweep(ScenarioConfig(num_users=2, trials=1, sweep_mode="vertical"))
         assert [round(p.sweep_value, 3) for p in points] == [1.5, 1.7, 1.9, 2.1, 2.3, 2.5]
         assert all(p.sweep_parameter == "l_far" for p in points)
         for strategy in ("opa", "ngdpa", "grpa", "oma"):
@@ -400,7 +400,7 @@ class TestTwoUserSweep:
 
     def test_custom_rate_scales_sum_rate(self):
         points = two_user_sweep(
-            ScenarioConfig(num_users=2, trials=1), values=(1.5,), rate=0.5
+            ScenarioConfig(num_users=2, trials=1, sweep_values=(1.5,), sweep_rate=0.5)
         )
         cell = points[0].cells[("opa", "none")]
         assert cell.mean_ee == pytest.approx(2.0 / cell.mean_total_power, rel=1e-12)
