@@ -66,11 +66,7 @@ class QosRates:
     uplink: float
 
     def __post_init__(self) -> None:
-        for name in ("downlink", "uplink"):
-            if not math.isfinite(value := getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.downlink < 0.0 or self.uplink < 0.0:
-            raise ValueError(f"rate requirements must be >= 0, got {self}")
+        _check_rates(downlink=self.downlink, uplink=self.uplink)
 
     @property
     def combined(self) -> float:
@@ -131,10 +127,27 @@ class PowerLimits:
             raise ValueError("invalid power limits: " + "; ".join(problems))
 
 
+# Rates from here on overflow the OMA factor 2^(2 (R_far + R_near)).
+MAX_RATE = 256.0
+
+
+def _check_rates(**rates: float) -> None:
+    for name, value in rates.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+        if not 0.0 <= value < MAX_RATE:
+            raise ValueError(f"{name} must lie in [0, {MAX_RATE:g}), got {value}")
+
+
 def _rate_factor(rate: float) -> float:
     # SINR threshold 2^(2R); the factor 2 in the exponent comes from the
     # Hermitian-symmetry constraint of intensity modulation.
     return 2.0 ** (2.0 * rate)
+
+
+def _rate(signal: float, interference: float) -> float:
+    # the rate that meets the SINR threshold exactly: the inverse of _rate_factor
+    return 0.5 * math.log2(signal / interference)
 
 
 def _per_square(demand: float, h: float) -> float:
@@ -145,15 +158,12 @@ def _per_square(demand: float, h: float) -> float:
     return demand / square if square else math.inf
 
 
-def _check_inputs(h_high: float, h_low: float, rate_high: float, rate_low: float,
-                  noise_power: float) -> None:
-    if rate_high < 0.0 or rate_low < 0.0:
-        raise ValueError(f"rates must be >= 0, got ({rate_high}, {rate_low})")
-    if noise_power <= 0.0:
+def _check_inputs(noise_power: float, *gains: float) -> None:
+    if not noise_power > 0.0:  # also rejects NaN
         raise ValueError(f"noise power must be positive, got {noise_power}")
-    if h_high < 0.0 or h_low < 0.0:
-        raise ValueError(f"gains must be >= 0, got ({h_high}, {h_low})")
-    if h_high == 0.0 or h_low == 0.0:
+    if not all(h >= 0.0 for h in gains):  # also rejects NaN
+        raise ValueError(f"gains must be >= 0, got {gains}")
+    if 0.0 in gains:
         raise InfeasibleAllocationError(
             "zero channel gain: the rate target needs unbounded power"
         )
@@ -184,7 +194,8 @@ def downlink_power_requirements(
     Raises:
         InfeasibleAllocationError: if either gain is zero.
     """
-    _check_inputs(h_high, h_low, rate_high, rate_low, noise_power)
+    _check_rates(rate_high=rate_high, rate_low=rate_low)
+    _check_inputs(noise_power, h_high, h_low)
     h_min = min(h_high, h_low)
     p_low = _per_square(_rate_factor(rate_low) * noise_power, h_low)
     p_high = _rate_factor(rate_high) * (p_low + _per_square(noise_power, h_min))
@@ -206,7 +217,8 @@ def uplink_power_requirements(
 
     Args and returns as in :func:`downlink_power_requirements`.
     """
-    _check_inputs(h_high, h_low, rate_high, rate_low, noise_power)
+    _check_rates(rate_high=rate_high, rate_low=rate_low)
+    _check_inputs(noise_power, h_high, h_low)
     p_low = _per_square(_rate_factor(rate_low) * noise_power, h_low)
     p_high = _per_square(
         _rate_factor(rate_high) * (1.0 + _rate_factor(rate_low)) * noise_power, h_high
@@ -306,12 +318,7 @@ def oma_allocation(
     pair's combined rate over its own interference-free channel, so both
     powers per link scale with ``2^(2 (R_far + R_near))``.
     """
-    if noise_power <= 0.0:
-        raise ValueError(f"noise power must be positive, got {noise_power}")
-    if pair.h_far == 0.0:  # h_near >= h_far
-        raise InfeasibleAllocationError(
-            "zero channel gain: the rate target needs unbounded power"
-        )
+    _check_inputs(noise_power, pair.h_far, pair.h_near)
     demand_dl = _rate_factor(qos_far.downlink + qos_near.downlink) * noise_power
     demand_ul = _rate_factor(qos_far.uplink + qos_near.uplink) * noise_power
     return PowerAllocationSet(
@@ -328,14 +335,7 @@ def single_user_allocation(h: float, qos: QosRates, noise_power: float) -> tuple
     An odd user left over by pairing gets its own band, so it only fights
     noise: ``p = 2^(2R) Pz / h^2`` per link, with the user's one gain ``h``.
     """
-    if noise_power <= 0.0:
-        raise ValueError(f"noise power must be positive, got {noise_power}")
-    if h < 0.0:
-        raise ValueError(f"gain must be >= 0, got {h}")
-    if h == 0.0:
-        raise InfeasibleAllocationError(
-            "zero channel gain: the rate target needs unbounded power"
-        )
+    _check_inputs(noise_power, h)
     return (
         _per_square(_rate_factor(qos.downlink) * noise_power, h),
         _per_square(_rate_factor(qos.uplink) * noise_power, h),
@@ -374,13 +374,9 @@ def downlink_achievable_rates(
         which the low-priority receiver can decode the high-priority signal.
         The high-priority user's guaranteed rate is ``min(r_high, r_cross)``.
     """
-    r_high = 0.5 * math.log2(
-        h_high * h_high * p_high / (h_high * h_high * p_low + noise_power)
-    )
-    r_low = 0.5 * math.log2(h_low * h_low * p_low / noise_power)
-    r_cross = 0.5 * math.log2(
-        h_low * h_low * p_high / (h_low * h_low * p_low + noise_power)
-    )
+    r_high = _rate(h_high * h_high * p_high, h_high * h_high * p_low + noise_power)
+    r_low = _rate(h_low * h_low * p_low, noise_power)
+    r_cross = _rate(h_low * h_low * p_high, h_low * h_low * p_low + noise_power)
     return r_high, r_low, r_cross
 
 
@@ -396,8 +392,6 @@ def uplink_achievable_rates(
     The access point decodes the high-priority signal against the
     low-priority one, then the low-priority signal against noise alone.
     """
-    r_high = 0.5 * math.log2(
-        h_high * h_high * p_high / (h_low * h_low * p_low + noise_power)
-    )
-    r_low = 0.5 * math.log2(h_low * h_low * p_low / noise_power)
+    r_high = _rate(h_high * h_high * p_high, h_low * h_low * p_low + noise_power)
+    r_low = _rate(h_low * h_low * p_low, noise_power)
     return r_high, r_low

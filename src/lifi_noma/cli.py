@@ -60,30 +60,13 @@ class ScenarioParseError(Exception):
     """The scenario file is not well-formed; message carries line numbers."""
 
 
-_INT_KEYS = {"num_users", "trials", "seed"}
-_FLOAT_KEYS = {
-    "l_min",
-    "l_max",
-    "r_max",
-    "semi_angle_deg",
-    "responsivity",
-    "area_m2",
-    "fov_half_angle_deg",
-    "filter_gain",
-    "refractive_index",
-    "noise_psd",
-    "bandwidth_hz",
-    "p_max_dl",
-    "p_max_ul",
-    "sweep_rate",
-}
-_FLOAT_LIST_KEYS = {"qos_set", "sweep_values", "uop_sweep_grid"}
-_STR_LIST_KEYS = {"strategies", "pairing"}
-_STR_KEYS = {"scenario_id", "sweep_mode", "uop_sweep_link", "qos_pairing_key"}
-_BOOL_KEYS = {"ee_served_only", "qos_coupled_links"}
-_ALL_KEYS = (
-    _INT_KEYS | _FLOAT_KEYS | _FLOAT_LIST_KEYS | _STR_LIST_KEYS | _STR_KEYS | _BOOL_KEYS
-)
+def _parse_int(field: str, text: str, line_no: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ScenarioParseError(
+            f"line {line_no}: field {field!r}: not an integer: {text!r}"
+        ) from None
 
 
 def _parse_float(field: str, text: str, line_no: int) -> float:
@@ -96,41 +79,67 @@ def _parse_float(field: str, text: str, line_no: int) -> float:
     return value
 
 
-def _parse_scalar(field: str, text: str, line_no: int):
-    if field in _INT_KEYS:
-        try:
-            return int(text)
-        except ValueError:
-            raise ScenarioParseError(
-                f"line {line_no}: field {field!r}: not an integer: {text!r}"
-            ) from None
-    if field in _FLOAT_KEYS:
-        return _parse_float(field, text, line_no)
-    if field in _BOOL_KEYS:
-        lowered = text.lower()
-        if lowered in ("true", "yes", "1"):
-            return True
-        if lowered in ("false", "no", "0"):
-            return False
-        raise ScenarioParseError(
-            f"line {line_no}: field {field!r}: not a boolean: {text!r}"
-        )
+def _parse_floats(field: str, text: str, line_no: int) -> tuple[float, ...]:
+    return tuple(_parse_float(field, s.strip(), line_no) for s in text.split(",") if s.strip())
+
+
+def _parse_names(field: str, text: str, line_no: int) -> tuple[str, ...]:
+    return tuple(s.strip().lower() for s in text.split(",") if s.strip())
+
+
+def _parse_bool(field: str, text: str, line_no: int) -> bool:
+    lowered = text.lower()
+    if lowered in ("true", "yes", "1"):
+        return True
+    if lowered in ("false", "no", "0"):
+        return False
+    raise ScenarioParseError(f"line {line_no}: field {field!r}: not a boolean: {text!r}")
+
+
+def _parse_text(field: str, text: str, line_no: int) -> str:
     return text
 
 
-def _parse_value(field: str, text: str, line_no: int):
-    if field in _FLOAT_LIST_KEYS:
-        items = [s.strip() for s in text.split(",") if s.strip()]
-        return tuple(_parse_float(field, item, line_no) for item in items)
-    if field in _STR_LIST_KEYS:
-        return tuple(s.strip().lower() for s in text.split(",") if s.strip())
-    return _parse_scalar(field, text, line_no)
+# Each scenario key: its parser, the part of the config it sets, its field there.
+_KEYS = {
+    "scenario_id": (_parse_text, ScenarioConfig, "scenario_id"),
+    "num_users": (_parse_int, ScenarioConfig, "num_users"),
+    "trials": (_parse_int, ScenarioConfig, "trials"),
+    "seed": (_parse_int, ScenarioConfig, "seed"),
+    "qos_set": (_parse_floats, ScenarioConfig, "qos_set"),
+    "l_min": (_parse_float, ScenarioConfig, "l_min"),
+    "l_max": (_parse_float, ScenarioConfig, "l_max"),
+    "r_max": (_parse_float, ScenarioConfig, "r_max"),
+    "semi_angle_deg": (_parse_float, OpticalFrontEnd, "semi_angle_deg"),
+    "responsivity": (_parse_float, OpticalFrontEnd, "responsivity"),
+    "area_m2": (_parse_float, OpticalFrontEnd, "area"),
+    "fov_half_angle_deg": (_parse_float, OpticalFrontEnd, "fov_half_angle_deg"),
+    "filter_gain": (_parse_float, OpticalFrontEnd, "filter_gain"),
+    "refractive_index": (_parse_float, OpticalFrontEnd, "refractive_index"),
+    "noise_psd": (_parse_float, NoiseModel, "psd"),
+    "bandwidth_hz": (_parse_float, NoiseModel, "bandwidth"),
+    "p_max_dl": (_parse_float, PowerLimits, "max_total_dl"),
+    "p_max_ul": (_parse_float, PowerLimits, "max_per_user_ul"),
+    "strategies": (_parse_names, ScenarioConfig, "strategies"),
+    "pairing": (_parse_names, ScenarioConfig, "pairings"),
+    "qos_pairing_key": (_parse_text, ScenarioConfig, "qos_pairing_key"),
+    "qos_coupled_links": (_parse_bool, ScenarioConfig, "qos_coupled_links"),
+    "ee_served_only": (_parse_bool, ScenarioConfig, "ee_served_only"),
+    "sweep_mode": (_parse_text, ScenarioConfig, "sweep_mode"),
+    "sweep_values": (_parse_floats, ScenarioConfig, "sweep_values"),
+    "sweep_rate": (_parse_float, ScenarioConfig, "sweep_rate"),
+    "uop_sweep_link": (_parse_text, ScenarioConfig, "uop_sweep_link"),
+    "uop_sweep_grid": (_parse_floats, ScenarioConfig, "uop_sweep_grid"),
+}
 
 
 def _parse_file(path: Path) -> dict:
     raw: dict[str, object] = {}
     problems: list[str] = []
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ScenarioParseError(f"{path}: not valid UTF-8 at byte offset {err.start}") from None
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -141,7 +150,7 @@ def _parse_file(path: Path) -> dict:
         key, _, value = stripped.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        if key not in _ALL_KEYS:
+        if key not in _KEYS:
             problems.append(f"line {line_no}: unknown field {key!r}")
             continue
         if key in raw:
@@ -151,7 +160,7 @@ def _parse_file(path: Path) -> dict:
             problems.append(f"line {line_no}: field {key!r}: empty value")
             continue
         try:
-            raw[key] = _parse_value(key, value, line_no)
+            raw[key] = _KEYS[key][0](key, value, line_no)
         except ScenarioParseError as err:
             problems.append(str(err))
     if problems:
@@ -172,17 +181,6 @@ def _strategies_from_tokens(tokens) -> tuple[Strategy, ...]:
     return tuple(values)
 
 
-# Scenario keys whose field has another name; every other key is its field.
-_FIELD_NAMES = {"area_m2": "area", "noise_psd": "psd", "bandwidth_hz": "bandwidth",
-                "p_max_dl": "max_total_dl", "p_max_ul": "max_per_user_ul",
-                "pairing": "pairings"}
-
-
-def _fields(raw: dict, *keys: str) -> dict:
-    """The given scenario keys that ``raw`` has, under their field names."""
-    return {_FIELD_NAMES.get(key, key): raw[key] for key in keys if key in raw}
-
-
 def load_scenario(path) -> ScenarioConfig:
     """Parse and validate a scenario file into a fully resolved config.
 
@@ -192,31 +190,26 @@ def load_scenario(path) -> ScenarioConfig:
     violated invariant) for bad values.
     """
     path = Path(path)
-    raw = _parse_file(path)
+    parts = {part: {} for part in (OpticalFrontEnd, NoiseModel, PowerLimits, ScenarioConfig)}
+    for key, value in _parse_file(path).items():
+        _, part, field = _KEYS[key]
+        parts[part][field] = value
+    config = parts.pop(ScenarioConfig)
 
     problems = [f"required field missing: {key}" for key in ("num_users", "trials")
-                if key not in raw]
+                if key not in config]
     if problems:
         raise ScenarioValidationError(problems)
 
     try:
-        front_end = OpticalFrontEnd(**_fields(
-            raw, "semi_angle_deg", "responsivity", "area_m2", "fov_half_angle_deg",
-            "filter_gain", "refractive_index"))
-        noise = NoiseModel(**_fields(raw, "noise_psd", "bandwidth_hz"))
-        limits = PowerLimits(**_fields(raw, "p_max_dl", "p_max_ul"))
+        front_end, noise, limits = (part(**fields) for part, fields in parts.items())
     except ValueError as err:
         raise ScenarioValidationError([str(err)]) from None
 
-    config_kwargs = _fields(
-        raw, "seed", "qos_set", "l_min", "l_max", "r_max", "pairing", "qos_pairing_key",
-        "qos_coupled_links", "ee_served_only", "sweep_mode", "sweep_values", "sweep_rate",
-        "uop_sweep_link", "uop_sweep_grid")
-    if "strategies" in raw:
-        config_kwargs["strategies"] = _strategies_from_tokens(raw["strategies"])
-    return ScenarioConfig(num_users=raw["num_users"], trials=raw["trials"],
-                          scenario_id=raw.get("scenario_id", path.stem), front_end=front_end,
-                          noise=noise, limits=limits, **config_kwargs)
+    if "strategies" in config:
+        config["strategies"] = _strategies_from_tokens(config["strategies"])
+    config.setdefault("scenario_id", path.stem)
+    return ScenarioConfig(front_end=front_end, noise=noise, limits=limits, **config)
 
 
 def _format_cell(value) -> str:

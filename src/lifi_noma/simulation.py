@@ -43,7 +43,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .allocation import PowerLimits, QosRates, Strategy, _rate_factor
+from .allocation import MAX_RATE, PowerLimits, QosRates, Strategy, _rate_factor
 from .channel import NoiseModel, OpticalFrontEnd, UserPosition, channel_gain
 from .metrics import LinkOutage
 from .pairing import QOS_SORT_KEYS
@@ -84,9 +84,6 @@ PAIRING_METHODS = ("channel", "qos", "adaptive")
 # worker task. Large enough to amortize NumPy's per-call overhead, small
 # enough that a chunk's arrays stay in cache.
 CHUNK = 256
-
-# Rates from here on overflow the OMA factor 2^(2 (R_far + R_near)).
-MAX_RATE = 256.0
 
 
 class ScenarioValidationError(ValueError):
@@ -545,7 +542,6 @@ class _Powers(NamedTuple):
 class _Cells(NamedTuple):
     """One pairing's cells over a chunk, leading axes strategies and trials."""
 
-    used_qos: np.ndarray  # (trials,): where adaptive pairing kept the QoS pairing
     dl: np.ndarray  # slot powers as in _Powers
     ul: np.ndarray
     total: np.ndarray
@@ -553,6 +549,11 @@ class _Cells(NamedTuple):
     ee: np.ndarray
     k_out_dl: np.ndarray  # (strategies, trials, caps_dl)
     k_out_ul: np.ndarray  # (strategies, trials, caps_ul)
+
+
+def _base_caps(config: ScenarioConfig) -> tuple[tuple[float], tuple[float]]:
+    """The scenario's own downlink and uplink caps, each as a one-cap grid."""
+    return (config.limits.max_total_dl,), (config.limits.max_per_user_ul,)
 
 
 class _Chunk:
@@ -579,10 +580,11 @@ class _Chunk:
         self.rate_index = np.stack((index[:, :n], index[:, n:])).reshape(2, -1)
         # summed in user order, as np.sum sums one trial's rates
         self.sum_rate = np.sum(self.rates_dl, axis=1) + np.sum(self.rates_ul, axis=1)
-        # a cap clamped to the largest float counts infinite (infeasible)
-        # demands as outages even where the cap is infinite
-        self.caps_dl = np.minimum(np.asarray(caps_dl, dtype=float), sys.float_info.max)
-        self.caps_ul = np.minimum(np.asarray(caps_ul, dtype=float), sys.float_info.max)
+        # clamped to the largest float, a cap counts infinite (infeasible) demands
+        # as outages even where it is infinite; the base caps shed for served-only EE
+        self.caps_dl, self.caps_ul, self.base_caps = (
+            np.minimum(np.asarray(caps, dtype=float), sys.float_info.max)
+            for caps in (caps_dl, caps_ul, _base_caps(config)))
         strategies = tuple(config.strategies)
         self.strategies = strategies + (() if Strategy.OPA in strategies else (Strategy.OPA,))
         self.opa = self.strategies.index(Strategy.OPA)
@@ -653,10 +655,8 @@ class _Chunk:
             total = total + (dl[..., -1] + ul[..., -1])
         return _Powers(dl, ul, total, slots)
 
-    def outcome(self, powers: _Powers, used_qos: np.ndarray | None) -> _Cells:
+    def outcome(self, powers: _Powers) -> _Cells:
         """Outage counts at every cap and the EE of the configured strategies."""
-        if used_qos is None:
-            used_qos = np.zeros(len(self.sum_rate), dtype=bool)
         count = len(self.config.strategies)
         dl, ul, total = powers.dl[:count], powers.ul[:count], powers.total[:count]
         # downlink_uop: tail sums from the smallest power up, sorted once for
@@ -667,9 +667,7 @@ class _Chunk:
         k_out_ul = (ul[..., None, :] > self.caps_ul[:, None]).sum(axis=-1)
         sum_rate, power = np.broadcast_to(self.sum_rate, total.shape), total
         if self.config.ee_served_only:
-            limits = self.config.limits
-            cap_dl, cap_ul = (min(cap, sys.float_info.max)
-                              for cap in (limits.max_total_dl, limits.max_per_user_ul))
+            (cap_dl,), (cap_ul,) = self.base_caps
             shed_count = (tails > cap_dl).sum(axis=-1)
             # downlink_outage_mask: the heaviest users go first, ties toward
             # the lower slot
@@ -687,19 +685,20 @@ class _Chunk:
                                           np.where(served_ul, ul, 0.0)), axis=-1)[..., -1]
         with np.errstate(divide="ignore", invalid="ignore"):
             ee = np.where(power > 0.0, sum_rate / power, 0.0)
-        return _Cells(used_qos, dl, ul, total, sum_rate, ee, k_out_dl, k_out_ul)
+        return _Cells(dl, ul, total, sum_rate, ee, k_out_dl, k_out_ul)
 
 
 def _evaluate(
     config: ScenarioConfig, population: _Population, caps_dl, caps_ul
-) -> dict[str, _Cells]:
+) -> tuple[dict[str, _Cells], np.ndarray | None]:
     """Every configured pairing's cells over a chunk of trials, in config order.
 
     Each pairing method's slot powers are computed once, for all strategies
     at a time. Adaptive pairing picks, per trial, the channel or the QoS
     pairing's powers and slot rates (the QoS ones where their OPA total is
     cheaper under the scalar relative guard); outage and EE are then counted
-    once per reported pairing.
+    once per reported pairing. Also returns, per trial, where adaptive
+    pairing kept the QoS pairing (None without adaptive pairing).
     """
     if population.vertical.shape[1] < 2:
         raise ValueError(f"pairing needs at least 2 users, got {population.vertical.shape[1]}")
@@ -716,23 +715,21 @@ def _evaluate(
         pick = used_qos[:, None]
         powers["adaptive"] = _Powers(*map(np.where, (pick, pick, used_qos, pick), qos, channel))
         del channel, qos
-    return {name: chunk.outcome(powers[name], used_qos if name == "adaptive" else None)
-            for name in dict.fromkeys(config.pairings)}
+    cells = {name: chunk.outcome(powers[name]) for name in dict.fromkeys(config.pairings)}
+    return cells, used_qos
 
 
 def evaluate_population(
     config: ScenarioConfig, users: Sequence[UserNode]
 ) -> dict[tuple[str, str], CellResult]:
     """Run every configured (pairing, strategy) combination on one population."""
-    limits = config.limits
-    cells = _evaluate(config, _population_of([users]),
-                      (limits.max_total_dl,), (limits.max_per_user_ul,))
+    cells, used_qos = _evaluate(config, _population_of([users]), *_base_caps(config))
     n = len(users)
     out = {}
     for pairing, cell in cells.items():
         method = pairing
         if pairing == "adaptive":
-            method = "adaptive:qos" if cell.used_qos[0] else "adaptive:channel"
+            method = "adaptive:qos" if used_qos[0] else "adaptive:channel"
         for row, strategy in enumerate(config.strategies):
             k_dl, k_ul = int(cell.k_out_dl[row, 0, 0]), int(cell.k_out_ul[row, 0, 0])
             out[(strategy.value, pairing)] = CellResult(
@@ -765,7 +762,7 @@ def _chunk_values(config: ScenarioConfig, trials: range, caps_dl, caps_ul) -> np
         # run_trial is looked up per call, so one trial stays the traceable unit
         words[row] = run_trial(config, i)
     population = _population_from_words(config, trials, words)
-    cells = _evaluate(config, population, caps_dl, caps_ul)
+    cells, _ = _evaluate(config, population, caps_dl, caps_ul)
     n = config.num_users
     columns = []
     for name in config.pairings:
@@ -835,8 +832,7 @@ def run_campaign(config: ScenarioConfig, workers: int = 1) -> CampaignSummary:
     Workers only split the trial loop; per-trial RNG streams and the
     trial-ordered reduction keep the summary bit-identical for any count.
     """
-    limits = config.limits
-    (cells,) = _reduce(config, (limits.max_total_dl,), (limits.max_per_user_ul,), workers)
+    (cells,) = _reduce(config, *_base_caps(config), workers)
     return CampaignSummary(
         scenario_id=config.scenario_id,
         num_users=config.num_users,
@@ -857,11 +853,11 @@ def run_uop_sweep(config: ScenarioConfig, workers: int = 1) -> list[CampaignSumm
     grid = config.uop_sweep_grid
     if not grid:
         raise ScenarioValidationError(["uop_sweep_grid must be non-empty for a UOP sweep"])
-    limits = config.limits
+    caps_dl, caps_ul = _base_caps(config)
     if config.uop_sweep_link == "dl":
-        parameter, caps_dl, caps_ul = "p_max_dl", grid, (limits.max_per_user_ul,)
+        parameter, caps_dl = "p_max_dl", grid
     else:
-        parameter, caps_dl, caps_ul = "p_max_ul", (limits.max_total_dl,), grid
+        parameter, caps_ul = "p_max_ul", grid
     return [
         CampaignSummary(
             scenario_id=config.scenario_id,
@@ -926,9 +922,7 @@ def two_user_sweep(config: ScenarioConfig) -> list[CampaignSummary]:
         points.append([UserNode(near, qos), UserNode(far, qos)])
     # channel pairing of two users is their one pair, roles by gain
     pair_config = replace(config, pairings=("channel",), ee_served_only=False)
-    limits = config.limits
-    cell = _evaluate(pair_config, _population_of(points), (limits.max_total_dl,),
-                     (limits.max_per_user_ul,))["channel"]
+    cell = _evaluate(pair_config, _population_of(points), *_base_caps(config))[0]["channel"]
     ee, total = cell.ee.tolist(), cell.total.tolist()  # (strategies, points)
     return [
         CampaignSummary(

@@ -4,6 +4,7 @@ optimality, dominance and rate-closure properties."""
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from lifi_noma import (
     UserPosition,
     evaluate_population,
 )
+from lifi_noma import simulation
 from lifi_noma.allocation import (
+    MAX_RATE,
     channel_ratio,
     downlink_achievable_rates,
     downlink_power_requirements,
@@ -133,6 +136,42 @@ class TestLinkRequirements:
             func(2e-6, 2e-6, 1.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             func(-2e-6, 2e-6, 1.0, 1.0, PZ)
+
+    @pytest.mark.parametrize("func", [downlink_power_requirements, uplink_power_requirements])
+    def test_rates_past_the_bound_are_refused_by_name(self, func):
+        with pytest.raises(ValueError, match="^rate_high must lie in"):
+            func(2e-6, 2e-6, MAX_RATE, 1.0, PZ)
+        with pytest.raises(ValueError, match="^rate_low must be finite"):
+            func(2e-6, 2e-6, 1.0, math.nan, PZ)
+
+
+def standalone(h, noise_power):
+    return single_user_allocation(h, QosRates(1.0, 1.0), noise_power)
+
+
+def orthogonal(h, noise_power):
+    # a duck-typed pair reaches oma_allocation's own check past UserPair's
+    pair = SimpleNamespace(far=0, near=1, h_far=h, h_near=max(h, 2e-6))
+    return oma_allocation(pair, QosRates(1.0, 1.0), QosRates(1.0, 1.0), noise_power)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("func", [standalone, orthogonal])
+    @pytest.mark.parametrize("noise_power", [0.0, -PZ, math.nan])
+    def test_noise_power_that_is_not_positive_raises(self, func, noise_power):
+        with pytest.raises(ValueError, match="noise power"):
+            func(1e-6, noise_power)
+
+    @pytest.mark.parametrize("func", [standalone, orthogonal])
+    @pytest.mark.parametrize("h", [-1e-6, math.nan])
+    def test_negative_or_nan_gain_raises(self, func, h):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            func(h, PZ)
+
+    @pytest.mark.parametrize("func", [standalone, orthogonal])
+    def test_zero_gain_is_infeasible(self, func):
+        with pytest.raises(InfeasibleAllocationError):
+            func(0.0, PZ)
 
 
 def _order_total_dl(h_far, h_near, r_far, r_near, far_first: bool) -> float:
@@ -428,6 +467,24 @@ class TestQosRates:
         rates = {"downlink": 1.0, "uplink": 1.0, name: value}
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             QosRates(**rates)
+
+    def test_rejects_a_rate_at_the_bound_by_name(self):
+        assert simulation.MAX_RATE is MAX_RATE
+        with pytest.raises(ValueError, match="downlink"):
+            QosRates(256.0, 1.0)
+        for name in ("downlink", "uplink"):
+            for value in (MAX_RATE, 600.0, -1.0):
+                rates = {"downlink": 1.0, "uplink": 1.0, name: value}
+                with pytest.raises(ValueError, match=f"^{name} must lie in \\[0, 256\\)"):
+                    QosRates(**rates)
+
+    def test_the_largest_rates_do_not_overflow(self):
+        # the OMA factor of two rates just under the bound still fits a float
+        top = math.nextafter(MAX_RATE, 0.0)
+        qos = QosRates(top, top)
+        powers = (*dataclasses.astuple(oma_allocation(UserPair(0, 1, 1e-6, 2e-6), qos, qos, PZ)),
+                  *single_user_allocation(1e-6, qos, PZ))
+        assert all(p > 0.0 for p in powers)  # inf where a power leaves the float range
 
     def test_evaluate_population_yields_no_nan(self):
         # a NaN rate made a NaN total power with EE 0 and an infinite one a

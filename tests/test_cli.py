@@ -296,6 +296,18 @@ class TestExitCodes:
                 run(command, config, out, workers=workers)
             assert not out.exists()
 
+    def test_file_that_is_not_utf8_is_two(self, tmp_path, capsys):
+        scenario = tmp_path / "s.cfg"
+        scenario.write_bytes(b"num_users = 4\ntrials = 2\n# caf\xff\n")
+        assert main(["campaign", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error" in err
+        assert str(scenario) in err
+        assert "byte offset 30" in err
+        with pytest.raises(ScenarioParseError):
+            load_scenario(scenario)
+
     def test_missing_scenario_is_three(self, tmp_path, capsys):
         assert main(["campaign", "--scenario", str(tmp_path / "absent.cfg"),
                      "--out", str(tmp_path / "x.csv")]) == 3

@@ -406,3 +406,21 @@ def test_uop_sweep_means_equal_the_oracle(link):
             uop_ul = row[2 + len(caps_dl) + (g if link == "ul" else 0)]
             assert (cell.mean_ee, cell.mean_total_power, cell.mean_uop_dl,
                     cell.mean_uop_ul) == (row[0], row[1], uop_dl, uop_ul)
+
+
+@pytest.mark.parametrize("link", ["dl", "ul"])
+def test_served_only_ee_of_a_uop_sweep_reads_the_base_caps(link):
+    # the grid moves only the outage columns: who is served, and so the EE,
+    # follows the scenario's own caps at every grid point
+    grid = (0.5, 2.0, 8.0, math.inf) if link == "dl" else (0.01, 0.1, 1.0)
+    config = ScenarioConfig(
+        num_users=6, trials=40, seed=5, qos_set=(1.0, 2.0, 3.0, 4.0),
+        limits=PowerLimits(4.0, 0.5), ee_served_only=True, uop_sweep_link=link,
+        uop_sweep_grid=grid,
+    )
+    want = oracle_means(config, (4.0,), (0.5,))
+    points = run_uop_sweep(config)
+    assert len(points) == len(grid)
+    for point in points:
+        for key, (ee, power, _, _) in want.items():
+            assert (point.cells[key].mean_ee, point.cells[key].mean_total_power) == (ee, power)
