@@ -318,7 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--pairing", nargs="+", metavar="NAME",
                          help="override pairing methods (channel qos adaptive)")
         cmd.add_argument("--workers", type=int, default=1,
-                         help="parallel trial workers (results are identical)")
+                         help="processes in total, this one included (same results)")
     return parser
 
 

@@ -59,12 +59,16 @@ class PairingOutcome:
         return 2 * len(self.pairs) + (self.unpaired is not None)
 
 
+def _check_user_count(users: int) -> None:
+    if users < 2:
+        raise ValueError(f"pairing needs at least 2 users, got {users}")
+
+
 def _gain_array(gains) -> np.ndarray:
     gains = np.asarray(gains, dtype=float)
     if gains.ndim != 1:
         raise ValueError("the gain array must be 1-D")
-    if len(gains) < 2:
-        raise ValueError(f"pairing needs at least 2 users, got {len(gains)}")
+    _check_user_count(len(gains))
     return gains
 
 
@@ -100,17 +104,11 @@ def pair_by_channel(gains) -> PairingOutcome:
 
 
 def _qos_sort_values(rates_dl, rates_ul, key: str) -> np.ndarray:
-    rd = np.asarray(rates_dl, dtype=float)
-    ru = np.asarray(rates_ul, dtype=float)
-    if rd.shape != ru.shape or rd.ndim != 1:
-        raise ValueError("rate arrays must be 1-D and equally shaped")
-    if key == "sum":
-        return rd + ru
-    if key == "downlink":
-        return rd
-    if key == "uplink":
-        return ru
-    raise ValueError(f"unknown QoS sort key {key!r}, expected one of {QOS_SORT_KEYS}")
+    """Per-user QoS sort values; the rate arrays may carry leading axes (trials)."""
+    if key not in QOS_SORT_KEYS:
+        raise ValueError(f"unknown QoS sort key {key!r}, expected one of {QOS_SORT_KEYS}")
+    rd, ru = np.asarray(rates_dl, dtype=float), np.asarray(rates_ul, dtype=float)
+    return {"sum": rd + ru, "downlink": rd, "uplink": ru}[key]
 
 
 def pair_by_qos(rates_dl, rates_ul, gains, key: str = "sum") -> PairingOutcome:
@@ -120,6 +118,8 @@ def pair_by_qos(rates_dl, rates_ul, gains, key: str = "sum") -> PairingOutcome:
     combined downlink+uplink rate; "downlink"/"uplink" use one link only.
     Far/near roles inside each pair still follow the channel gains.
     """
+    if np.ndim(rates_dl) != 1 or np.shape(rates_dl) != np.shape(rates_ul):
+        raise ValueError("rate arrays must be 1-D and equally shaped")
     values = _qos_sort_values(rates_dl, rates_ul, key)
     gains = _gain_array(gains)
     if len(values) != len(gains):

@@ -38,15 +38,15 @@ import sys
 import threading
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .allocation import MAX_RATE, PowerLimits, QosRates, Strategy, _rate_factor
+from .allocation import MAX_RATE, PowerLimits, QosRates, Strategy, _check_rates, _rate_factor
 from .channel import NoiseModel, OpticalFrontEnd, UserPosition, channel_gain
 from .metrics import LinkOutage
-from .pairing import QOS_SORT_KEYS
+from .pairing import QOS_SORT_KEYS, _check_user_count, _qos_sort_values
 
 # The engine does not call these scalar reference functions; the benchmark's
 # tracer (bench/spans.py) looks each of them up on this module by name.
@@ -80,9 +80,9 @@ __all__ = [
 
 PAIRING_METHODS = ("channel", "qos", "adaptive")
 
-# Trials evaluated together as one set of (trials, users) arrays; one
-# worker task. Large enough to amortize NumPy's per-call overhead, small
-# enough that a chunk's arrays stay in cache.
+# Trials evaluated together as one set of (trials, users) arrays; workers'
+# shares are made of such ranges. Large enough to amortize NumPy's per-call
+# overhead, small enough that a chunk's arrays stay in cache.
 CHUNK = 256
 
 
@@ -153,10 +153,12 @@ class ScenarioConfig:
             problems.append(f"seed must be >= 0, got {self.seed}")
         if not self.qos_set:
             problems.append("qos_set must not be empty")
-        elif not all(0.0 <= rate < MAX_RATE for rate in self.qos_set):
-            problems.append(
-                f"qos_set rates must lie in [0, {MAX_RATE:g}), got {self.qos_set}"
-            )
+        for name, rates in (("qos_set", self.qos_set), ("sweep_rate", (self.sweep_rate,))):
+            try:
+                for rate in rates:
+                    _check_rates(**{name: rate})
+            except ValueError as error:
+                problems.append(str(error))
         # the comparisons below are False for NaN, so NaN is rejected too
         if not 0.0 < self.l_min <= self.l_max < math.inf:
             problems.append(
@@ -179,8 +181,6 @@ class ScenarioConfig:
             )
         if self.sweep_mode not in ("horizontal", "vertical"):
             problems.append(f"sweep_mode must be 'horizontal' or 'vertical', got {self.sweep_mode!r}")
-        if not 0.0 <= self.sweep_rate < MAX_RATE:
-            problems.append(f"sweep_rate must lie in [0, {MAX_RATE:g}), got {self.sweep_rate}")
         if self.sweep_values is not None:
             if not self.sweep_values:
                 problems.append("sweep_values must not be empty when given")
@@ -592,9 +592,7 @@ class _Chunk:
     def sort_order(self, method: str) -> np.ndarray:
         if method == "channel":  # ascending (gain, index)
             return np.argsort(self.gains, axis=1, kind="stable")
-        key = self.config.qos_pairing_key
-        values = {"sum": self.rates_dl + self.rates_ul, "downlink": self.rates_dl,
-                  "uplink": self.rates_ul}[key]
+        values = _qos_sort_values(self.rates_dl, self.rates_ul, self.config.qos_pairing_key)
         return np.argsort(-values, axis=1, kind="stable")  # descending (rate), then index
 
     def slots(self, order: np.ndarray) -> np.ndarray:
@@ -700,8 +698,7 @@ def _evaluate(
     once per reported pairing. Also returns, per trial, where adaptive
     pairing kept the QoS pairing (None without adaptive pairing).
     """
-    if population.vertical.shape[1] < 2:
-        raise ValueError(f"pairing needs at least 2 users, got {population.vertical.shape[1]}")
+    _check_user_count(population.vertical.shape[1])
     chunk = _Chunk(config, population, caps_dl, caps_ul)
     methods = dict.fromkeys(m for name in config.pairings
                             for m in (("channel", "qos") if name == "adaptive" else (name,)))
@@ -789,57 +786,95 @@ def _sums_in_trial_order(parts: Iterable[np.ndarray], columns: int) -> np.ndarra
     return sums[0]
 
 
+def _share_worker(conn, config: ScenarioConfig, share: list[range], caps_dl, caps_ul) -> None:
+    """A child's share: ``None``, then one float64 message per range; or its error."""
+    with conn:
+        try:
+            parts = [_chunk_values(config, trials, caps_dl, caps_ul) for trials in share]
+        except Exception as error:
+            return conn.send(error)
+        conn.send(None)
+        for part in parts:
+            conn.send_bytes(part)
+
+
+def _share_rows(child, conn, share: list[range], columns: int) -> Iterable[np.ndarray]:
+    """A child's rows in trial order, one range at a time; its error is raised."""
+    try:
+        error = conn.recv()
+        for trials in share if error is None else ():
+            yield np.frombuffer(conn.recv_bytes()).reshape(len(trials), columns)
+    except EOFError:
+        child.join()
+        raise RuntimeError(f"a worker process exited with code {child.exitcode} "
+                           "before sending all its trials") from None
+    if error is not None:
+        raise error
+
+
 def _reduce(
     config: ScenarioConfig, caps_dl: Sequence[float], caps_ul: Sequence[float], workers: int
 ) -> list[dict[tuple[str, str], CellSummary]]:
-    """Trial-ordered means of every cell, one cells dict per swept cap."""
+    """Trial-ordered means of every cell, one cells dict per swept cap.
+
+    ``workers`` counts processes, the caller included: the trial ranges are
+    split into that many contiguous shares (at most one per range), and
+    ``workers - 1`` child processes evaluate the later shares while the
+    caller evaluates the first. A child's error is re-raised here. Every
+    child is joined, or terminated and joined, before this returns or raises.
+    """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     keys = _cell_keys(config)
     width = 2 + len(caps_dl) + len(caps_ul)
     ranges = _trial_ranges(config.trials, workers)
-    args = (repeat(config), ranges, repeat(caps_dl), repeat(caps_ul))
-    # a pool starts all its processes at once: never more than it has tasks
     workers = min(workers, len(ranges))
-    if workers <= 1:
-        sums = _sums_in_trial_order(map(_chunk_values, *args), width * len(keys))
-    else:
-        # imported here: the pool machinery takes about 20 ms to import,
-        # which single-worker runs need not pay
-        from concurrent.futures import ProcessPoolExecutor
+    shares = [ranges[len(ranges) * k // workers:len(ranges) * (k + 1) // workers]
+              for k in range(workers)]
+    children = []
+    try:
+        for share in shares[1:]:
+            import multiprocessing  # here: single-worker runs need not load it
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            sums = _sums_in_trial_order(pool.map(_chunk_values, *args), width * len(keys))
+            conn, send = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_share_worker,
+                                            args=(send, config, share, caps_dl, caps_ul))
+            with send:  # then only the child holds it: its exit reads as EOF
+                child.start()
+            children.append((child, conn, share))
+        own = map(_chunk_values, repeat(config), shares[0], repeat(caps_dl), repeat(caps_ul))
+        received = (_share_rows(child, conn, share, width * len(keys))
+                    for child, conn, share in children)
+        sums = _sums_in_trial_order(chain(own, *received), width * len(keys))
+    except BaseException:
+        for child, _, _ in children:
+            child.terminate()
+        raise
+    finally:
+        for child, conn, _ in children:
+            child.join()
+            conn.close()
     means = (sums / config.trials).reshape(len(keys), width).tolist()
-    grid = max(len(caps_dl), len(caps_ul))
-    return [
-        {
-            key: CellSummary(
-                row[0],
-                row[1],
-                row[2 + min(g, len(caps_dl) - 1)],
-                row[2 + len(caps_dl) + min(g, len(caps_ul) - 1)],
-            )
-            for key, row in zip(keys, means)
-        }
-        for g in range(grid)
-    ]
+    dl, ul = len(caps_dl), len(caps_ul)  # a one-cap link repeats its UOP at every grid point
+    return [{key: CellSummary(row[0], row[1], row[2 + min(g, dl - 1)], row[2 + dl + min(g, ul - 1)])
+             for key, row in zip(keys, means)} for g in range(max(dl, ul))]
+
+
+def _summary(config: ScenarioConfig, cells, **sweep) -> CampaignSummary:
+    """The summary of a campaign's cells, under the config's identity and trial count."""
+    return CampaignSummary(config.scenario_id, config.num_users, config.trials, config.seed,
+                           cells, **sweep)
 
 
 def run_campaign(config: ScenarioConfig, workers: int = 1) -> CampaignSummary:
     """Average EE, power and outage over ``config.trials`` trials.
 
-    Workers only split the trial loop; per-trial RNG streams and the
+    ``workers`` is the number of processes, this one included, that split
+    the trial loop into contiguous shares; per-trial RNG streams and the
     trial-ordered reduction keep the summary bit-identical for any count.
     """
     (cells,) = _reduce(config, *_base_caps(config), workers)
-    return CampaignSummary(
-        scenario_id=config.scenario_id,
-        num_users=config.num_users,
-        trials=config.trials,
-        seed=config.seed,
-        cells=cells,
-    )
+    return _summary(config, cells)
 
 
 def run_uop_sweep(config: ScenarioConfig, workers: int = 1) -> list[CampaignSummary]:
@@ -858,18 +893,8 @@ def run_uop_sweep(config: ScenarioConfig, workers: int = 1) -> list[CampaignSumm
         parameter, caps_dl = "p_max_dl", grid
     else:
         parameter, caps_ul = "p_max_ul", grid
-    return [
-        CampaignSummary(
-            scenario_id=config.scenario_id,
-            num_users=config.num_users,
-            trials=config.trials,
-            seed=config.seed,
-            cells=cells,
-            sweep_parameter=parameter,
-            sweep_value=float(value),
-        )
-        for value, cells in zip(grid, _reduce(config, caps_dl, caps_ul, workers))
-    ]
+    return [_summary(config, cells, sweep_parameter=parameter, sweep_value=float(value))
+            for value, cells in zip(grid, _reduce(config, caps_dl, caps_ul, workers))]
 
 
 # Default two-user grids step 0.5 m out to r_max or 0.2 m from l_min to l_max;

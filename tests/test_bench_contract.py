@@ -37,9 +37,10 @@ def test_tracer_sees_every_trial(tmp_path, monkeypatch):
 
 
 def test_package_import_leaves_lazy_modules_unloaded():
-    # numpy.random (the per-trial Generator) and concurrent.futures (the
-    # worker pool) load on first use, not with the package
-    lazy = ("numpy.random", "concurrent.futures")
+    # numpy.random (the per-trial Generator) and multiprocessing (the worker
+    # processes) load on first use, not with the package; concurrent.futures
+    # is not used at all
+    lazy = ("numpy.random", "multiprocessing", "concurrent.futures")
     code = f"import sys, lifi_noma, lifi_noma.cli; print([m for m in {lazy!r} if m in sys.modules])"
     src = str(BENCH.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

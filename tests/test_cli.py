@@ -4,6 +4,7 @@ document, reproducibility and exit codes."""
 import csv
 import json
 import math
+import multiprocessing.process
 
 import pytest
 
@@ -186,29 +187,24 @@ class TestCliRuns:
         assert all(r["mean_total_power"] == "inf" for r in rows)
 
     def test_pool_never_outnumbers_its_tasks(self, tmp_path, monkeypatch):
-        # a pool forks all of its processes up front; this stand-in starts
-        # none and only records the size it was asked for
-        sizes = []
+        # the caller evaluates the first share itself and starts one process
+        # per other share, never more than there are trial ranges
+        started = []
+        start = multiprocessing.process.BaseProcess.start
 
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
+        def recording_start(process):
+            started.append(process)
+            start(process)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            map = staticmethod(map)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
         scenario = write(tmp_path, "s.cfg", "num_users = 4\ntrials = 3\n")
         outs = [tmp_path / "one.csv", tmp_path / "many.csv"]
+        counts = []
         for out, workers in zip(outs, ("1", "5")):
             assert main(["campaign", "--scenario", str(scenario), "--out", str(out),
                          "--workers", workers]) == 0
-        assert sizes == [3]  # one task per trial, and no pool for 1 worker
+            counts.append(len(started))
+        assert counts == [0, 2]  # three one-trial ranges; no process for 1 worker
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
     def test_summary_document_echoes_config(self, tmp_path):

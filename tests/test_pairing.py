@@ -9,11 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lifi_noma import (
+    QosRates,
+    ScenarioConfig,
+    UserNode,
+    UserPosition,
     adaptive_pairing,
+    evaluate_population,
     pair_by_channel,
     pair_by_qos,
 )
-from lifi_noma.pairing import opa_total_power
+from lifi_noma.pairing import QOS_SORT_KEYS, _qos_sort_values, opa_total_power
 
 PZ = 2e-15
 
@@ -126,6 +131,32 @@ class TestQosPairing:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError):
             pair_by_qos([1.0, 1.0], [1.0, 1.0], np.array([1e-6, 2e-6]), key="max")
+
+    @pytest.mark.parametrize("rates_dl, rates_ul", [
+        ([[1.0, 2.0]], [[1.0, 2.0]]),  # a chunk of one trial is not a population
+        ([1.0, 2.0], [1.0, 2.0, 3.0]),
+    ])
+    def test_rate_arrays_must_be_one_dimensional_and_equal(self, rates_dl, rates_ul):
+        with pytest.raises(ValueError, match="^rate arrays must be 1-D and equally shaped$"):
+            pair_by_qos(rates_dl, rates_ul, np.array([1e-6, 2e-6]))
+
+    @pytest.mark.parametrize("key", QOS_SORT_KEYS)
+    def test_sort_values_of_a_chunk_are_those_of_its_trials(self, key):
+        # the engine sorts (trials, users) arrays with the same key rule
+        rng = np.random.default_rng(3)
+        rd, ru = rng.choice([0.5, 1.0, 2.0], (4, 7)), rng.choice([0.5, 1.0, 2.0], (4, 7))
+        chunk = _qos_sort_values(rd, ru, key)
+        for row in range(4):
+            assert chunk[row].tobytes() == _qos_sort_values(rd[row], ru[row], key).tobytes()
+
+
+def test_pairing_and_engine_share_the_user_count_rule():
+    message = "^pairing needs at least 2 users, got 1$"
+    with pytest.raises(ValueError, match=message):
+        pair_by_channel([1e-6])
+    user = UserNode(UserPosition(2.0, 0.5), QosRates(1.0, 1.0))
+    with pytest.raises(ValueError, match=message):
+        evaluate_population(ScenarioConfig(num_users=2, trials=1), [user])
 
 
 @st.composite

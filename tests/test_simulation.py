@@ -2,8 +2,12 @@
 campaign reduction and the deterministic two-user sweeps."""
 
 import math
+import multiprocessing
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from lifi_noma import (
     sample_users,
     two_user_sweep,
 )
+from lifi_noma import simulation
 from lifi_noma.simulation import CHUNK, _block_streams, _population_from_words
 
 GOLDEN_EE_OPA = 458.0979517717648
@@ -247,6 +252,16 @@ class TestConfigValidation:
         with pytest.raises(ScenarioValidationError):
             desk_config(l_min=3.0, l_max=2.0)
 
+    @pytest.mark.parametrize("rate", [-1.0, 256.0, math.nan, math.inf])
+    def test_scenario_and_library_refuse_the_same_rates(self, rate):
+        # one rate rule: a scenario's rates and a user's QosRates
+        for field, value in (("qos_set", (1.0, rate)), ("sweep_rate", rate)):
+            with pytest.raises(ScenarioValidationError, match=f"^{field} must") as err:
+                desk_config(**{field: value})
+            assert len(err.value.problems) == 1
+        with pytest.raises(ValueError, match="^downlink must"):
+            QosRates(rate, 1.0)
+
 
 class TestTrialEvaluation:
     def test_golden_two_user_population(self):
@@ -340,6 +355,72 @@ class TestCampaigns:
             best = cells[("opa", "adaptive")].ee
             for strategy in ("ngdpa", "grpa", "oma"):
                 assert best >= cells[(strategy, "adaptive")].ee
+
+
+def _patched_chunks(monkeypatch, fail):
+    """Make ``_chunk_values`` call ``fail(trials)`` first; forked children inherit it."""
+    real = simulation._chunk_values
+
+    def chunk_values(config, trials, caps_dl, caps_ul):
+        fail(trials)
+        return real(config, trials, caps_dl, caps_ul)
+
+    monkeypatch.setattr(simulation, "_chunk_values", chunk_values)
+
+
+forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                            reason="the engine is patched before the children are forked")
+
+
+class TestWorkerProcesses:
+    """``workers - 1`` children evaluate the later shares, the caller the first."""
+
+    @forked
+    def test_a_child_error_is_raised_in_the_caller(self, monkeypatch):
+        def fail(trials):
+            if trials.start:
+                raise ArithmeticError(f"no trial {trials.start}")
+
+        _patched_chunks(monkeypatch, fail)
+        with pytest.raises(ArithmeticError, match="^no trial 6$"):
+            run_campaign(desk_config(trials=12), workers=2)
+        assert multiprocessing.active_children() == []
+
+    @forked
+    def test_a_child_that_dies_names_its_exit_code(self, monkeypatch):
+        def fail(trials):
+            if trials.start:
+                os._exit(3)
+
+        _patched_chunks(monkeypatch, fail)
+        with pytest.raises(RuntimeError, match="exited with code 3 "):
+            run_campaign(desk_config(trials=12), workers=2)
+        assert multiprocessing.active_children() == []
+
+    @forked
+    def test_an_error_in_the_callers_share_leaves_no_child(self, monkeypatch):
+        def fail(trials):
+            if not trials.start:
+                raise ArithmeticError("no trial 0")
+
+        _patched_chunks(monkeypatch, fail)
+        # the children are still evaluating, or blocked on a full pipe: a
+        # chunk's rows at 16 caps outgrow a 64 KiB pipe buffer
+        grid = tuple(2.0 ** k for k in range(-8, 8))
+        with pytest.raises(ArithmeticError, match="^no trial 0$"):
+            run_uop_sweep(desk_config(trials=3 * CHUNK, uop_sweep_grid=grid), workers=3)
+        assert multiprocessing.active_children() == []
+
+    def test_shares_under_spawn_equal_one_worker(self):
+        # spawned children import the package afresh and get the config pickled
+        code = ("import multiprocessing, sys; from lifi_noma import ScenarioConfig, run_campaign; "
+                "multiprocessing.set_start_method('spawn'); "
+                "c = ScenarioConfig(num_users=5, trials=2 * 256 + 9, seed=4, qos_set=(1.0, 2.0)); "
+                "sys.exit(run_campaign(c, workers=2) != run_campaign(c, workers=1))")
+        src = str(Path(simulation.__file__).parents[1])
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                       timeout=120, check=True)
 
 
 class TestUopSweep:
