@@ -68,10 +68,6 @@ class QosRates:
     def __post_init__(self) -> None:
         _check_rates(downlink=self.downlink, uplink=self.uplink)
 
-    @property
-    def combined(self) -> float:
-        return self.downlink + self.uplink
-
 
 @dataclass(frozen=True)
 class UserPair:
@@ -127,7 +123,8 @@ class PowerLimits:
             raise ValueError("invalid power limits: " + "; ".join(problems))
 
 
-# Rates from here on overflow the OMA factor 2^(2 (R_far + R_near)).
+# Rates from here on overflow the OMA factor 2^(2 R_far) * 2^(2 R_near):
+# below it each factor is below 2^512, so their product stays a float.
 MAX_RATE = 256.0
 
 
@@ -316,11 +313,14 @@ def oma_allocation(
 
     Splitting the band/time between the two users means each must carry the
     pair's combined rate over its own interference-free channel, so both
-    powers per link scale with ``2^(2 (R_far + R_near))``.
+    powers per link scale with ``2^(2 (R_far + R_near))``. That factor is
+    taken as the product ``2^(2 R_far) * 2^(2 R_near)`` of the per-user
+    factors: rounding ``R_far + R_near`` inside the exponent would cost up
+    to hundreds of ulp near :data:`MAX_RATE`, the product at most a few.
     """
     _check_inputs(noise_power, pair.h_far, pair.h_near)
-    demand_dl = _rate_factor(qos_far.downlink + qos_near.downlink) * noise_power
-    demand_ul = _rate_factor(qos_far.uplink + qos_near.uplink) * noise_power
+    demand_dl = _rate_factor(qos_far.downlink) * _rate_factor(qos_near.downlink) * noise_power
+    demand_ul = _rate_factor(qos_far.uplink) * _rate_factor(qos_near.uplink) * noise_power
     return PowerAllocationSet(
         _per_square(demand_dl, pair.h_far),
         _per_square(demand_dl, pair.h_near),

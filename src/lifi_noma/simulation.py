@@ -21,8 +21,8 @@ EE are counted once per reported pairing. The scalar closed forms in
 :mod:`.allocation`, :mod:`.pairing` and :mod:`.metrics` are the reference
 the chunked arrays reproduce bit for bit: gains are
 :func:`.channel.los_gain` on arrays, with its ``math`` (libm) calls kept,
-rate factors come from the scalar ``2 ** (2R)`` once per distinct rate or
-rate pair, and every sum adds its terms in the scalar order.
+rate factors come from the scalar ``2 ** (2R)`` once per distinct rate
+(OMA's is a product of two), and every sum adds its terms in scalar order.
 
 Energy efficiency is computed from the full (pre-cap) minimum powers by
 default; the power caps only enter the outage statistics. Setting
@@ -145,12 +145,13 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         problems = []
-        if self.num_users < 2:
-            problems.append(f"num_users must be >= 2, got {self.num_users}")
-        if self.trials < 1:
-            problems.append(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
-            problems.append(f"seed must be >= 0, got {self.seed}")
+        for name, least in (("num_users", 2), ("trials", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                if operator.index(value) < least:
+                    problems.append(f"{name} must be >= {least}, got {value}")
+            except TypeError:
+                problems.append(f"{name} must be an integer, got {value!r}")
         if not self.qos_set:
             problems.append("qos_set must not be empty")
         for name, rates in (("qos_set", self.qos_set), ("sweep_rate", (self.sweep_rate,))):
@@ -170,6 +171,8 @@ class ScenarioConfig:
             problems.append(f"r_max must be positive and finite, got {self.r_max}")
         if not self.strategies:
             problems.append("strategies must not be empty")
+        elif not all(isinstance(s, Strategy) for s in self.strategies):
+            problems.append(f"strategies must be Strategy members, got {self.strategies!r}")
         if not self.pairings:
             problems.append("pairing methods must not be empty")
         for name in self.pairings:
@@ -198,6 +201,9 @@ class ScenarioConfig:
                     f"sweep_values (far-user heights) must be positive and not too close "
                     f"to the access point, got {self.sweep_values}"
                 )
+        for name in ("qos_coupled_links", "ee_served_only"):
+            if not isinstance(value := getattr(self, name), bool):
+                problems.append(f"{name} must be a bool, got {value!r}")
         if self.uop_sweep_link not in ("dl", "ul"):
             problems.append(f"uop_sweep_link must be 'dl' or 'ul', got {self.uop_sweep_link!r}")
         if not all(v > 0.0 for v in self.uop_sweep_grid):
@@ -499,17 +505,18 @@ def _opa_powers(pz: float, h_far, h_near, factors) -> tuple:
     return far_dl, near_dl, far_ul, near_ul
 
 
-def _pair_powers(strategy: Strategy, pz: float, h_far, h_near, opa, oma) -> tuple:
+def _pair_powers(strategy: Strategy, pz: float, h_far, h_near, opa, factors) -> tuple:
     """``allocate`` on arrays of pairs, from the pairing's OPA powers.
 
-    Arguments and powers are ordered as in :func:`_opa_powers`; ``oma``
-    holds each pair's ``2^(2 (R_far + R_near))`` per link, downlink first.
-    Also returns the infeasible pairs, whose four demands are unbounded.
+    Arguments and powers are ordered as in :func:`_opa_powers`; OMA's
+    ``2^(2 (R_far + R_near))`` per link is the product of its members'
+    ``factors``, as in :func:`.allocation.oma_allocation`. Also returns the
+    infeasible pairs, whose four demands are unbounded.
     """
     infeasible = h_far == 0.0  # the far member has the lower gain
     powers = opa
     if strategy is Strategy.OMA:
-        k_dl, k_ul = oma[0] * pz, oma[1] * pz
+        k_dl, k_ul = factors[0] * factors[1] * pz, factors[2] * factors[3] * pz
         far, near = h_far * h_far, h_near * h_near
         powers = (k_dl / far, k_dl / near, k_ul / far, k_ul / near)
     elif strategy is not Strategy.OPA:
@@ -528,7 +535,7 @@ def _pair_powers(strategy: Strategy, pz: float, h_far, h_near, opa, oma) -> tupl
 
 
 class _Powers(NamedTuple):
-    """One pairing's slot powers, leading axis strategies.
+    """One pairing's slot powers, leading axis the configured strategies.
 
     Slots are far, near of each pair in pair order, then the unpaired user.
     """
@@ -536,6 +543,7 @@ class _Powers(NamedTuple):
     dl: np.ndarray  # (strategies, trials, users)
     ul: np.ndarray
     total: np.ndarray  # (strategies, trials)
+    opa_total: np.ndarray  # (trials,): what adaptive pairing compares, OPA configured or not
     slots: np.ndarray  # (trials, users): each slot's user, a flat index into the chunk
 
 
@@ -559,8 +567,7 @@ def _base_caps(config: ScenarioConfig) -> tuple[tuple[float], tuple[float]]:
 class _Chunk:
     """Shared per-chunk inputs: gains, rates, rate factors and the caps.
 
-    Slot powers are stacked over the configured strategies in config order,
-    plus OPA last when it is not one of them: adaptive pairing needs its total.
+    Slot powers are stacked over the configured strategies in config order.
     """
 
     def __init__(self, config, population, caps_dl, caps_ul):
@@ -569,15 +576,13 @@ class _Chunk:
         self.rates_dl, self.rates_ul = population.rates_dl, population.rates_ul
         self.row_start = np.arange(0, trials * n, n)[:, None]
         # 2^(2R) from the scalar closed form, once per distinct rate of either link
-        self.values, index = np.unique(np.concatenate((self.rates_dl, self.rates_ul), axis=1),
-                                       return_inverse=True)
-        index = index.reshape(trials, 2 * n)
-        factors = np.array([_rate_factor(r) for r in self.values.tolist()])[index]
-        # per user, flat over the chunk: gain (both links) and factors; rate indices
+        values, index = np.unique(np.concatenate((self.rates_dl, self.rates_ul), axis=1),
+                                  return_inverse=True)
+        factors = np.array([_rate_factor(r) for r in values.tolist()])[index.reshape(trials, -1)]
+        # per user, flat over the chunk: gain (both links) and factors
         self.users = np.stack((_gains(config.front_end, population), factors[:, :n],
                                factors[:, n:])).reshape(3, -1)
         self.gains = self.users[0].reshape(trials, n)
-        self.rate_index = np.stack((index[:, :n], index[:, n:])).reshape(2, -1)
         # summed in user order, as np.sum sums one trial's rates
         self.sum_rate = np.sum(self.rates_dl, axis=1) + np.sum(self.rates_ul, axis=1)
         # clamped to the largest float, a cap counts infinite (infeasible) demands
@@ -585,9 +590,6 @@ class _Chunk:
         self.caps_dl, self.caps_ul, self.base_caps = (
             np.minimum(np.asarray(caps, dtype=float), sys.float_info.max)
             for caps in (caps_dl, caps_ul, _base_caps(config)))
-        strategies = tuple(config.strategies)
-        self.strategies = strategies + (() if Strategy.OPA in strategies else (Strategy.OPA,))
-        self.opa = self.strategies.index(Strategy.OPA)
 
     def sort_order(self, method: str) -> np.ndarray:
         if method == "channel":  # ascending (gain, index)
@@ -607,56 +609,45 @@ class _Chunk:
         slots[:, 1:2 * half:2] = np.where(swap, a, b)
         return slots
 
-    def oma_factors(self, far: np.ndarray, near: np.ndarray) -> np.ndarray:
-        """``2^(2 (R_far + R_near))`` of rate index pairs, from the scalar closed
-        form once per distinct index pair present."""
-        values, k = self.values.tolist(), len(self.values)
-        present, codes = np.unique(far * k + near, return_inverse=True)
-        table = np.array([_rate_factor(values[c // k] + values[c % k]) for c in present.tolist()])
-        return table[codes.reshape(far.shape)]
-
     def powers(self, method: str) -> _Powers:
         """Every strategy's slot powers on one pairing method."""
         slots = self.slots(self.sort_order(method)) + self.row_start
         h, f_dl, f_ul = self.users.take(slots, axis=1)
         pz = self.config.noise_power
-        shape = (len(self.strategies),) + slots.shape
+        strategies = self.config.strategies
+        shape = (len(strategies),) + slots.shape
         half = slots.shape[1] // 2
         far, near = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
         h_far, h_near = h[:, far], h[:, near]
-        oma = None
-        if Strategy.OMA in self.strategies:
-            index = self.rate_index.take(slots, axis=1)
-            oma = self.oma_factors(index[:, :, far], index[:, :, near])
+        factors = f_dl[:, far], f_dl[:, near], f_ul[:, far], f_ul[:, near]
         dl, ul = np.empty(shape), np.empty(shape)
         pairs = dl[..., far], dl[..., near], ul[..., far], ul[..., near]  # as in _opa_powers
         infeasible = np.empty(shape[:2] + h_far.shape[1:], dtype=bool)
+        leftover = 0.0  # exact: adding it leaves a positive total as it is
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            opa = _opa_powers(pz, h_far, h_near,
-                              (f_dl[:, far], f_dl[:, near], f_ul[:, far], f_ul[:, near]))
-            for row, strategy in enumerate(self.strategies):
-                powers, infeasible[row] = _pair_powers(strategy, pz, h_far, h_near, opa, oma)
+            opa = _opa_powers(pz, h_far, h_near, factors)
+            for row, strategy in enumerate(strategies):
+                powers, infeasible[row] = _pair_powers(strategy, pz, h_far, h_near, opa, factors)
                 for slot, power in zip(pairs, powers):
                     slot[row] = power
-            if slots.shape[1] % 2:  # single_user_allocation for the leftover
+            if slots.shape[1] % 2:  # single_user_allocation; a zero gain gives inf
                 h_u = h[:, -1]
-                zero = h_u == 0.0
-                dl[:, :, -1] = np.where(zero, math.inf, f_dl[:, -1] * pz / (h_u * h_u))
-                ul[:, :, -1] = np.where(zero, math.inf, f_ul[:, -1] * pz / (h_u * h_u))
+                dl[..., -1] = f_dl[:, -1] * pz / (h_u * h_u)
+                ul[..., -1] = f_ul[:, -1] * pz / (h_u * h_u)
+                leftover = dl[0, :, -1] + ul[0, :, -1]
         # an infeasible pair goes out whole: all four demands unbounded
         for slot in pairs:
             np.copyto(slot, math.inf, where=infeasible)
         # pair by pair, each ((far_dl + near_dl) + far_ul) + near_ul, then the
-        # leftover user's two links
-        total = np.cumsum(((pairs[0] + pairs[1]) + pairs[2]) + pairs[3], axis=-1)[..., -1]
-        if slots.shape[1] % 2:
-            total = total + (dl[..., -1] + ul[..., -1])
-        return _Powers(dl, ul, total, slots)
+        # leftover user's two links; OPA's own powers sum to inf at an
+        # infeasible pair without the mask
+        total, opa_total = (np.cumsum(((p[0] + p[1]) + p[2]) + p[3], axis=-1)[..., -1] + leftover
+                            for p in (pairs, opa))
+        return _Powers(dl, ul, total, opa_total, slots)
 
     def outcome(self, powers: _Powers) -> _Cells:
         """Outage counts at every cap and the EE of the configured strategies."""
-        count = len(self.config.strategies)
-        dl, ul, total = powers.dl[:count], powers.ul[:count], powers.total[:count]
+        dl, ul, total = powers.dl, powers.ul, powers.total
         # downlink_uop: tail sums from the smallest power up, sorted once for
         # every cap
         tails = np.sort(dl, axis=-1)
@@ -708,9 +699,10 @@ def _evaluate(
         # the pairings it picks from are dropped unless reported themselves
         channel, qos = (powers[m] if m in config.pairings else powers.pop(m)
                         for m in ("channel", "qos"))
-        used_qos = ~(channel.total[chunk.opa] <= qos.total[chunk.opa] * (1.0 + 1e-12))
+        used_qos = ~(channel.opa_total <= qos.opa_total * (1.0 + 1e-12))
         pick = used_qos[:, None]
-        powers["adaptive"] = _Powers(*map(np.where, (pick, pick, used_qos, pick), qos, channel))
+        powers["adaptive"] = _Powers(*map(np.where, (pick, pick, used_qos, used_qos, pick),
+                                          qos, channel))
         del channel, qos
     cells = {name: chunk.outcome(powers[name]) for name in dict.fromkeys(config.pairings)}
     return cells, used_qos

@@ -3,6 +3,7 @@ optimality, dominance and rate-closure properties."""
 
 
 import dataclasses
+import decimal
 import math
 from types import SimpleNamespace
 
@@ -372,6 +373,24 @@ class TestOmaAllocation:
         noma = opa_set(pair, qos_far, qos_near, PZ).total
         oma = oma_allocation(pair, qos_far, qos_near, PZ).total
         assert oma - noma >= -1e-12 * oma
+
+    def test_factor_is_the_product_of_the_users_factors(self):
+        # 2^(2 (a + b)) as 2^(2a) * 2^(2b) stays within 3 ulp of exact (a
+        # product of two rounded powers); it drifts from the sum form
+        # 2 ** (2 (a + b)), which rounds a + b inside the exponent, by at most
+        # a relative 1e-13
+        rng = np.random.default_rng(19)
+        rates = np.concatenate((rng.uniform(0.0, 8.0, (600, 2)),
+                                rng.uniform(0.0, MAX_RATE, (600, 2))))
+        pair = UserPair(0, 1, 1.0, 1.0)
+        with decimal.localcontext() as context:
+            context.prec = 60
+            for a, b in rates.tolist():
+                factor = oma_allocation(pair, QosRates(a, b), QosRates(b, a), 1.0).far_dl
+                exact = decimal.Decimal(2) ** (2 * (decimal.Decimal(a) + decimal.Decimal(b)))
+                ulps = abs(decimal.Decimal(factor) - exact) / decimal.Decimal(math.ulp(factor))
+                assert ulps <= 3, (a, b, float(ulps))
+                assert factor == pytest.approx(2.0 ** (2.0 * (a + b)), rel=1e-13, abs=0.0)
 
 
 def system_total(positions) -> float:

@@ -176,9 +176,10 @@ def vector_rounding_rates(count=4000, seed=6):
 
     Found by a fixed-seed search: ``np.exp2`` and ``np.power`` both differ
     in the last bit from the scalar ``2.0 ** (2R)`` for ``a`` and for the
-    OMA sum ``a + b``, on this NumPy build and libm. An engine whose rate
-    factors came from either would fail the oracle on them. None where the
-    search finds no such pair.
+    sum ``a + b``, on this NumPy build and libm. An engine whose rate
+    factors came from either would fail the oracle on them, also through
+    OMA's factor, the product ``2^(2a) * 2^(2b)``. None where the search
+    finds no such pair.
     """
     def rounds_differently(rates):
         twice = 2.0 * rates
@@ -250,7 +251,8 @@ def test_vector_rounding_rates_equal_the_oracle(rounding_config):
 
 
 def test_vector_rounding_rates_meet_in_oma_pairs(rounding_config):
-    # the oracle test pins the OMA sum only if an OMA pair holds both rates
+    # the oracle test pins OMA's product of both rates' factors only if an
+    # OMA pair holds both rates
     config = rounding_config
     a, b = config.qos_set
     mixed = 0

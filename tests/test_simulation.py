@@ -262,6 +262,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="^downlink must"):
             QosRates(rate, 1.0)
 
+    @pytest.mark.parametrize("field, value", [
+        ("strategies", ("opa",)), ("num_users", 4.0), ("trials", 3.0), ("seed", 1.5),
+        ("qos_coupled_links", "no"), ("ee_served_only", 1)])
+    def test_library_inputs_of_the_wrong_type_are_refused_by_name(self, field, value):
+        # scenario files cannot reach these: the CLI parsers return the right types
+        with pytest.raises(ScenarioValidationError, match=f"^{field} must") as err:
+            desk_config(**{field: value})
+        assert len(err.value.problems) == 1
+
 
 class TestTrialEvaluation:
     def test_golden_two_user_population(self):
