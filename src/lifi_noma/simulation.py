@@ -3,15 +3,12 @@
 A trial draws a random user population, pairs it with each configured
 pairing method, allocates powers with each configured strategy and records
 energy efficiency plus both links' outage probabilities. Campaigns average
-many trials. Trial ``i`` draws from the PCG64 stream of
-``SeedSequence([seed, i])``, the one ``numpy.random.default_rng([seed, i])``
-makes, so results are bit-identical regardless of worker count or execution
-order; the per-cell averages are reduced in trial order. The streams of a
-:data:`CHUNK`-aligned block of trials are seeded together, in one
-vectorized pass over SeedSequence's integer hash. A trial reads its raw
-64-bit words in one call (:func:`run_trial`); the words of a chunk are
-converted together, by NumPy's own ``uniform`` and ``integers``
-arithmetic, into the same draws ``default_rng`` makes.
+many trials. Trial ``i`` reads its raw 64-bit words in one call
+(:func:`run_trial`) from its own PCG64 stream (:mod:`.streams`), so results
+are bit-identical for any worker count or execution order; the per-cell
+averages are reduced in trial order. The words of a chunk are converted
+together, by NumPy's own ``uniform`` and ``integers`` arithmetic, into the
+draws ``default_rng([seed, i])`` makes.
 
 Trials are evaluated in chunks of up to :data:`CHUNK`: every input is a
 ``(trials, users)`` array, and each pairing method's slot powers are
@@ -33,11 +30,10 @@ caps on each link.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import sys
-import threading
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -47,6 +43,7 @@ from .allocation import MAX_RATE, PowerLimits, QosRates, Strategy, _check_rates,
 from .channel import NoiseModel, OpticalFrontEnd, UserPosition, channel_gain
 from .metrics import LinkOutage
 from .pairing import QOS_SORT_KEYS, _check_user_count, _qos_sort_values
+from .streams import CHUNK, _MASK32, _stream
 
 # The engine does not call these scalar reference functions; the benchmark's
 # tracer (bench/spans.py) looks each of them up on this module by name.
@@ -80,11 +77,6 @@ __all__ = [
 
 PAIRING_METHODS = ("channel", "qos", "adaptive")
 
-# Trials evaluated together as one set of (trials, users) arrays; workers'
-# shares are made of such ranges. Large enough to amortize NumPy's per-call
-# overhead, small enough that a chunk's arrays stay in cache.
-CHUNK = 256
-
 
 class ScenarioValidationError(ValueError):
     """One or more scenario invariants are violated; lists every problem."""
@@ -92,6 +84,10 @@ class ScenarioValidationError(ValueError):
     def __init__(self, problems: Sequence[str]):
         super().__init__("; ".join(problems))
         self.problems = tuple(problems)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -110,10 +106,10 @@ class ScenarioConfig:
     parameters default to the reference values (70-degree optics, 20 MHz
     band at 1e-22 A^2/Hz noise, users uniform over l in [1.5, 2.5] m and
     r in [0, 3] m). Power caps default to infinity, i.e. no outage. Every
-    float must be finite except the power caps; rates stay below
-    :data:`MAX_RATE`. Two-user sweep values are far-user distances from the
-    axis (>= 0) or heights (> 0); ``l_min`` and the heights must keep an
-    on-axis user's minimum power a normal float.
+    float is a real number, not a bool, and finite except the power caps;
+    rates stay below :data:`MAX_RATE`. Two-user sweep values are far-user
+    distances from the axis (>= 0) or heights (> 0); ``l_min`` and the
+    heights must keep an on-axis user's minimum power a normal float.
     """
 
     num_users: int
@@ -152,6 +148,13 @@ class ScenarioConfig:
                     problems.append(f"{name} must be >= {least}, got {value}")
             except TypeError:
                 problems.append(f"{name} must be an integer, got {value!r}")
+        reals = {"l_min": [self.l_min], "l_max": [self.l_max], "r_max": [self.r_max],
+                 "sweep_rate": [self.sweep_rate], "qos_set": self.qos_set,
+                 "uop_sweep_grid": self.uop_sweep_grid, "sweep_values": self.sweep_values or ()}
+        wrong = [f"{name} must be real (a number, not a bool), got {getattr(self, name)!r}"
+                 for name, values in reals.items() if not all(map(_is_real, values))]
+        if wrong:  # the checks below compare these as numbers
+            raise ScenarioValidationError(problems + wrong)
         if not self.qos_set:
             problems.append("qos_set must not be empty")
         for name, rates in (("qos_set", self.qos_set), ("sweep_rate", (self.sweep_rate,))):
@@ -279,102 +282,6 @@ class CampaignSummary:
     cells: dict[tuple[str, str], CellSummary]
     sweep_parameter: str | None = None
     sweep_value: float | None = None
-
-
-# SeedSequence's hash constants and PCG64's 128-bit multiplier, as in
-# NumPy's bit_generator.pyx and pcg64.h; _block_streams redoes their integer
-# arithmetic.
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-_POOL = 4  # SeedSequence's default pool size, in uint32 words
-
-
-def _words(value: int) -> list[int]:
-    """``value`` as the little-endian uint32 words SeedSequence splits it into."""
-    words = [value & _MASK32]
-    while value := value >> 32:
-        words.append(value & _MASK32)
-    return words
-
-
-@lru_cache(maxsize=1)
-def _block_streams(seed: int, block: int) -> tuple[tuple[int, int], ...]:
-    """PCG64 ``(state, inc)`` of the trials ``block * CHUNK`` up to the next block.
-
-    Each is the state ``default_rng([seed, trial])`` starts from. The uint32
-    arithmetic of SeedSequence (hash pool, then ``generate_state(4,
-    uint64)``) runs on arrays over the whole block, PCG64's 128-bit seeding
-    step on Python ints per trial. CHUNK divides 2^32, so a block's trials
-    differ only in their lowest word. One block is kept: a run walks its
-    trials in order.
-    """
-    seed_words = _words(seed)
-    entropy = [np.full(CHUNK, w, dtype=np.uint32) for w in seed_words + _words(block * CHUNK)]
-    entropy[len(seed_words)] += np.arange(CHUNK, dtype=np.uint32)
-    hash_const = _INIT_A
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ value >> 16
-
-    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        result = _MIX_L * x - _MIX_R * y
-        return result ^ result >> 16
-
-    zero = np.zeros(CHUNK, dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL:]:
-        for dst in range(_POOL):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): eight words cycling the pool, paired
-    # little-endian into (initstate high, low, initseq high, low)
-    hash_const = _INIT_B
-    words = []
-    for k in range(8):
-        value = pool[k % _POOL] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        words.append(value ^ value >> 16)
-    words = np.array(words, dtype=np.uint64)
-    seeds = (words[0::2] | words[1::2] << 32).tolist()
-    streams = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*seeds):
-        # PCG64's srandom_r: two LCG steps from 0, adding initstate between
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((state_hi << 64 | state_lo) + inc) * _PCG_MULT + inc & _MASK128
-        streams.append((state, inc))
-    return tuple(streams)
-
-
-# One Generator per thread, its state replaced before each trial's draws.
-# Made on first use: importing numpy.random with the package would add about
-# 12 ms to every start.
-_generators = threading.local()
-
-
-def _stream(config: ScenarioConfig, trial_index: int) -> np.random.Generator:
-    """This thread's Generator, set to the start of trial ``trial_index``'s stream."""
-    if trial_index < 0:
-        raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-    block, offset = divmod(operator.index(trial_index), CHUNK)
-    state, inc = _block_streams(config.seed, block)[offset]
-    try:
-        rng = _generators.rng
-    except AttributeError:
-        rng = _generators.rng = np.random.Generator(np.random.PCG64(0))
-    rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                               "has_uint32": 0, "uinteger": 0}
-    return rng
 
 
 def _rate_draws(config: ScenarioConfig) -> int:

@@ -1,0 +1,130 @@
+"""Per-trial PCG64 streams: trial ``i`` reads ``default_rng([seed, i])``'s stream.
+
+A block's starts come from one vectorized pass over SeedSequence's integer
+hash. A trial's start is written into its thread's Generator in place,
+through a view whose layout is checked once per thread against the setter.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import operator
+import threading
+from functools import lru_cache
+
+import numpy as np
+
+# Trials seeded, drawn and evaluated together, the unit of workers' shares:
+# enough to amortize NumPy's per-call overhead, few enough to stay in cache.
+CHUNK = 256
+
+# SeedSequence's hash constants and PCG64's 128-bit multiplier, as in
+# NumPy's bit_generator.pyx and pcg64.h; _block_streams redoes their integer
+# arithmetic.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_POOL = 4  # SeedSequence's default pool size, in uint32 words
+
+
+def _words(value: int) -> list[int]:
+    """``value`` as the little-endian uint32 words SeedSequence splits it into."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+@lru_cache(maxsize=1)
+def _block_streams(seed: int, block: int) -> tuple[bytes, ...]:
+    """PCG64 starts of the trials ``block * CHUNK`` up to the next block.
+
+    Each is the state ``default_rng([seed, trial])`` starts from, as the 32
+    little-endian bytes of ``state | inc << 128``. The uint32 arithmetic of
+    SeedSequence (hash pool, then ``generate_state(4, uint64)``) runs on
+    arrays over the whole block, PCG64's 128-bit seeding step on Python ints
+    per trial. CHUNK divides 2^32, so a block's trials differ only in their
+    lowest word. One block is kept: a run walks its trials in order.
+    """
+    seed_words = _words(seed)
+    entropy = [np.full(CHUNK, w, dtype=np.uint32) for w in seed_words + _words(block * CHUNK)]
+    entropy[len(seed_words)] += np.arange(CHUNK, dtype=np.uint32)
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const
+        return value ^ value >> 16
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = _MIX_L * x - _MIX_R * y
+        return result ^ result >> 16
+
+    zero = np.zeros(CHUNK, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL:]:
+        for dst in range(_POOL):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight words cycling the pool, paired
+    # little-endian into (initstate high, low, initseq high, low)
+    hash_const = _INIT_B
+    words = []
+    for k in range(8):
+        value = pool[k % _POOL] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const
+        words.append(value ^ value >> 16)
+    words = np.array(words, dtype=np.uint64)
+    seeds = (words[0::2] | words[1::2] << 32).tolist()
+    streams = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*seeds):
+        # PCG64's srandom_r: two LCG steps from 0, adding initstate between
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        state = ((state_hi << 64 | state_lo) + inc) * _PCG_MULT + inc & _MASK128
+        streams.append((state | inc << 128).to_bytes(32, "little"))
+    return tuple(streams)
+
+
+# One Generator per thread, with a writable view of its (state, inc). Made on
+# first use: importing numpy.random with the package would add about 12 ms
+# to every start.
+_generators = threading.local()
+_PROBE = bytes(range(1, 33))  # 32 distinct bytes: another layout reads them differently
+
+
+def _state_view(bit_generator) -> memoryview:
+    """The ``pcg64_random_t`` that the first member of NumPy's ``pcg64_state`` points at."""
+    address = ctypes.c_void_p.from_address(bit_generator.ctypes.state_address).value
+    return memoryview((ctypes.c_ubyte * 32).from_address(address)).cast("B")
+
+
+def _stream(config, trial_index: int) -> np.random.Generator:
+    """This thread's Generator, set to the start of trial ``trial_index`` of ``config.seed``."""
+    if trial_index < 0:
+        raise ValueError(f"trial_index must be >= 0, got {trial_index}")
+    block, offset = divmod(operator.index(trial_index), CHUNK)
+    try:
+        rng, state = _generators.current
+    except AttributeError:
+        # NumPy's struct layout is internal: check the view once against the setter
+        rng = np.random.Generator(np.random.PCG64(0))
+        state = _state_view(rng.bit_generator)
+        probe, inc = (int.from_bytes(_PROBE[i:i + 16], "little") for i in (0, 16))
+        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": probe, "inc": inc},
+                                   "has_uint32": 0, "uinteger": 0}
+        if bytes(state) != _PROBE:
+            raise RuntimeError(f"NumPy {np.__version__} does not store PCG64's state as "
+                               "little-endian 128-bit state then inc; trial streams cannot be set")
+        _generators.current = rng, state
+    # has_uint32 and uinteger stay as they are: random_raw never reads them,
+    # and the redraw path's advance() resets them first
+    state[:] = _block_streams(config.seed, block)[offset]
+    return rng

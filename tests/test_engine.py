@@ -175,23 +175,17 @@ def vector_rounding_rates(count=4000, seed=6):
     """Rates ``(a, b)`` whose ``2^(2R)`` NumPy's vectorized math rounds differently.
 
     Found by a fixed-seed search: ``np.exp2`` and ``np.power`` both differ
-    in the last bit from the scalar ``2.0 ** (2R)`` for ``a`` and for the
-    sum ``a + b``, on this NumPy build and libm. An engine whose rate
-    factors came from either would fail the oracle on them, also through
-    OMA's factor, the product ``2^(2a) * 2^(2b)``. None where the search
-    finds no such pair.
+    in the last bit from the scalar ``2.0 ** (2R)`` for ``a`` and for ``b``,
+    on this NumPy build and libm. An engine whose rate factors came from
+    either would fail the oracle on them, also through both factors of
+    OMA's product ``2^(2a) * 2^(2b)``. None where the search finds no such
+    pair.
     """
-    def rounds_differently(rates):
-        twice = 2.0 * rates
-        scalar = np.array([2.0 ** x for x in twice.tolist()])
-        return (scalar != np.exp2(twice)) & (scalar != np.power(2.0, twice))
-
     rates = np.random.default_rng(seed).uniform(0.0, 8.0, count)
-    for a in rates[rounds_differently(rates)].tolist():
-        sums = rounds_differently(a + rates)
-        if sums.any():
-            return a, float(rates[sums][0])
-    return None
+    twice = 2.0 * rates
+    scalar = np.array([2.0 ** x for x in twice.tolist()])
+    hazards = rates[(scalar != np.exp2(twice)) & (scalar != np.power(2.0, twice))].tolist()
+    return tuple(hazards[:2]) if len(hazards) > 1 else None
 
 
 def hazard_grid():

@@ -4,6 +4,7 @@ campaign reduction and the deterministic two-user sweeps."""
 import math
 import multiprocessing
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -26,8 +27,9 @@ from lifi_noma import (
     sample_users,
     two_user_sweep,
 )
-from lifi_noma import simulation
-from lifi_noma.simulation import CHUNK, _block_streams, _population_from_words
+from lifi_noma import simulation, streams
+from lifi_noma.simulation import _population_from_words
+from lifi_noma.streams import CHUNK, _block_streams
 
 GOLDEN_EE_OPA = 458.0979517717648
 GOLDEN_EE_NGDPA = 276.3050860830169
@@ -141,9 +143,24 @@ class TestStreamSeeding:
     def test_state_and_draws_match_default_rng(self, seed, trial):
         want = np.random.default_rng([seed, trial]).bit_generator.state["state"]
         block, offset = divmod(trial, CHUNK)
-        assert _block_streams(seed, block)[offset] == (want["state"], want["inc"])
+        start = (want["state"] | want["inc"] << 128).to_bytes(32, "little")
+        assert _block_streams(seed, block)[offset] == start
         config = desk_config(seed=seed, num_users=7)
         assert drawn(config, trial) == reference_draw(config, trial)
+
+    def test_the_written_state_reads_back_through_the_public_getter(self):
+        # one Generator, at and across a block boundary
+        config = desk_config(seed=11)
+        for trial in (CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK):
+            want = np.random.default_rng([config.seed, trial]).bit_generator.state["state"]
+            assert streams._stream(config, trial).bit_generator.state["state"] == want
+
+    def test_a_layout_other_than_the_setters_is_refused(self, monkeypatch):
+        # a fresh thread's Generator whose view reads other bytes than the probe
+        monkeypatch.setattr(streams, "_state_view", lambda bit_generator: memoryview(bytearray(32)))
+        monkeypatch.setattr(streams, "_generators", threading.local())
+        with pytest.raises(RuntimeError, match=re.escape(f"NumPy {np.__version__} ")):
+            streams._stream(desk_config(), 0)
 
     def test_out_of_order_draws_never_see_a_stale_block(self):
         sequence = [(5, 300), (5, 3), (5, 300), (6, 300), (5, 3), (6, 3)]
@@ -180,14 +197,16 @@ class TestStreamSeeding:
 
 
 def reads_past_its_words(config: ScenarioConfig, trial: int) -> bool:
-    """Whether default_rng's uncoupled rate draws of ``trial`` read more than
-    n words: Lemire's method rejected a 32-bit draw and drew again."""
+    """Whether default_rng's rate draws of ``trial`` (``2n``, or ``n`` with
+    coupled links) read past their words: Lemire's method rejected a 32-bit
+    draw and drew again (for an odd count, more than once)."""
     n = config.num_users
+    draws = n if config.qos_coupled_links else 2 * n
     rng = np.random.default_rng([config.seed, trial])
     rng.random(3 * n)
-    rng.integers(0, len(config.qos_set), 2 * n)
+    rng.integers(0, len(config.qos_set), draws)
     fresh = np.random.default_rng([config.seed, trial])
-    fresh.bit_generator.advance(4 * n)
+    fresh.bit_generator.advance(3 * n + (draws + 1) // 2)
     return rng.bit_generator.state["state"] != fresh.bit_generator.state["state"]
 
 
@@ -235,6 +254,23 @@ class TestRawWords:
         for row, trial in enumerate(trials):
             assert [a[row].tobytes() for a in draws] == reference_draw(config, trial)
 
+    def test_a_redraw_leaves_no_buffered_half_word_for_the_next(self):
+        # coupled links and an even n: a redraw with one rejection reads n + 1
+        # half-words, and the last word's high half stays buffered
+        # (has_uint32 = 1); the next trial's state is written without
+        # clearing it, so the next redraw must not read it
+        config = desk_config(num_users=32, qos_coupled_links=True,
+                             qos_set=tuple(k * 2.5e-3 for k in range(100_000)))
+        trials = [t for t in range(4000) if reads_past_its_words(config, t)][:2]
+        rng = np.random.default_rng([config.seed, trials[0]])
+        rng.bit_generator.advance(3 * config.num_users)
+        rng.integers(0, len(config.qos_set), config.num_users)
+        assert len(trials) == 2 and rng.bit_generator.state["has_uint32"] == 1
+        words = np.stack([run_trial(config, i) for i in trials])
+        draws = _population_from_words(config, trials, words)
+        for row, trial in enumerate(trials):
+            assert [a[row].tobytes() for a in draws] == reference_draw(config, trial)
+
 
 class TestConfigValidation:
     def test_lists_every_problem(self):
@@ -264,7 +300,9 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("field, value", [
         ("strategies", ("opa",)), ("num_users", 4.0), ("trials", 3.0), ("seed", 1.5),
-        ("qos_coupled_links", "no"), ("ee_served_only", 1)])
+        ("qos_coupled_links", "no"), ("ee_served_only", 1), ("l_min", "1.5"), ("l_max", "2"),
+        ("r_max", None), ("uop_sweep_grid", ("a",)), ("qos_set", ("1",)), ("sweep_rate", "1"),
+        ("sweep_values", ("x",)), ("l_max", True)])
     def test_library_inputs_of_the_wrong_type_are_refused_by_name(self, field, value):
         # scenario files cannot reach these: the CLI parsers return the right types
         with pytest.raises(ScenarioValidationError, match=f"^{field} must") as err:
