@@ -13,7 +13,7 @@ Desk-scale reproduction of the qualitative picture:
   * uplink: GRPA is the worst offender, OMA barely better, and NGDPA only
     approaches the optimum once QoS diversity is low.
 
-Run:  python demos/outage_probability.py   (~5 s)
+Run:  python demos/outage_probability.py   (~0.4 s on a 2-vCPU Xeon)
 """
 
 from dataclasses import replace

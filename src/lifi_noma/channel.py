@@ -14,6 +14,7 @@ All powers derived from this model stay in relative electrical units
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -181,6 +182,8 @@ class NoiseModel:
     Attributes:
         psd: one-sided noise power spectral density, A^2/Hz, positive.
         bandwidth: signal bandwidth, Hz, positive.
+
+    Their product, the noise power, must be a normal (full-precision) float.
     """
 
     psd: float = 1e-22
@@ -191,9 +194,9 @@ class NoiseModel:
             raise ValueError(f"noise PSD must be positive and finite, got {self.psd}")
         if not 0.0 < self.bandwidth < math.inf:
             raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
-        if not 0.0 < self.noise_power < math.inf:
-            raise ValueError(f"noise power psd * bandwidth must be positive and finite, "
-                             f"got {self.noise_power}")
+        if not sys.float_info.min <= self.noise_power < math.inf:
+            raise ValueError(f"noise power psd * bandwidth must be a normal float "
+                             f"(>= {sys.float_info.min}) and finite, got {self.noise_power}")
 
     @property
     def noise_power(self) -> float:

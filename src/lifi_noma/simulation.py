@@ -390,11 +390,6 @@ def _gains(front_end: OpticalFrontEnd, population: _Population) -> np.ndarray:
     return np.where(ratio > tan_fov, 0.0, gains)
 
 
-def _interleave(*columns: np.ndarray) -> np.ndarray:
-    """``(..., k)`` arrays merged along the last axis into ``(..., len * k)``."""
-    return np.stack(columns, axis=-1).reshape(columns[0].shape[:-1] + (-1,))
-
-
 def _opa_powers(pz: float, h_far, h_near, factors) -> tuple:
     """``opa_set`` on arrays of pairs, computed once per pairing.
 
@@ -457,9 +452,7 @@ class _Powers(NamedTuple):
 class _Cells(NamedTuple):
     """One pairing's cells over a chunk, leading axes strategies and trials."""
 
-    dl: np.ndarray  # slot powers as in _Powers
-    ul: np.ndarray
-    total: np.ndarray
+    powers: _Powers
     sum_rate: np.ndarray
     ee: np.ndarray
     k_out_dl: np.ndarray  # (strategies, trials, caps_dl)
@@ -554,14 +547,14 @@ class _Chunk:
 
     def outcome(self, powers: _Powers) -> _Cells:
         """Outage counts at every cap and the EE of the configured strategies."""
-        dl, ul, total = powers.dl, powers.ul, powers.total
+        dl, ul = powers.dl, powers.ul
         # downlink_uop: tail sums from the smallest power up, sorted once for
         # every cap
         tails = np.sort(dl, axis=-1)
         np.cumsum(tails, axis=-1, out=tails)
         k_out_dl = (tails[..., None, :] > self.caps_dl[:, None]).sum(axis=-1)
         k_out_ul = (ul[..., None, :] > self.caps_ul[:, None]).sum(axis=-1)
-        sum_rate, power = np.broadcast_to(self.sum_rate, total.shape), total
+        sum_rate, power = np.broadcast_to(self.sum_rate, powers.total.shape), powers.total
         if self.config.ee_served_only:
             (cap_dl,), (cap_ul,) = self.base_caps
             shed_count = (tails > cap_dl).sum(axis=-1)
@@ -571,17 +564,16 @@ class _Chunk:
             served_dl = np.empty(dl.shape, dtype=bool)
             np.put_along_axis(served_dl, heaviest,
                               np.arange(dl.shape[-1]) >= shed_count[..., None], axis=-1)
-            served_ul = ~(ul > cap_ul)
-            # slot by slot, downlink before uplink; a skipped term adds 0.0
-            rates_dl, rates_ul = (np.take(r, powers.slots) for r in (self.rates_dl, self.rates_ul))
-            sum_rate = np.cumsum(_interleave(np.where(served_dl, rates_dl, 0.0),
-                                             np.where(served_ul, rates_ul, 0.0)),
-                                 axis=-1)[..., -1]
-            power = np.cumsum(_interleave(np.where(served_dl, dl, 0.0),
-                                          np.where(served_ul, ul, 0.0)), axis=-1)[..., -1]
+            # links last, (..., users, 2): flat, the terms go slot by slot,
+            # downlink before uplink; a skipped term adds 0.0
+            served = np.stack((served_dl, ~(ul > cap_ul)), axis=-1)
+            rates = np.stack((self.rates_dl, self.rates_ul), axis=-1).reshape(-1, 2)[powers.slots]
+            flat = dl.shape[:-1] + (-1,)
+            sum_rate, power = (np.cumsum(np.where(served, t, 0.0).reshape(flat), axis=-1)[..., -1]
+                               for t in (rates, np.stack((dl, ul), axis=-1)))
         with np.errstate(divide="ignore", invalid="ignore"):
             ee = np.where(power > 0.0, sum_rate / power, 0.0)
-        return _Cells(dl, ul, total, sum_rate, ee, k_out_dl, k_out_ul)
+        return _Cells(powers, sum_rate, ee, k_out_dl, k_out_ul)
 
 
 def _evaluate(
@@ -633,12 +625,12 @@ def evaluate_population(
                 pairing=pairing,
                 method_used=method,
                 sum_rate=float(cell.sum_rate[row, 0]),
-                total_power=float(cell.total[row, 0]),
+                total_power=float(cell.powers.total[row, 0]),
                 ee=float(cell.ee[row, 0]),
                 outage_dl=LinkOutage(k_dl, k_dl / n),
                 outage_ul=LinkOutage(k_ul, k_ul / n),
-                dl_powers=tuple(cell.dl[row, 0].tolist()),
-                ul_powers=tuple(cell.ul[row, 0].tolist()),
+                dl_powers=tuple(cell.powers.dl[row, 0].tolist()),
+                ul_powers=tuple(cell.powers.ul[row, 0].tolist()),
             )
     return out
 
@@ -660,13 +652,11 @@ def _chunk_values(config: ScenarioConfig, trials: range, caps_dl, caps_ul) -> np
     population = _population_from_words(config, trials, words)
     cells, _ = _evaluate(config, population, caps_dl, caps_ul)
     n = config.num_users
-    columns = []
-    for name in config.pairings:
-        cell = cells[name]
-        block = np.concatenate((cell.ee[..., None], cell.total[..., None], cell.k_out_dl / n,
-                                cell.k_out_ul / n), axis=-1)  # (strategies, trials, width)
-        columns.append(block.transpose(1, 0, 2).reshape(len(trials), -1))
-    return np.concatenate(columns, axis=1)
+    blocks = [np.concatenate((cell.ee[..., None], cell.powers.total[..., None],
+                              cell.k_out_dl / n, cell.k_out_ul / n), axis=-1)
+              for cell in map(cells.get, config.pairings)]
+    # (cells, trials, width), one row per trial
+    return np.concatenate(blocks).transpose(1, 0, 2).reshape(len(trials), -1)
 
 
 def _trial_ranges(trials: int, workers: int) -> list[range]:
@@ -845,19 +835,11 @@ def two_user_sweep(config: ScenarioConfig) -> list[CampaignSummary]:
             far = UserPosition(float(value), min(r, sys.float_info.max))
         points.append([UserNode(near, qos), UserNode(far, qos)])
     # channel pairing of two users is their one pair, roles by gain
-    pair_config = replace(config, pairings=("channel",), ee_served_only=False)
+    pair_config = replace(config, num_users=2, trials=1, pairings=("channel",),
+                          ee_served_only=False)
     cell = _evaluate(pair_config, _population_of(points), *_base_caps(config))[0]["channel"]
-    ee, total = cell.ee.tolist(), cell.total.tolist()  # (strategies, points)
-    return [
-        CampaignSummary(
-            scenario_id=config.scenario_id,
-            num_users=2,
-            trials=1,
-            seed=config.seed,
-            cells={(s.value, "none"): CellSummary(ee[row][i], total[row][i], None, None)
-                   for row, s in enumerate(config.strategies)},
-            sweep_parameter="r_far" if mode == "horizontal" else "l_far",
-            sweep_value=float(value),
-        )
-        for i, value in enumerate(values)
-    ]
+    parameter = "r_far" if mode == "horizontal" else "l_far"
+    return [_summary(pair_config, {(s.value, "none"): CellSummary(ee, total, None, None)
+                                   for s, ee, total in zip(config.strategies, ees, totals)},
+                     sweep_parameter=parameter, sweep_value=float(value))
+            for value, ees, totals in zip(values, cell.ee.T.tolist(), cell.powers.total.T.tolist())]

@@ -478,6 +478,11 @@ class TestDispatch:
         with pytest.raises(ValueError):
             UserPair(0, 1, 3e-6, 2e-6)
 
+    def test_allocate_refuses_an_unknown_strategy(self):
+        qos = QosRates(1.0, 1.0)
+        with pytest.raises(ValueError, match="^unknown strategy fdma$"):
+            allocate("fdma", golden_pair(), qos, qos, PZ)
+
 
 class TestQosRates:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])

@@ -207,6 +207,18 @@ class TestCliRuns:
         assert counts == [0, 2]  # three one-trial ranges; no process for 1 worker
         assert outs[0].read_bytes() == outs[1].read_bytes()
 
+    def test_summary_of_an_output_not_named_csv_keeps_the_whole_name(self, tmp_path, capsys):
+        scenario = write(tmp_path, "s.cfg", MINIMAL)
+        assert main(["campaign", "--scenario", str(scenario), "--out", str(tmp_path / "c.out")]) == 0
+        assert json.loads((tmp_path / "c.out.summary.json").read_text())["output_csv"] == "c.out"
+        assert capsys.readouterr().out.endswith(" and c.out.summary.json\n")
+
+    def test_run_refuses_an_unknown_command(self, tmp_path):
+        out = tmp_path / "x.csv"
+        with pytest.raises(ValueError, match="^unknown command 'sweep'$"):
+            run("sweep", ScenarioConfig(num_users=4, trials=2), out)
+        assert not out.exists()
+
     def test_summary_document_echoes_config(self, tmp_path):
         scenario = write(tmp_path, "s.cfg", MINIMAL + "seed = 9\nqos_set = 1, 2\n")
         out = tmp_path / "c.csv"
@@ -270,6 +282,35 @@ class TestExitCodes:
         assert main([command, "--scenario", str(scenario),
                      "--out", str(tmp_path / "x.csv")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lines, message", [
+        ("strategies = ,", "strategies must not be empty"),
+        ("pairing = ,", "pairing methods must not be empty"),
+        ("qos_pairing_key = max", "unknown qos_pairing_key 'max'"),
+        ("sweep_mode = diagonal", "sweep_mode must be"),
+        ("sweep_values = ,", "sweep_values must not be empty"),
+        ("sweep_values = 1, inf", "sweep_values must be finite"),
+        ("uop_sweep_link = both", "uop_sweep_link must be"),
+        ("uop_sweep_grid = 1, 0", "uop_sweep_grid values must be positive"),
+        ("l_max = far", "field 'l_max': not a number"),
+        ("ee_served_only = maybe", "field 'ee_served_only': not a boolean"),
+        ("seed =", "field 'seed': empty value"),
+        ("area_m2 = 0", "area must be positive"),
+        ("refractive_index = 1e200", "gain constant of"),
+        ("semi_angle_deg = 1e-10", "gain constant of semi_angle_deg"),
+        ("noise_psd = 1e200\nbandwidth_hz = 1e200", "noise power psd * bandwidth"),
+        # a subnormal noise power has lost precision bits
+        ("noise_psd = 1e-315\nbandwidth_hz = 1", "noise power psd * bandwidth"),
+        ("noise_psd = 1e-300\nbandwidth_hz = 1e-20", "noise power psd * bandwidth"),
+    ])
+    def test_each_refusal_of_a_scenario_file_names_its_field(self, tmp_path, capsys, lines,
+                                                             message):
+        scenario = write(tmp_path, "s.cfg", MINIMAL + lines + "\n")
+        assert main(["campaign", "--scenario", str(scenario),
+                     "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "scenario error" in err
+        assert message in err
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_is_a_usage_error(self, tmp_path, capsys, workers):

@@ -140,6 +140,15 @@ class TestQosPairing:
         with pytest.raises(ValueError, match="^rate arrays must be 1-D and equally shaped$"):
             pair_by_qos(rates_dl, rates_ul, np.array([1e-6, 2e-6]))
 
+    @pytest.mark.parametrize("pairing, args, message", [
+        (pair_by_qos, ([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [1e-6, 2e-6]),
+         "^rates and gains must cover the same users$"),
+        (pair_by_channel, ([[1e-6, 2e-6]],), "^the gain array must be 1-D$"),
+    ], ids=["rates-and-gains-differ", "gains-not-1d"])
+    def test_a_malformed_population_is_refused(self, pairing, args, message):
+        with pytest.raises(ValueError, match=message):
+            pairing(*args)
+
     @pytest.mark.parametrize("key", QOS_SORT_KEYS)
     def test_sort_values_of_a_chunk_are_those_of_its_trials(self, key):
         # the engine sorts (trials, users) arrays with the same key rule
