@@ -145,10 +145,9 @@ def los_gain(
 
     ``tan_fov``, ``exponent`` and ``constant`` are a front end's
     :attr:`OpticalFrontEnd.gain_terms`. This is the scalar reference of the
-    batched engine, which evaluates the same expression on arrays and keeps
-    the ``math`` calls for ``cos(atan(.)) ** exponent``, so both paths agree
-    to the last bit (NumPy's vectorized ``cos``/``arctan`` may round
-    differently).
+    batched engine, which takes ``cos(atan(r / l))`` as ``l / sqrt(l^2 +
+    r^2)`` on arrays: the same FOV test gives the same zeros, and a positive
+    gain may differ in the last few bits.
     """
     ratio = horizontal / vertical
     if ratio > tan_fov:

@@ -16,10 +16,12 @@ computed in one pass with the strategies on a leading axis. Adaptive
 pairing picks its powers per trial before outage is counted, so outage and
 EE are counted once per reported pairing. The scalar closed forms in
 :mod:`.allocation`, :mod:`.pairing` and :mod:`.metrics` are the reference
-the chunked arrays reproduce bit for bit: gains are
-:func:`.channel.los_gain` on arrays, with its ``math`` (libm) calls kept,
-rate factors come from the scalar ``2 ** (2R)`` once per distinct rate
-(OMA's is a product of two), and every sum adds its terms in scalar order.
+the chunked arrays reproduce bit for bit from the gains on: rate factors
+come from the scalar ``2 ** (2R)`` once per distinct rate (OMA's is a
+product of two), and every sum adds its terms in scalar order. The gains
+are :func:`.channel.los_gain` on arrays with ``cos(atan(r / l))`` taken as
+``l / sqrt(l^2 + r^2)``: out-of-FOV zeros are exact, and a positive gain is
+within a relative ``eps * (6 + (m + 1) * (3 + 2 r / l))`` of ``los_gain``'s.
 
 Energy efficiency is computed from the full (pre-cap) minimum powers by
 default; the power caps only enter the outage statistics. Setting
@@ -34,6 +36,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -181,6 +184,11 @@ class ScenarioConfig:
         for name in self.pairings:
             if name not in PAIRING_METHODS:
                 problems.append(f"unknown pairing method {name!r}, expected one of {PAIRING_METHODS}")
+        named = {"strategies": [getattr(s, "value", s) for s in self.strategies or ()],
+                 "pairings": list(self.pairings)}
+        for name, entries in named.items():
+            if repeated := [entry for i, entry in enumerate(entries) if entry in entries[:i]]:
+                problems.append(f"{name} must not repeat {repeated[0]!r}")
         if self.qos_pairing_key not in QOS_SORT_KEYS:
             problems.append(
                 f"unknown qos_pairing_key {self.qos_pairing_key!r}, expected one of {QOS_SORT_KEYS}"
@@ -372,22 +380,19 @@ def _population_of(rows: Sequence[Sequence[UserNode]]) -> _Population:
 
 
 def _gains(front_end: OpticalFrontEnd, population: _Population) -> np.ndarray:
-    """:func:`.channel.los_gain` of every user, bit for bit.
+    """:func:`.channel.los_gain` of every user, on arrays.
 
-    Its arithmetic runs on the arrays; ``cos(atan(r / l)) ** (m + 1)`` stays
-    with the ``math`` functions, mapped over the ratios, because NumPy's
-    vectorized ``cos``/``arctan`` may round differently. Out-of-FOV users
-    get 0.
+    ``cos(atan(r / l))`` is ``l / sqrt(l^2 + r^2)``, so no libm call is made
+    per user, and a positive gain may differ from ``los_gain``'s in its last
+    bits, within the bound the module docstring states. The FOV mask is
+    ``los_gain``'s own ``r / l > tan(FOV)``, so out-of-FOV users get exactly 0.
     """
     tan_fov, exponent, constant = front_end.gain_terms
     vertical, horizontal = population.vertical, population.horizontal
     with np.errstate(over="ignore"):  # an overflow is inf, as in los_gain
-        ratio = horizontal / vertical
         reach = vertical * vertical + horizontal * horizontal
-    cosines = map(math.cos, map(math.atan, ratio.ravel().tolist()))
-    attenuation = np.fromiter(map(math.pow, cosines, repeat(exponent)), float, ratio.size)
-    gains = constant / reach * attenuation.reshape(ratio.shape)
-    return np.where(ratio > tan_fov, 0.0, gains)
+        gains = constant / reach * (vertical / np.sqrt(reach)) ** exponent
+        return np.where(horizontal / vertical > tan_fov, 0.0, gains)
 
 
 def _opa_powers(pz: float, h_far, h_near, factors) -> tuple:
@@ -538,11 +543,12 @@ class _Chunk:
         # an infeasible pair goes out whole: all four demands unbounded
         for slot in pairs:
             np.copyto(slot, math.inf, where=infeasible)
-        # pair by pair, each ((far_dl + near_dl) + far_ul) + near_ul, then the
-        # leftover user's two links; OPA's own powers sum to inf at an
-        # infeasible pair without the mask
-        total, opa_total = (np.cumsum(((p[0] + p[1]) + p[2]) + p[3], axis=-1)[..., -1] + leftover
-                            for p in (pairs, opa))
+        # pair by pair, each ((far_dl + near_dl) + far_ul) + near_ul, one column
+        # add at a time, then the leftover user's two links; OPA's own powers
+        # sum to inf at an infeasible pair without the mask
+        sums = (((p[0] + p[1]) + p[2]) + p[3] for p in (pairs, opa))
+        total, opa_total = (reduce(np.add, (s[..., k] for k in range(half))) + leftover
+                            for s in sums)
         return _Powers(dl, ul, total, opa_total, slots)
 
     def outcome(self, powers: _Powers) -> _Cells:

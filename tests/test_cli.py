@@ -286,6 +286,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("lines, message", [
         ("strategies = ,", "strategies must not be empty"),
         ("pairing = ,", "pairing methods must not be empty"),
+        ("strategies = opa, oma, opa", "strategies must not repeat 'opa'"),
+        ("pairing = channel, channel", "pairings must not repeat 'channel'"),
         ("qos_pairing_key = max", "unknown qos_pairing_key 'max'"),
         ("sweep_mode = diagonal", "sweep_mode must be"),
         ("sweep_values = ,", "sweep_values must not be empty"),

@@ -1,13 +1,17 @@
-"""Chunked array engine against the scalar closed forms, compared exactly.
+"""Chunked array engine against the scalar closed forms.
 
 The oracle below evaluates one population pair by pair with the reference
 functions (``make_pair`` through the scalar pairings, ``allocate``,
 ``single_user_allocation``, ``downlink_uop``/``uplink_uop`` and the outage
-masks). The engine must reproduce every value bit for bit, ``inf``
-patterns included, so every comparison is ``==``.
+masks), from the engine's own gains. From the gains on, the engine must
+reproduce every value bit for bit, ``inf`` patterns included, so every
+comparison is ``==``. The gains themselves are not libm's: they are held
+to :func:`.channel.los_gain` by a declared relative bound, with the zero
+pattern exact, and to a 40-digit ``decimal`` value by a bound in ulp.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -36,14 +40,14 @@ from lifi_noma import (
 from lifi_noma.metrics import downlink_outage_mask, uplink_outage_mask
 from lifi_noma.pairing import opa_total_power
 from lifi_noma.channel import los_gain
-from lifi_noma.simulation import CHUNK, CellResult, _gains, _Population, population_gains
+from lifi_noma.simulation import CHUNK, CellResult, _gains, _Population, _population_of
 
 PAIRINGS = ("channel", "qos", "adaptive")
 
 
 def oracle_powers(config, users):
     """Per (strategy, pairing): method, slot users, slot powers and total."""
-    gains = population_gains(users, config.front_end)
+    gains = _gains(config.front_end, _population_of([users]))[0]
     rates_dl = np.array([u.qos.downlink for u in users])
     rates_ul = np.array([u.qos.uplink for u in users])
     pz = config.noise_power
@@ -268,7 +272,7 @@ def test_adaptive_guard_resolves_rounding_ties_to_channel():
     for trial in range(100):
         users = sample_users(config, trial)
         assert evaluate_population(config, users) == oracle_cells(config, users)
-        gains = population_gains(users, config.front_end)
+        gains = _gains(config.front_end, _population_of([users]))[0]
         ones = np.ones(len(users))
         total_channel, total_qos = (
             opa_total_power(outcome, ones, ones, gains, noise_power=config.noise_power)
@@ -278,12 +282,15 @@ def test_adaptive_guard_resolves_rounding_ties_to_channel():
     assert ties
 
 
-@pytest.mark.parametrize("front_end", [
-    OpticalFrontEnd(),
-    OpticalFrontEnd(semi_angle_deg=15.0, fov_half_angle_deg=40.0),
-    OpticalFrontEnd(semi_angle_deg=85.0, fov_half_angle_deg=89.0),
-], ids=["desk", "narrow", "wide"])
-def test_gains_equal_los_gain_per_user(front_end):
+FRONT_ENDS = {
+    "desk": OpticalFrontEnd(),
+    "narrow": OpticalFrontEnd(semi_angle_deg=15.0, fov_half_angle_deg=40.0),
+    "wide": OpticalFrontEnd(semi_angle_deg=85.0, fov_half_angle_deg=89.0),
+}
+
+
+def gain_positions(front_end):
+    """Heights and distances from the axis, half of the random ones out of FOV."""
     tan_fov = front_end.gain_terms[0]
     rng = np.random.default_rng(17)
     vertical = np.concatenate([
@@ -294,18 +301,66 @@ def test_gains_equal_los_gain_per_user(front_end):
         [1e85, 1e85, 3e84],
     ])
     horizontal = np.concatenate([
-        vertical[:2000] * rng.uniform(0.0, 2.0 * tan_fov, 2000),  # half out of FOV
+        vertical[:2000] * rng.uniform(0.0, 2.0 * tan_fov, 2000),
         [tan_fov, 2.0 * tan_fov, 0.25 * tan_fov],
         [0.0, 1e84, 1e84],
     ])
+    return vertical, horizontal
+
+
+def engine_gains(front_end, vertical, horizontal):
     rows = np.stack([vertical, horizontal]).reshape(2, 2, -1)  # a chunk of 2 trials
     zeros = np.zeros(rows[0].shape)
     got = _gains(front_end, _Population(rows[0], rows[1], zeros, zeros, zeros))
-    want = [los_gain(l, r, *front_end.gain_terms) for l, r in zip(vertical, horizontal)]
     assert got.shape == rows[0].shape
-    assert got.ravel().tolist() == want
-    assert 0.0 < min(want[2000:])  # the edge and the far users are visible
-    assert want.count(0.0) > 500  # out-of-FOV users
+    return got.ravel()
+
+
+@pytest.mark.parametrize("front_end", list(FRONT_ENDS.values()), ids=list(FRONT_ENDS))
+def test_gains_track_los_gain_per_user(front_end):
+    vertical, horizontal = gain_positions(front_end)
+    exponent = front_end.gain_terms[1]
+    got = engine_gains(front_end, vertical, horizontal)
+    want = np.array([los_gain(l, r, *front_end.gain_terms)
+                     for l, r in zip(vertical.tolist(), horizontal.tolist())])
+    # the zero pattern is exact: the FOV edge and the far users are visible,
+    # the users past the edge are not
+    assert ((got == 0.0) == (want == 0.0)).all()
+    assert 0.0 < want[2000:].min()
+    assert (want == 0.0).sum() > 500
+    # The engine takes cos(atan(x)) as l / sqrt(l^2 + r^2), x = r / l. Each
+    # form is off the exact gain by a few rounding errors, times the exponent
+    # for the attenuation; los_gain's atan rounding is also amplified by
+    # x * atan(x) in its cosine, which grows without bound toward 90
+    # degrees. Summed over both forms, in units of eps:
+    visible = want > 0.0
+    bound = np.finfo(float).eps * (6.0 + exponent * (3.0 + 2.0 * horizontal / vertical))
+    assert (np.abs(got - want)[visible] <= bound[visible] * want[visible]).all()
+
+
+@pytest.mark.parametrize("front_end", list(FRONT_ENDS.values()), ids=list(FRONT_ENDS))
+def test_gains_are_within_k_ulp_of_the_exact_gain(front_end):
+    # Exact: C * l^e / (l^2 + r^2)^(1 + e / 2), e = m + 1, at 40 digits from
+    # the same float l, r, C and e. The array form rounds l^2, r^2, their
+    # sum, sqrt, l / sqrt, C / reach and the product once each (relative
+    # u = eps / 2 apiece) and np.power once, within 1 ulp; the cosine's 3u
+    # grows e-fold under the power. So 6u + 3e u at most, or 3e + 6 ulp.
+    _, exponent, constant = front_end.gain_terms
+    vertical, horizontal = gain_positions(front_end)
+    got = engine_gains(front_end, vertical, horizontal)
+    k = 3.0 * exponent + 6.0
+    e, c = Decimal(exponent), Decimal(constant)
+    checked = 0
+    with localcontext() as context:
+        context.prec = 40
+        for l, r, gain in zip(vertical.tolist(), horizontal.tolist(), got.tolist()):
+            if gain == 0.0:
+                continue
+            l, r = Decimal(l), Decimal(r)
+            exact = float(c * l ** e / (l * l + r * r) ** (1 + e / 2))
+            assert abs(gain - exact) <= k * math.ulp(exact), (l, r)
+            checked += 1
+    assert checked > 1000
 
 
 def user(vertical, horizontal, rate_dl, rate_ul):

@@ -3,8 +3,10 @@
 The recorded files are the CLI's output for each scenario in
 ``scenarios/``; the campaign was run with ``--trials 300``. A refactor of
 the engine must reproduce them: text fields exactly, floats within a
-relative 1e-12, which leaves room for last-bit differences between libm
-builds on other machines (on one machine the bytes are identical).
+relative 1e-12. That leaves room for last-bit differences between NumPy
+and libm builds on other machines, and for the engine's array gains,
+which are not bit-equal to the libm gains the files were recorded with
+(the means move by at most 2.5e-15 relative here).
 """
 
 import csv

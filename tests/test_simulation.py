@@ -18,6 +18,7 @@ from lifi_noma import (
     QosRates,
     ScenarioConfig,
     ScenarioValidationError,
+    Strategy,
     UserNode,
     UserPosition,
     evaluate_population,
@@ -283,6 +284,15 @@ class TestConfigValidation:
     def test_unknown_pairing_rejected(self):
         with pytest.raises(ScenarioValidationError):
             desk_config(pairings=("greedy",))
+
+    @pytest.mark.parametrize("field, value, entry", [
+        ("strategies", (Strategy.OPA, Strategy.GRPA, Strategy.OPA), "'opa'"),
+        ("pairings", ("channel", "qos", "channel"), "'channel'"),
+    ])
+    def test_repeated_entries_are_refused_by_name(self, field, value, entry):
+        # a repeat would be evaluated again, then collapse to one cell
+        with pytest.raises(ScenarioValidationError, match=f"^{field} must not repeat {entry}$"):
+            desk_config(**{field: value})
 
     def test_bad_bounds_rejected(self):
         with pytest.raises(ScenarioValidationError):
