@@ -60,76 +60,73 @@ class ScenarioParseError(Exception):
     """The scenario file is not well-formed; message carries line numbers."""
 
 
-def _parse_int(field: str, text: str, line_no: int) -> int:
+def _parse_int(text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ScenarioParseError(
-            f"line {line_no}: field {field!r}: not an integer: {text!r}"
-        ) from None
+        raise ValueError(f"not an integer: {text!r}") from None
 
 
-def _parse_float(field: str, text: str, line_no: int) -> float:
+def _parse_float(text: str) -> float:
     try:
         value = float(text)  # accepts 'inf' for the power caps
     except ValueError:
         value = math.nan
     if math.isnan(value):
-        raise ScenarioParseError(f"line {line_no}: field {field!r}: not a number: {text!r}")
+        raise ValueError(f"not a number: {text!r}")
     return value
 
 
-def _parse_floats(field: str, text: str, line_no: int) -> tuple[float, ...]:
-    return tuple(_parse_float(field, s.strip(), line_no) for s in text.split(",") if s.strip())
+def _parse_floats(text: str) -> tuple[float, ...]:
+    return tuple(_parse_float(s.strip()) for s in text.split(",") if s.strip())
 
 
-def _parse_names(field: str, text: str, line_no: int) -> tuple[str, ...]:
+def _parse_names(text: str) -> tuple[str, ...]:
     return tuple(s.strip().lower() for s in text.split(",") if s.strip())
 
 
-def _parse_bool(field: str, text: str, line_no: int) -> bool:
+def _parse_bool(text: str) -> bool:
     lowered = text.lower()
     if lowered in ("true", "yes", "1"):
         return True
     if lowered in ("false", "no", "0"):
         return False
-    raise ScenarioParseError(f"line {line_no}: field {field!r}: not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
-def _parse_text(field: str, text: str, line_no: int) -> str:
-    return text
+# The parts of a config that scenario keys set field by field.
+_PARTS = {"front_end": OpticalFrontEnd, "noise": NoiseModel, "limits": PowerLimits}
 
-
-# Each scenario key: its parser, the part of the config it sets, its field there.
+# Each scenario key: its parser, the part it sets (None: the config itself), its field there.
 _KEYS = {
-    "scenario_id": (_parse_text, ScenarioConfig, "scenario_id"),
-    "num_users": (_parse_int, ScenarioConfig, "num_users"),
-    "trials": (_parse_int, ScenarioConfig, "trials"),
-    "seed": (_parse_int, ScenarioConfig, "seed"),
-    "qos_set": (_parse_floats, ScenarioConfig, "qos_set"),
-    "l_min": (_parse_float, ScenarioConfig, "l_min"),
-    "l_max": (_parse_float, ScenarioConfig, "l_max"),
-    "r_max": (_parse_float, ScenarioConfig, "r_max"),
-    "semi_angle_deg": (_parse_float, OpticalFrontEnd, "semi_angle_deg"),
-    "responsivity": (_parse_float, OpticalFrontEnd, "responsivity"),
-    "area_m2": (_parse_float, OpticalFrontEnd, "area"),
-    "fov_half_angle_deg": (_parse_float, OpticalFrontEnd, "fov_half_angle_deg"),
-    "filter_gain": (_parse_float, OpticalFrontEnd, "filter_gain"),
-    "refractive_index": (_parse_float, OpticalFrontEnd, "refractive_index"),
-    "noise_psd": (_parse_float, NoiseModel, "psd"),
-    "bandwidth_hz": (_parse_float, NoiseModel, "bandwidth"),
-    "p_max_dl": (_parse_float, PowerLimits, "max_total_dl"),
-    "p_max_ul": (_parse_float, PowerLimits, "max_per_user_ul"),
-    "strategies": (_parse_names, ScenarioConfig, "strategies"),
-    "pairing": (_parse_names, ScenarioConfig, "pairings"),
-    "qos_pairing_key": (_parse_text, ScenarioConfig, "qos_pairing_key"),
-    "qos_coupled_links": (_parse_bool, ScenarioConfig, "qos_coupled_links"),
-    "ee_served_only": (_parse_bool, ScenarioConfig, "ee_served_only"),
-    "sweep_mode": (_parse_text, ScenarioConfig, "sweep_mode"),
-    "sweep_values": (_parse_floats, ScenarioConfig, "sweep_values"),
-    "sweep_rate": (_parse_float, ScenarioConfig, "sweep_rate"),
-    "uop_sweep_link": (_parse_text, ScenarioConfig, "uop_sweep_link"),
-    "uop_sweep_grid": (_parse_floats, ScenarioConfig, "uop_sweep_grid"),
+    "scenario_id": (str, None, "scenario_id"),
+    "num_users": (_parse_int, None, "num_users"),
+    "trials": (_parse_int, None, "trials"),
+    "seed": (_parse_int, None, "seed"),
+    "qos_set": (_parse_floats, None, "qos_set"),
+    "l_min": (_parse_float, None, "l_min"),
+    "l_max": (_parse_float, None, "l_max"),
+    "r_max": (_parse_float, None, "r_max"),
+    "semi_angle_deg": (_parse_float, "front_end", "semi_angle_deg"),
+    "responsivity": (_parse_float, "front_end", "responsivity"),
+    "area_m2": (_parse_float, "front_end", "area"),
+    "fov_half_angle_deg": (_parse_float, "front_end", "fov_half_angle_deg"),
+    "filter_gain": (_parse_float, "front_end", "filter_gain"),
+    "refractive_index": (_parse_float, "front_end", "refractive_index"),
+    "noise_psd": (_parse_float, "noise", "psd"),
+    "bandwidth_hz": (_parse_float, "noise", "bandwidth"),
+    "p_max_dl": (_parse_float, "limits", "max_total_dl"),
+    "p_max_ul": (_parse_float, "limits", "max_per_user_ul"),
+    "strategies": (_parse_names, None, "strategies"),
+    "pairing": (_parse_names, None, "pairings"),
+    "qos_pairing_key": (str, None, "qos_pairing_key"),
+    "qos_coupled_links": (_parse_bool, None, "qos_coupled_links"),
+    "ee_served_only": (_parse_bool, None, "ee_served_only"),
+    "sweep_mode": (str, None, "sweep_mode"),
+    "sweep_values": (_parse_floats, None, "sweep_values"),
+    "sweep_rate": (_parse_float, None, "sweep_rate"),
+    "uop_sweep_link": (str, None, "uop_sweep_link"),
+    "uop_sweep_grid": (_parse_floats, None, "uop_sweep_grid"),
 }
 
 
@@ -152,64 +149,63 @@ def _parse_file(path: Path) -> dict:
         value = value.strip()
         if key not in _KEYS:
             problems.append(f"line {line_no}: unknown field {key!r}")
-            continue
-        if key in raw:
+        elif key in raw:
             problems.append(f"line {line_no}: duplicate field {key!r}")
-            continue
-        if not value:
-            problems.append(f"line {line_no}: field {key!r}: empty value")
-            continue
-        try:
-            raw[key] = _KEYS[key][0](key, value, line_no)
-        except ScenarioParseError as err:
-            problems.append(str(err))
+        else:
+            try:
+                if not value:
+                    raise ValueError("empty value")
+                raw[key] = _KEYS[key][0](value)
+            except ValueError as err:
+                problems.append(f"line {line_no}: field {key!r}: {err}")
     if problems:
         raise ScenarioParseError("\n".join(problems))
     return raw
 
 
 def _strategies_from_tokens(tokens) -> tuple[Strategy, ...]:
-    values = []
-    for token in tokens:
-        try:
-            values.append(Strategy(token))
-        except ValueError:
-            valid = ", ".join(s.value for s in Strategy)
-            raise ScenarioValidationError(
-                [f"unknown strategy {token!r}, expected one of: {valid}"]
-            ) from None
-    return tuple(values)
+    valid = {s.value: s for s in Strategy}
+    if unknown := [t for t in tokens if t not in valid]:
+        raise ScenarioValidationError([f"unknown strategy {t!r}, expected one of: "
+                                       f"{', '.join(valid)}" for t in unknown])
+    return tuple(valid[t] for t in tokens)
 
 
 def load_scenario(path) -> ScenarioConfig:
-    """Parse and validate a scenario file into a fully resolved config.
+    """Read a scenario file into a fully resolved config, in three stages.
 
-    Omitted physical parameters take the reference defaults; ``num_users``
-    and ``trials`` are required. Raises :class:`ScenarioParseError` for
-    malformed text and :class:`ScenarioValidationError` (listing every
-    violated invariant) for bad values.
+    1. Text: every line is read and converted; :class:`ScenarioParseError`
+       lists each malformed line by number and field.
+    2. Parts: the optics, noise and power caps are built one at a time;
+       :class:`ScenarioValidationError` lists each refused part together with
+       the missing required fields (``num_users``, ``trials``) and every
+       unknown strategy.
+    3. Config: :class:`ScenarioConfig` checks its own invariants, listing
+       every violation, once the parts are valid.
+
+    Omitted physical parameters take the reference defaults.
     """
     path = Path(path)
-    parts = {part: {} for part in (OpticalFrontEnd, NoiseModel, PowerLimits, ScenarioConfig)}
+    config, fields = {"scenario_id": path.stem}, {name: {} for name in _PARTS}
     for key, value in _parse_file(path).items():
         _, part, field = _KEYS[key]
-        parts[part][field] = value
-    config = parts.pop(ScenarioConfig)
+        (fields[part] if part else config)[field] = value
 
     problems = [f"required field missing: {key}" for key in ("num_users", "trials")
                 if key not in config]
+    for name, part in _PARTS.items():
+        try:
+            config[name] = part(**fields[name])
+        except ValueError as err:
+            problems.append(str(err))
+    if "strategies" in config:
+        try:
+            config["strategies"] = _strategies_from_tokens(config["strategies"])
+        except ScenarioValidationError as err:
+            problems += err.problems
     if problems:
         raise ScenarioValidationError(problems)
-
-    try:
-        front_end, noise, limits = (part(**fields) for part, fields in parts.items())
-    except ValueError as err:
-        raise ScenarioValidationError([str(err)]) from None
-
-    if "strategies" in config:
-        config["strategies"] = _strategies_from_tokens(config["strategies"])
-    config.setdefault("scenario_id", path.stem)
-    return ScenarioConfig(front_end=front_end, noise=noise, limits=limits, **config)
+    return ScenarioConfig(**config)
 
 
 def _format_cell(value) -> str:
@@ -339,9 +335,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides["seed"] = args.seed
         if args.strategies is not None:
-            overrides["strategies"] = _strategies_from_tokens(
-                t.lower() for t in args.strategies
-            )
+            overrides["strategies"] = _strategies_from_tokens([t.lower() for t in args.strategies])
         if args.pairing is not None:
             overrides["pairings"] = tuple(t.lower() for t in args.pairing)
         if overrides:

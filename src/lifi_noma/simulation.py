@@ -151,13 +151,22 @@ class ScenarioConfig:
                     problems.append(f"{name} must be >= {least}, got {value}")
             except TypeError:
                 problems.append(f"{name} must be an integer, got {value!r}")
+        listed = (list, tuple)
+        kinds = {"scenario_id": (str,), "front_end": (OpticalFrontEnd,), "noise": (NoiseModel,),
+                 "limits": (PowerLimits,), "strategies": listed, "pairings": listed,
+                 "qos_set": listed, "uop_sweep_grid": listed,
+                 "sweep_values": (*listed, type(None))}
+        wrong = {name: f"{name} must be of type {' or '.join(k.__name__ for k in kind)}, "
+                       f"got {getattr(self, name)!r}"
+                 for name, kind in kinds.items() if not isinstance(getattr(self, name), kind)}
         reals = {"l_min": [self.l_min], "l_max": [self.l_max], "r_max": [self.r_max],
                  "sweep_rate": [self.sweep_rate], "qos_set": self.qos_set,
                  "uop_sweep_grid": self.uop_sweep_grid, "sweep_values": self.sweep_values or ()}
-        wrong = [f"{name} must be real (a number, not a bool), got {getattr(self, name)!r}"
-                 for name, values in reals.items() if not all(map(_is_real, values))]
-        if wrong:  # the checks below compare these as numbers
-            raise ScenarioValidationError(problems + wrong)
+        wrong |= {name: f"{name} must be real (a number, not a bool), got {getattr(self, name)!r}"
+                  for name, values in reals.items()
+                  if name not in wrong and not all(map(_is_real, values))}
+        if wrong:  # the checks below use these as numbers, parts and lists
+            raise ScenarioValidationError(problems + list(wrong.values()))
         if not self.qos_set:
             problems.append("qos_set must not be empty")
         for name, rates in (("qos_set", self.qos_set), ("sweep_rate", (self.sweep_rate,))):
@@ -609,7 +618,7 @@ def _evaluate(
         powers["adaptive"] = _Powers(*map(np.where, (pick, pick, used_qos, used_qos, pick),
                                           qos, channel))
         del channel, qos
-    cells = {name: chunk.outcome(powers[name]) for name in dict.fromkeys(config.pairings)}
+    cells = {name: chunk.outcome(powers[name]) for name in config.pairings}
     return cells, used_qos
 
 
@@ -641,14 +650,11 @@ def evaluate_population(
     return out
 
 
-def _cell_keys(config: ScenarioConfig) -> list[tuple[str, str]]:
-    return [(s.value, p) for p in config.pairings for s in config.strategies]
-
-
 def _chunk_values(config: ScenarioConfig, trials: range, caps_dl, caps_ul) -> np.ndarray:
     """Per-trial values to average, one row per trial of the range.
 
-    Columns per cell, in :func:`_cell_keys` order: EE, total power, the
+    Columns per cell, pairing after pairing and strategy after strategy in
+    config order (the keys :func:`_reduce` builds): EE, total power, the
     downlink UOP at each of ``caps_dl``, the uplink UOP at each of ``caps_ul``.
     """
     words = np.empty((len(trials), _word_count(config)), dtype=np.uint64)
@@ -720,7 +726,7 @@ def _reduce(
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    keys = _cell_keys(config)
+    keys = [(s.value, p) for p in config.pairings for s in config.strategies]
     width = 2 + len(caps_dl) + len(caps_ul)
     ranges = _trial_ranges(config.trials, workers)
     workers = min(workers, len(ranges))

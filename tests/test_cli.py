@@ -5,6 +5,10 @@ import csv
 import json
 import math
 import multiprocessing.process
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +29,16 @@ from lifi_noma.cli import (
     run,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 MINIMAL = "num_users = 4\ntrials = 2\n"
+# stage 2 refuses the optics, the noise, the caps and two strategies; the bad
+# l_min waits for stage 3, which needs valid parts to build the config
+SIX_BAD_VALUES = MINIMAL + (
+    "area_m2 = 0\nnoise_psd = -1\np_max_dl = -2\nstrategies = opa, foo, bar\nl_min = -1\n"
+)
+STAGE_TWO_PROBLEMS = ("area must be positive", "noise PSD must be positive",
+                      "max_total_dl must be positive", "unknown strategy 'foo'",
+                      "unknown strategy 'bar'")
 
 
 def write(tmp_path, name, text):
@@ -99,6 +112,31 @@ class TestLoadScenario:
         with pytest.raises(ScenarioValidationError) as err:
             load_scenario(write(tmp_path, "s.cfg", MINIMAL + "strategies = opa, foo\n"))
         assert "foo" in str(err.value)
+
+    def test_every_refused_part_and_strategy_is_listed(self, tmp_path):
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(write(tmp_path, "s.cfg", SIX_BAD_VALUES))
+        assert len(err.value.problems) == len(STAGE_TWO_PROBLEMS)
+        for problem, message in zip(err.value.problems, STAGE_TWO_PROBLEMS):
+            assert message in problem
+        assert "l_min" not in str(err.value)
+
+    def test_missing_fields_are_listed_with_refused_parts(self, tmp_path):
+        with pytest.raises(ScenarioValidationError) as err:
+            load_scenario(write(tmp_path, "s.cfg", "trials = 2\nbandwidth_hz = 0\n"))
+        assert err.value.problems[0] == "required field missing: num_users"
+        assert "bandwidth must be positive" in err.value.problems[1]
+
+    def test_every_malformed_line_is_listed(self, tmp_path):
+        text = "num_users = four\ntrials = 2\nl_max = far\nseed =\nee_served_only = maybe\n"
+        with pytest.raises(ScenarioParseError) as err:
+            load_scenario(write(tmp_path, "s.cfg", text))
+        assert str(err.value).splitlines() == [
+            "line 1: field 'num_users': not an integer: 'four'",
+            "line 3: field 'l_max': not a number: 'far'",
+            "line 4: field 'seed': empty value",
+            "line 5: field 'ee_served_only': not a boolean: 'maybe'",
+        ]
 
     def test_invalid_physics_listed(self, tmp_path):
         with pytest.raises(ScenarioValidationError) as err:
@@ -314,6 +352,17 @@ class TestExitCodes:
         assert "scenario error" in err
         assert message in err
 
+    def test_every_unknown_strategy_override_is_named(self, tmp_path, capsys):
+        scenario = write(tmp_path, "s.cfg", MINIMAL)
+        out = tmp_path / "x.csv"
+        assert main(["campaign", "--scenario", str(scenario), "--out", str(out),
+                     "--strategies", "foo", "OPA", "bar"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown strategy 'foo'" in err
+        assert "unknown strategy 'bar'" in err
+        assert "'opa'" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_is_a_usage_error(self, tmp_path, capsys, workers):
         scenario = write(tmp_path, "s.cfg", MINIMAL)
@@ -356,3 +405,36 @@ class TestExitCodes:
         scenario = write(tmp_path, "s.cfg", MINIMAL)
         assert main(["campaign", "--scenario", str(scenario),
                      "--out", str(tmp_path / "no_dir" / "x.csv")]) == 3
+
+
+class TestProcess:
+    """The module run as a program: its exit status is the process's."""
+
+    def run_cli(self, tmp_path, *args):
+        path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+        return subprocess.run([sys.executable, "-m", "lifi_noma.cli", *map(str, args)],
+                              cwd=tmp_path, env={**os.environ, "PYTHONPATH": path},
+                              capture_output=True, text=True, timeout=120)
+
+    def test_campaign_exits_zero_and_writes_both_files(self, tmp_path):
+        result = self.run_cli(tmp_path, "campaign", "--scenario",
+                              ROOT / "scenarios" / "campaign_16users.cfg",
+                              "--trials", "20", "--out", "c.csv")
+        assert result.returncode == 0, result.stderr
+        assert len(read_rows(tmp_path / "c.csv")) == 12
+        assert json.loads((tmp_path / "c.summary.json").read_text())["trials"] == 20
+
+    def test_refused_scenario_exits_two_naming_each_problem(self, tmp_path):
+        scenario = write(tmp_path, "s.cfg", SIX_BAD_VALUES)
+        result = self.run_cli(tmp_path, "campaign", "--scenario", scenario, "--out", "x.csv")
+        assert result.returncode == 2
+        assert all(message in result.stderr for message in STAGE_TWO_PROBLEMS)
+        assert "Traceback" not in result.stderr
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_usage_error_exits_one(self, tmp_path):
+        scenario = write(tmp_path, "s.cfg", MINIMAL)
+        result = self.run_cli(tmp_path, "campaign", "--scenario", scenario, "--out", "x.csv",
+                              "--workers", "0")
+        assert result.returncode == 1
+        assert "--workers" in result.stderr

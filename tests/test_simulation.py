@@ -312,7 +312,9 @@ class TestConfigValidation:
         ("strategies", ("opa",)), ("num_users", 4.0), ("trials", 3.0), ("seed", 1.5),
         ("qos_coupled_links", "no"), ("ee_served_only", 1), ("l_min", "1.5"), ("l_max", "2"),
         ("r_max", None), ("uop_sweep_grid", ("a",)), ("qos_set", ("1",)), ("sweep_rate", "1"),
-        ("sweep_values", ("x",)), ("l_max", True)])
+        ("sweep_values", ("x",)), ("l_max", True), ("front_end", None), ("noise", None),
+        ("limits", None), ("qos_set", 1.0), ("sweep_values", 3.0), ("uop_sweep_grid", None),
+        ("pairings", "adaptive"), ("scenario_id", None), ("strategies", Strategy.OPA)])
     def test_library_inputs_of_the_wrong_type_are_refused_by_name(self, field, value):
         # scenario files cannot reach these: the CLI parsers return the right types
         with pytest.raises(ScenarioValidationError, match=f"^{field} must") as err:
