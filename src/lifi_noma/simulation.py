@@ -10,18 +10,20 @@ averages are reduced in trial order. The words of a chunk are converted
 together, by NumPy's own ``uniform`` and ``integers`` arithmetic, into the
 draws ``default_rng([seed, i])`` makes.
 
-Trials are evaluated in chunks of up to :data:`CHUNK`: every input is a
-``(trials, users)`` array, and each pairing method's slot powers are
-computed in one pass with the strategies on a leading axis. Adaptive
-pairing picks its powers per trial before outage is counted, so outage and
-EE are counted once per reported pairing. The scalar closed forms in
-:mod:`.allocation`, :mod:`.pairing` and :mod:`.metrics` are the reference
-the chunked arrays reproduce bit for bit from the gains on: rate factors
-come from the scalar ``2 ** (2R)`` once per distinct rate (OMA's is a
-product of two), and every sum adds its terms in scalar order. The gains
-are :func:`.channel.los_gain` on arrays with ``cos(atan(r / l))`` taken as
-``l / sqrt(l^2 + r^2)``: out-of-FOV zeros are exact, and a positive gain is
-within a relative ``eps * (6 + (m + 1) * (3 + 2 r / l))`` of ``los_gain``'s.
+Trials are evaluated in chunks of :data:`CHUNK` trials, doubled while the
+``(strategies, trials, users)`` arrays stay within a desk chunk's (see
+:func:`_chunk_size`): every input is a ``(trials, users)`` array, and each
+pairing method's slot powers are computed in one pass with the strategies
+on a leading axis. Adaptive pairing picks its powers per trial before
+outage is counted, so outage and EE are counted once per reported pairing.
+The scalar closed forms in :mod:`.allocation`, :mod:`.pairing` and
+:mod:`.metrics` are the reference the chunked arrays reproduce bit for bit
+from the gains on: rate factors come from the scalar ``2 ** (2R)`` once per
+distinct rate (OMA's is a product of two), and every sum adds its terms in
+scalar order. The gains are :func:`.channel.los_gain` on arrays with
+``cos(atan(r / l))`` taken as ``l / sqrt(l^2 + r^2)``: out-of-FOV zeros are
+exact, and a positive gain is within a relative
+``eps * (6 + (m + 1) * (3 + 2 r / l))`` of ``los_gain``'s.
 
 Energy efficiency is computed from the full (pre-cap) minimum powers by
 default; the power caps only enter the outage statistics. Setting
@@ -662,6 +664,7 @@ def _chunk_values(config: ScenarioConfig, trials: range, caps_dl, caps_ul) -> np
         # run_trial is looked up per call, so one trial stays the traceable unit
         words[row] = run_trial(config, i)
     population = _population_from_words(config, trials, words)
+    del words  # a wide chunk's words weigh as much as its draws
     cells, _ = _evaluate(config, population, caps_dl, caps_ul)
     n = config.num_users
     blocks = [np.concatenate((cell.ee[..., None], cell.powers.total[..., None],
@@ -671,9 +674,17 @@ def _chunk_values(config: ScenarioConfig, trials: range, caps_dl, caps_ul) -> np
     return np.concatenate(blocks).transpose(1, 0, 2).reshape(len(trials), -1)
 
 
-def _trial_ranges(trials: int, workers: int) -> list[range]:
-    """Contiguous ranges of at most CHUNK trials, at least one per worker."""
-    count = max(-(-trials // CHUNK), min(workers, trials))
+def _chunk_size(config: ScenarioConfig) -> int:
+    """CHUNK, doubled while the ``(strategies, trials, users)`` arrays fit a desk chunk's."""
+    size, width = CHUNK, len(config.strategies) * config.num_users
+    while 2 * size * width <= 64 * CHUNK and size < config.trials:
+        size *= 2
+    return size
+
+
+def _trial_ranges(trials: int, workers: int, size: int) -> list[range]:
+    """Contiguous ranges of at most ``size`` trials, at least one per worker."""
+    count = max(-(-trials // size), min(workers, trials))
     bounds = [trials * k // count for k in range(count + 1)]
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
@@ -728,7 +739,7 @@ def _reduce(
         raise ValueError(f"workers must be >= 1, got {workers}")
     keys = [(s.value, p) for p in config.pairings for s in config.strategies]
     width = 2 + len(caps_dl) + len(caps_ul)
-    ranges = _trial_ranges(config.trials, workers)
+    ranges = _trial_ranges(config.trials, workers, _chunk_size(config))
     workers = min(workers, len(ranges))
     shares = [ranges[len(ranges) * k // workers:len(ranges) * (k + 1) // workers]
               for k in range(workers)]
@@ -737,9 +748,11 @@ def _reduce(
         for share in shares[1:]:
             import multiprocessing  # here: single-worker runs need not load it
 
-            conn, send = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_share_worker,
-                                            args=(send, config, share, caps_dl, caps_ul))
+            # fork on Linux, where Python 3.14's default (forkserver) re-imports NumPy per child
+            context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+            conn, send = context.Pipe(duplex=False)
+            child = context.Process(target=_share_worker,
+                                    args=(send, config, share, caps_dl, caps_ul))
             with send:  # then only the child holds it: its exit reads as EOF
                 child.start()
             children.append((child, conn, share))

@@ -1,7 +1,8 @@
 """Per-trial PCG64 streams: trial ``i`` reads ``default_rng([seed, i])``'s stream.
 
-A block's starts come from one vectorized pass over SeedSequence's integer
-hash. A trial's start is written into its thread's Generator in place,
+The starts of a span of SPAN trials, clipped at the run's last trial, come
+from one vectorized pass over SeedSequence's integer hash and PCG64's seeding
+step. A trial's start is written into its thread's Generator in place,
 through a view whose layout is checked once per thread against the setter.
 """
 
@@ -14,9 +15,13 @@ from functools import lru_cache
 
 import numpy as np
 
-# Trials seeded, drawn and evaluated together, the unit of workers' shares:
-# enough to amortize NumPy's per-call overhead, few enough to stay in cache.
+# Trials drawn and evaluated together at the widest configs (see
+# simulation._chunk_size): enough to amortize NumPy's per-call overhead, few
+# enough to stay in cache.
 CHUNK = 256
+# Trials seeded in one pass. A power of two, so it divides 2^32 and a span's
+# trials differ only in their lowest word.
+SPAN = 8 * CHUNK
 
 # SeedSequence's hash constants and PCG64's 128-bit multiplier, as in
 # NumPy's bit_generator.pyx and pcg64.h; _block_streams redoes their integer
@@ -24,8 +29,8 @@ CHUNK = 256
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+_PCG_HI, _PCG_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+_MASK32 = (1 << 32) - 1
 _POOL = 4  # SeedSequence's default pool size, in uint32 words
 
 
@@ -38,19 +43,18 @@ def _words(value: int) -> list[int]:
 
 
 @lru_cache(maxsize=1)
-def _block_streams(seed: int, block: int) -> tuple[bytes, ...]:
-    """PCG64 starts of the trials ``block * CHUNK`` up to the next block.
+def _block_streams(seed: int, span: int, count: int) -> bytes:
+    """PCG64 starts of the ``count`` trials from ``span * SPAN`` on, 32 bytes each.
 
     Each is the state ``default_rng([seed, trial])`` starts from, as the 32
     little-endian bytes of ``state | inc << 128``. The uint32 arithmetic of
     SeedSequence (hash pool, then ``generate_state(4, uint64)``) runs on
-    arrays over the whole block, PCG64's 128-bit seeding step on Python ints
-    per trial. CHUNK divides 2^32, so a block's trials differ only in their
-    lowest word. One block is kept: a run walks its trials in order.
+    arrays over the span, and so does PCG64's 128-bit seeding step, in
+    uint64 halves. One span is kept: a run walks its trials in order.
     """
     seed_words = _words(seed)
-    entropy = [np.full(CHUNK, w, dtype=np.uint32) for w in seed_words + _words(block * CHUNK)]
-    entropy[len(seed_words)] += np.arange(CHUNK, dtype=np.uint32)
+    entropy = [np.full(count, w, dtype=np.uint32) for w in seed_words + _words(span * SPAN)]
+    entropy[len(seed_words)] += np.arange(count, dtype=np.uint32)
     hash_const = _INIT_A
 
     def hashmix(value: np.ndarray) -> np.ndarray:
@@ -64,7 +68,7 @@ def _block_streams(seed: int, block: int) -> tuple[bytes, ...]:
         result = _MIX_L * x - _MIX_R * y
         return result ^ result >> 16
 
-    zero = np.zeros(CHUNK, dtype=np.uint32)
+    zero = np.zeros(count, dtype=np.uint32)
     pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_POOL)]
     for src in range(_POOL):
         for dst in range(_POOL):
@@ -83,14 +87,21 @@ def _block_streams(seed: int, block: int) -> tuple[bytes, ...]:
         value = value * hash_const
         words.append(value ^ value >> 16)
     words = np.array(words, dtype=np.uint64)
-    seeds = (words[0::2] | words[1::2] << 32).tolist()
-    streams = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*seeds):
-        # PCG64's srandom_r: two LCG steps from 0, adding initstate between
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        state = ((state_hi << 64 | state_lo) + inc) * _PCG_MULT + inc & _MASK128
-        streams.append((state | inc << 128).to_bytes(32, "little"))
-    return tuple(streams)
+    state_hi, state_lo, seq_hi, seq_lo = words[0::2] | words[1::2] << 32
+    # PCG64's srandom_r: inc = seq << 1 | 1, state = (initstate + inc) * MULT + inc,
+    # mod 2^128 in wrapping uint64 halves
+    inc_hi, inc_lo = seq_hi << 1 | seq_lo >> 63, seq_lo << 1 | 1
+    lo = state_lo + inc_lo
+    hi = state_hi + inc_hi + (lo < inc_lo)
+    # the product's high word: lo * _PCG_LO's high word, from 32-bit splits,
+    # plus the wrapping lo * _PCG_HI + hi * _PCG_LO
+    low, high = lo & _MASK32, lo >> 32
+    cross = high * (_PCG_LO & _MASK32) + (low * (_PCG_LO & _MASK32) >> 32)
+    carry = (low * (_PCG_LO >> 32) + (cross & _MASK32)) >> 32
+    hi = high * (_PCG_LO >> 32) + (cross >> 32) + carry + lo * _PCG_HI + hi * _PCG_LO
+    lo = lo * _PCG_LO + inc_lo
+    hi += inc_hi + (lo < inc_lo)
+    return np.stack((lo, hi, inc_lo, inc_hi), axis=1).astype("<u8", copy=False).tobytes()
 
 
 # One Generator per thread, with a writable view of its (state, inc). Made on
@@ -110,7 +121,9 @@ def _stream(config, trial_index: int) -> np.random.Generator:
     """This thread's Generator, set to the start of trial ``trial_index`` of ``config.seed``."""
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-    block, offset = divmod(operator.index(trial_index), CHUNK)
+    span, offset = divmod(operator.index(trial_index), SPAN)
+    # a run's last span stops at its last trial; an index past the run gets a whole span
+    count = SPAN if trial_index >= config.trials else min(config.trials - span * SPAN, SPAN)
     try:
         rng, state = _generators.current
     except AttributeError:
@@ -126,5 +139,5 @@ def _stream(config, trial_index: int) -> np.random.Generator:
         _generators.current = rng, state
     # has_uint32 and uinteger stay as they are: random_raw never reads them,
     # and the redraw path's advance() resets them first
-    state[:] = _block_streams(config.seed, block)[offset]
+    state[:] = _block_streams(config.seed, span, count)[32 * offset:32 * offset + 32]
     return rng

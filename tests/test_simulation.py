@@ -7,7 +7,9 @@ import os
 import re
 import subprocess
 import sys
+import textwrap
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +31,9 @@ from lifi_noma import (
     two_user_sweep,
 )
 from lifi_noma import simulation, streams
+from lifi_noma.cli import load_scenario
 from lifi_noma.simulation import _population_from_words
-from lifi_noma.streams import CHUNK, _block_streams
+from lifi_noma.streams import CHUNK, SPAN, _block_streams
 
 GOLDEN_EE_OPA = 458.0979517717648
 GOLDEN_EE_NGDPA = 276.3050860830169
@@ -121,8 +124,8 @@ class TestSampling:
     def test_draw_matches_the_reference_sequence(self, qos_count, num_users, coupled):
         config = desk_config(num_users=num_users, qos_coupled_links=coupled,
                              qos_set=tuple(0.5 + 0.75 * k for k in range(qos_count)))
-        # within the first block, then at and across a CHUNK boundary
-        for trial in (0, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 7):
+        # within the first span, then at and across a SPAN boundary
+        for trial in (0, 3, SPAN - 1, SPAN, SPAN + 1, 2 * SPAN + 7):
             want = reference_draw(config, trial)
             assert drawn(config, trial) == want
             users = sample_users(config, trial)
@@ -136,23 +139,40 @@ class TestSampling:
 
 
 class TestStreamSeeding:
-    """Each CHUNK-aligned block of trials is seeded in one vectorized pass;
-    every trial must still start where default_rng([seed, trial]) does."""
+    """Each SPAN-aligned span of trials, clipped at the run's last trial, is
+    seeded in one vectorized pass; every trial must still start where
+    default_rng([seed, trial]) does."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 1])
-    @pytest.mark.parametrize("trial", [0, 255, 256, 257, 2**32 - 1, 2**32, 2**32 + 5])
+    @pytest.mark.parametrize("trial", [0, SPAN - 1, SPAN, SPAN + 1, 2**32 - 1, 2**32, 2**32 + 5])
     def test_state_and_draws_match_default_rng(self, seed, trial):
         want = np.random.default_rng([seed, trial]).bit_generator.state["state"]
-        block, offset = divmod(trial, CHUNK)
+        span, offset = divmod(trial, SPAN)
         start = (want["state"] | want["inc"] << 128).to_bytes(32, "little")
-        assert _block_streams(seed, block)[offset] == start
+        # a whole span, and one clipped right after the trial
+        starts = _block_streams(seed, span, SPAN)
+        assert starts[32 * offset:32 * offset + 32] == start
+        assert _block_streams(seed, span, offset + 1) == starts[:32 * offset + 32]
         config = desk_config(seed=seed, num_users=7)
         assert drawn(config, trial) == reference_draw(config, trial)
 
+    def test_the_last_span_stops_at_the_runs_last_trial(self):
+        config = desk_config(seed=3, num_users=7, trials=300)
+        assert drawn(config, 299) == reference_draw(config, 299)
+        hits = _block_streams.cache_info().hits
+        assert len(_block_streams(config.seed, 0, 300)) == 32 * 300
+        assert _block_streams.cache_info().hits == hits + 1
+        # an index past the run still gets its stream
+        trial = config.trials + 2 * SPAN + 5
+        users = sample_users(config, trial)
+        assert np.array([(u.position.vertical, u.position.horizontal, u.position.polar_angle,
+                          u.qos.downlink, u.qos.uplink)
+                         for u in users]).T.tobytes() == b"".join(reference_draw(config, trial))
+
     def test_the_written_state_reads_back_through_the_public_getter(self):
-        # one Generator, at and across a block boundary
+        # one Generator, at and across a span boundary
         config = desk_config(seed=11)
-        for trial in (CHUNK - 2, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK):
+        for trial in (SPAN - 2, SPAN - 1, SPAN, SPAN + 1, 3 * SPAN):
             want = np.random.default_rng([config.seed, trial]).bit_generator.state["state"]
             assert streams._stream(config, trial).bit_generator.state["state"] == want
 
@@ -164,16 +184,16 @@ class TestStreamSeeding:
             streams._stream(desk_config(), 0)
 
     def test_out_of_order_draws_never_see_a_stale_block(self):
-        sequence = [(5, 300), (5, 3), (5, 300), (6, 300), (5, 3), (6, 3)]
+        sequence = [(5, 300), (5, 3), (5, SPAN + 3), (5, 300), (6, 300), (5, 3), (6, 3)]
         for seed, trial in sequence:
             config = desk_config(seed=seed)
             assert drawn(config, trial) == reference_draw(config, trial)
 
     def test_threads_drawing_at_once_each_get_their_own_stream(self):
         # more threads than cores, switching often, on trials of different
-        # blocks: a shared set-state-then-draw would hand out wrong bytes
+        # spans: a shared set-state-then-draw would hand out wrong bytes
         config = desk_config(num_users=16)
-        trials = [[t * CHUNK + k for k in range(0, 40, 3)] for t in range(4)]
+        trials = [[t * SPAN + k for k in range(0, 40, 3)] for t in range(4)]
         want = {i: reference_draw(config, i) for row in trials for i in row}
         wrong = []
 
@@ -416,6 +436,35 @@ class TestCampaigns:
                 assert best >= cells[(strategy, "adaptive")].ee
 
 
+class TestChunkSize:
+    """A chunk holds CHUNK trials, doubled while its arrays stay within a desk
+    chunk's; the trial-order sums keep every mean independent of it."""
+
+    def test_wide_configs_keep_chunk_and_the_lean_one_takes_a_span(self, monkeypatch):
+        root = Path(__file__).resolve().parent.parent
+        for name in ("campaign_16users.cfg", "uop_downlink.cfg"):
+            assert simulation._chunk_size(load_scenario(root / "scenarios" / name)) == CHUNK
+        # the benchmark's campaign-lean config: 5 users, OPA, 2,000 trials
+        monkeypatch.syspath_prepend(str(root / "bench"))
+        from workloads import WORKLOADS
+
+        lean = WORKLOADS["campaign-lean"]
+        overrides = dict(lean.overrides, strategies=tuple(map(Strategy, lean.strategies)))
+        config = replace(load_scenario(root / lean.scenario), trials=lean.trials, **overrides)
+        assert simulation._chunk_size(config) == SPAN
+
+    def test_chunks_that_cut_spans_keep_the_means(self, monkeypatch):
+        # chunks of SPAN trials, cut into ranges of about 1,378 on 1 worker
+        config = desk_config(num_users=5, trials=2 * SPAN + 37, strategies=(Strategy.OPA,),
+                             pairings=("channel", "qos", "adaptive"))
+        assert simulation._chunk_size(config) == SPAN
+        summary = run_campaign(config, workers=1)
+        assert run_campaign(config, workers=2) == summary
+        assert run_campaign(config, workers=3) == summary
+        monkeypatch.setattr(simulation, "_chunk_size", lambda config: CHUNK)
+        assert run_campaign(config, workers=1) == summary
+
+
 def _patched_chunks(monkeypatch, fail):
     """Make ``_chunk_values`` call ``fail(trials)`` first; forked children inherit it."""
     real = simulation._chunk_values
@@ -427,8 +476,18 @@ def _patched_chunks(monkeypatch, fail):
     monkeypatch.setattr(simulation, "_chunk_values", chunk_values)
 
 
-forked = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
-                            reason="the engine is patched before the children are forked")
+# the engine's rule: fork on Linux, the default start method elsewhere
+forked = pytest.mark.skipif(
+    sys.platform != "linux" and multiprocessing.get_start_method() != "fork",
+    reason="the engine is patched before the children are forked")
+
+
+def _run_python(code: str) -> None:
+    """Run ``code`` in a fresh interpreter that imports this package; it must exit 0."""
+    src = str(Path(simulation.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                   timeout=120, check=True)
 
 
 class TestWorkerProcesses:
@@ -472,14 +531,36 @@ class TestWorkerProcesses:
 
     def test_shares_under_spawn_equal_one_worker(self):
         # spawned children import the package afresh and get the config pickled
-        code = ("import multiprocessing, sys; from lifi_noma import ScenarioConfig, run_campaign; "
-                "multiprocessing.set_start_method('spawn'); "
-                "c = ScenarioConfig(num_users=5, trials=2 * 256 + 9, seed=4, qos_set=(1.0, 2.0)); "
-                "sys.exit(run_campaign(c, workers=2) != run_campaign(c, workers=1))")
-        src = str(Path(simulation.__file__).parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                       timeout=120, check=True)
+        _run_python(textwrap.dedent("""
+            import multiprocessing, sys
+            from lifi_noma import ScenarioConfig, run_campaign
+            multiprocessing.set_start_method("spawn")
+            sys.platform = "darwin"  # off Linux the engine takes the default start method
+            c = ScenarioConfig(num_users=5, trials=2 * 256 + 9, seed=4, qos_set=(1.0, 2.0))
+            sys.exit(run_campaign(c, workers=2) != run_campaign(c, workers=1))
+        """))
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the engine forks on Linux only")
+    def test_children_fork_on_linux_under_another_default(self):
+        # a forkserver child would import the package afresh, without the patch
+        _run_python(textwrap.dedent("""
+            import multiprocessing, sys
+            from lifi_noma import ScenarioConfig, run_campaign, simulation
+            multiprocessing.set_start_method("forkserver")
+            real = simulation._chunk_values
+
+            def chunk_values(config, trials, caps_dl, caps_ul):
+                if trials.start:
+                    raise ArithmeticError(f"no trial {trials.start}")
+                return real(config, trials, caps_dl, caps_ul)
+
+            simulation._chunk_values = chunk_values
+            try:
+                run_campaign(ScenarioConfig(num_users=8, trials=12, seed=5), workers=2)
+            except ArithmeticError as error:
+                sys.exit(str(error) != "no trial 6")
+            sys.exit("the child's share ran without the patch")
+        """))
 
 
 class TestUopSweep:
