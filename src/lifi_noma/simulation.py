@@ -14,15 +14,15 @@ Trials are evaluated in chunks of :data:`CHUNK` trials, doubled while the
 ``(strategies, trials, users)`` arrays stay within a desk chunk's (see
 :func:`_chunk_size`): every input is a ``(trials, users)`` array, and each
 pairing method's slot powers are computed in one pass with the strategies
-on a leading axis. Adaptive pairing picks its powers per trial before
-outage is counted, so outage and EE are counted once per reported pairing.
+on a leading axis. Adaptive pairing picks per trial from the channel and
+QoS pairings' outcomes where both are reported, else from their powers.
 The scalar closed forms in :mod:`.allocation`, :mod:`.pairing` and
 :mod:`.metrics` are the reference the chunked arrays reproduce bit for bit
-from the gains on: rate factors come from the scalar ``2 ** (2R)`` once per
-distinct rate (OMA's is a product of two), and every sum adds its terms in
-scalar order. The gains are :func:`.channel.los_gain` on arrays with
-``cos(atan(r / l))`` taken as ``l / sqrt(l^2 + r^2)``: out-of-FOV zeros are
-exact, and a positive gain is within a relative
+from the gains on: a rate's factor is the scalar ``2 ** (2R)``, once per
+QoS-set entry for drawn rates (OMA's is a product of two), and every sum
+adds its terms in scalar order. The gains are :func:`.channel.los_gain`
+on arrays with ``cos(atan(r / l))`` taken as ``l / sqrt(l^2 + r^2)``:
+out-of-FOV zeros are exact, and a positive gain is within a relative
 ``eps * (6 + (m + 1) * (3 + 2 r / l))`` of ``los_gain``'s.
 
 Energy efficiency is computed from the full (pre-cap) minimum powers by
@@ -273,13 +273,15 @@ class CellResult:
 
 
 class _Population(NamedTuple):
-    """Per-user draws: arrays of shape (users,) for one trial or (trials, users)."""
+    """Per-user draws and each rate's 2^(2R): arrays of shape (users,) or (trials, users)."""
 
     vertical: np.ndarray
     horizontal: np.ndarray
     polar: np.ndarray
     rates_dl: np.ndarray
     rates_ul: np.ndarray
+    factors_dl: np.ndarray
+    factors_ul: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -348,6 +350,7 @@ def _population_from_words(
         for part, (low, high) in enumerate(
             ((config.l_min, config.l_max), (0.0, config.r_max), (0.0, 2.0 * math.pi)))
     )
+    del unit  # the draw's largest array, freed before the rate draws
     choices = np.asarray(config.qos_set, dtype=float)
     k, draws = len(choices), _rate_draws(config)
     if draws:
@@ -363,9 +366,10 @@ def _population_from_words(
                 index[row] = rng.integers(0, k, draws)
     else:
         index = np.zeros((len(words), n), dtype=np.intp)
-    rates = choices[index]
+    rates, factors = choices[index], np.array([_rate_factor(r) for r in choices.tolist()])[index]
     # coupled links (and a one-rate set) draw one index per user for both
-    return _Population(vertical, horizontal, polar, rates[:, :n], rates[:, -n:])
+    return _Population(vertical, horizontal, polar, rates[:, :n], rates[:, -n:],
+                       factors[:, :n], factors[:, -n:])
 
 
 def sample_users(config: ScenarioConfig, trial_index: int) -> list[UserNode]:
@@ -374,7 +378,7 @@ def sample_users(config: ScenarioConfig, trial_index: int) -> list[UserNode]:
     draw = _population_from_words(config, [trial_index], words)
     return [
         UserNode(UserPosition(vertical, horizontal, polar), QosRates(dl, ul))
-        for vertical, horizontal, polar, dl, ul in zip(*(a[0].tolist() for a in draw))
+        for vertical, horizontal, polar, dl, ul in zip(*(a[0].tolist() for a in draw[:5]))
     ]
 
 
@@ -387,7 +391,8 @@ def _population_of(rows: Sequence[Sequence[UserNode]]) -> _Population:
     """A chunk of given users, one trial per row."""
     fields = [[(u.position.vertical, u.position.horizontal, u.position.polar_angle,
                 u.qos.downlink, u.qos.uplink) for u in users] for users in rows]
-    return _Population(*np.array(fields, dtype=float).reshape(len(rows), -1, 5).transpose(2, 0, 1))
+    draws = np.array(fields, dtype=float).reshape(len(rows), -1, 5).transpose(2, 0, 1)
+    return _Population(*draws, *np.frompyfunc(_rate_factor, 1, 1)(draws[3:]).astype(float))
 
 
 def _gains(front_end: OpticalFrontEnd, population: _Population) -> np.ndarray:
@@ -463,16 +468,25 @@ class _Powers(NamedTuple):
     total: np.ndarray  # (strategies, trials)
     opa_total: np.ndarray  # (trials,): what adaptive pairing compares, OPA configured or not
     slots: np.ndarray  # (trials, users): each slot's user, a flat index into the chunk
+    _columns = (True, True, False, False, True)  # fields with an axis after the trials
 
 
 class _Cells(NamedTuple):
-    """One pairing's cells over a chunk, leading axes strategies and trials."""
+    """One pairing's outcome over a chunk, leading axes strategies and trials."""
 
-    powers: _Powers
+    total: np.ndarray  # its _Powers' total
     sum_rate: np.ndarray
     ee: np.ndarray
     k_out_dl: np.ndarray  # (strategies, trials, caps_dl)
     k_out_ul: np.ndarray  # (strategies, trials, caps_ul)
+    _columns = (False, False, False, True, True)
+
+
+def _pick(used_qos: np.ndarray, qos, channel):
+    """Adaptive pairing's powers or cells: per trial, the QoS pairing's where ``used_qos``."""
+    column = used_qos[:, None]
+    return type(qos)(*(np.where(column if wide else used_qos, q, c)
+                       for wide, q, c in zip(qos._columns, qos, channel)))
 
 
 def _base_caps(config: ScenarioConfig) -> tuple[tuple[float], tuple[float]]:
@@ -491,13 +505,9 @@ class _Chunk:
         trials, n = population.vertical.shape
         self.rates_dl, self.rates_ul = population.rates_dl, population.rates_ul
         self.row_start = np.arange(0, trials * n, n)[:, None]
-        # 2^(2R) from the scalar closed form, once per distinct rate of either link
-        values, index = np.unique(np.concatenate((self.rates_dl, self.rates_ul), axis=1),
-                                  return_inverse=True)
-        factors = np.array([_rate_factor(r) for r in values.tolist()])[index.reshape(trials, -1)]
         # per user, flat over the chunk: gain (both links) and factors
-        self.users = np.stack((_gains(config.front_end, population), factors[:, :n],
-                               factors[:, n:])).reshape(3, -1)
+        self.users = np.stack((_gains(config.front_end, population), population.factors_dl,
+                               population.factors_ul)).reshape(3, -1)
         self.gains = self.users[0].reshape(trials, n)
         # summed in user order, as np.sum sums one trial's rates
         self.sum_rate = np.sum(self.rates_dl, axis=1) + np.sum(self.rates_ul, axis=1)
@@ -590,51 +600,51 @@ class _Chunk:
                                for t in (rates, np.stack((dl, ul), axis=-1)))
         with np.errstate(divide="ignore", invalid="ignore"):
             ee = np.where(power > 0.0, sum_rate / power, 0.0)
-        return _Cells(powers, sum_rate, ee, k_out_dl, k_out_ul)
+        return _Cells(powers.total, sum_rate, ee, k_out_dl, k_out_ul)
 
 
 def _evaluate(
     config: ScenarioConfig, population: _Population, caps_dl, caps_ul
-) -> tuple[dict[str, _Cells], np.ndarray | None]:
+) -> tuple[dict[str, _Cells], dict[str, _Powers], np.ndarray | None]:
     """Every configured pairing's cells over a chunk of trials, in config order.
 
     Each pairing method's slot powers are computed once, for all strategies
     at a time. Adaptive pairing picks, per trial, the channel or the QoS
-    pairing's powers and slot rates (the QoS ones where their OPA total is
-    cheaper under the scalar relative guard); outage and EE are then counted
-    once per reported pairing. Also returns, per trial, where adaptive
-    pairing kept the QoS pairing (None without adaptive pairing).
+    pairing (the QoS one where its OPA total is cheaper under the scalar
+    relative guard): from their cells where both are reported, as every
+    outcome is per (strategy, trial) row; else from their powers, dropping
+    the unreported ones. Also returns the powers (adaptive pairing's where
+    picked) and, per trial, where adaptive pairing kept the QoS pairing.
     """
     _check_user_count(population.vertical.shape[1])
     chunk = _Chunk(config, population, caps_dl, caps_ul)
     methods = dict.fromkeys(m for name in config.pairings
                             for m in (("channel", "qos") if name == "adaptive" else (name,)))
     powers = {m: chunk.powers(m) for m in methods}
-    used_qos = None
+    cells, used_qos = {}, None
     if "adaptive" in config.pairings:
-        # the pairings it picks from are dropped unless reported themselves
-        channel, qos = (powers[m] if m in config.pairings else powers.pop(m)
-                        for m in ("channel", "qos"))
-        used_qos = ~(channel.opa_total <= qos.opa_total * (1.0 + 1e-12))
-        pick = used_qos[:, None]
-        powers["adaptive"] = _Powers(*map(np.where, (pick, pick, used_qos, used_qos, pick),
-                                          qos, channel))
-        del channel, qos
-    cells = {name: chunk.outcome(powers[name]) for name in config.pairings}
-    return cells, used_qos
+        used_qos = ~(powers["channel"].opa_total <= powers["qos"].opa_total * (1.0 + 1e-12))
+        if methods.keys() <= set(config.pairings):
+            cells = {m: chunk.outcome(powers[m]) for m in methods}
+            cells["adaptive"] = _pick(used_qos, cells["qos"], cells["channel"])
+        else:  # one outcome; the unreported pairings' powers are dropped before it
+            powers["adaptive"] = _pick(used_qos, *(powers[m] if m in config.pairings
+                                                   else powers.pop(m) for m in ("qos", "channel")))
+    cells = {name: cells.get(name) or chunk.outcome(powers[name]) for name in config.pairings}
+    return cells, powers, used_qos
 
 
 def evaluate_population(
     config: ScenarioConfig, users: Sequence[UserNode]
 ) -> dict[tuple[str, str], CellResult]:
     """Run every configured (pairing, strategy) combination on one population."""
-    cells, used_qos = _evaluate(config, _population_of([users]), *_base_caps(config))
+    cells, powers, used_qos = _evaluate(config, _population_of([users]), *_base_caps(config))
     n = len(users)
     out = {}
     for pairing, cell in cells.items():
-        method = pairing
-        if pairing == "adaptive":
-            method = "adaptive:qos" if used_qos[0] else "adaptive:channel"
+        chosen = ("qos" if used_qos[0] else "channel") if pairing == "adaptive" else pairing
+        method = f"adaptive:{chosen}" if pairing == "adaptive" else pairing
+        slots = powers[pairing if pairing in powers else chosen]  # adaptive's, or its choice's
         for row, strategy in enumerate(config.strategies):
             k_dl, k_ul = int(cell.k_out_dl[row, 0, 0]), int(cell.k_out_ul[row, 0, 0])
             out[(strategy.value, pairing)] = CellResult(
@@ -642,12 +652,12 @@ def evaluate_population(
                 pairing=pairing,
                 method_used=method,
                 sum_rate=float(cell.sum_rate[row, 0]),
-                total_power=float(cell.powers.total[row, 0]),
+                total_power=float(cell.total[row, 0]),
                 ee=float(cell.ee[row, 0]),
                 outage_dl=LinkOutage(k_dl, k_dl / n),
                 outage_ul=LinkOutage(k_ul, k_ul / n),
-                dl_powers=tuple(cell.powers.dl[row, 0].tolist()),
-                ul_powers=tuple(cell.powers.ul[row, 0].tolist()),
+                dl_powers=tuple(slots.dl[row, 0].tolist()),
+                ul_powers=tuple(slots.ul[row, 0].tolist()),
             )
     return out
 
@@ -665,9 +675,9 @@ def _chunk_values(config: ScenarioConfig, trials: range, caps_dl, caps_ul) -> np
         words[row] = run_trial(config, i)
     population = _population_from_words(config, trials, words)
     del words  # a wide chunk's words weigh as much as its draws
-    cells, _ = _evaluate(config, population, caps_dl, caps_ul)
+    cells = _evaluate(config, population, caps_dl, caps_ul)[0]
     n = config.num_users
-    blocks = [np.concatenate((cell.ee[..., None], cell.powers.total[..., None],
+    blocks = [np.concatenate((cell.ee[..., None], cell.total[..., None],
                               cell.k_out_dl / n, cell.k_out_ul / n), axis=-1)
               for cell in map(cells.get, config.pairings)]
     # (cells, trials, width), one row per trial
@@ -867,4 +877,4 @@ def two_user_sweep(config: ScenarioConfig) -> list[CampaignSummary]:
     return [_summary(pair_config, {(s.value, "none"): CellSummary(ee, total, None, None)
                                    for s, ee, total in zip(config.strategies, ees, totals)},
                      sweep_parameter=parameter, sweep_value=float(value))
-            for value, ees, totals in zip(values, cell.ee.T.tolist(), cell.powers.total.T.tolist())]
+            for value, ees, totals in zip(values, cell.ee.T.tolist(), cell.total.T.tolist())]

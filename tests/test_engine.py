@@ -11,7 +11,9 @@ pattern exact, and to a 40-digit ``decimal`` value by a bound in ulp.
 """
 
 import math
+from dataclasses import replace
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,9 +42,14 @@ from lifi_noma import (
 from lifi_noma.metrics import downlink_outage_mask, uplink_outage_mask
 from lifi_noma.pairing import opa_total_power
 from lifi_noma.channel import los_gain
-from lifi_noma.simulation import CHUNK, CellResult, _gains, _Population, _population_of
+from lifi_noma.allocation import _rate_factor
+from lifi_noma.cli import load_scenario
+from lifi_noma.simulation import (CHUNK, CellResult, _base_caps, _Chunk, _evaluate, _gains,
+                                  _Population, _population_from_words, _population_of,
+                                  _Powers, run_trial)
 
 PAIRINGS = ("channel", "qos", "adaptive")
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def oracle_powers(config, users):
@@ -311,7 +318,7 @@ def gain_positions(front_end):
 def engine_gains(front_end, vertical, horizontal):
     rows = np.stack([vertical, horizontal]).reshape(2, 2, -1)  # a chunk of 2 trials
     zeros = np.zeros(rows[0].shape)
-    got = _gains(front_end, _Population(rows[0], rows[1], zeros, zeros, zeros))
+    got = _gains(front_end, _Population(rows[0], rows[1], *[zeros] * 5))
     assert got.shape == rows[0].shape
     return got.ravel()
 
@@ -475,3 +482,128 @@ def test_served_only_ee_of_a_uop_sweep_reads_the_base_caps(link):
     for point in points:
         for key, (ee, power, _, _) in want.items():
             assert (point.cells[key].mean_ee, point.cells[key].mean_total_power) == (ee, power)
+
+
+def picked_powers_first(config, population, caps_dl, caps_ul):
+    """Adaptive pairing's cells as the engine once counted them: pick the
+    channel or the QoS pairing's powers per trial, then one outcome."""
+    chunk = _Chunk(config, population, caps_dl, caps_ul)
+    channel, qos = chunk.powers("channel"), chunk.powers("qos")
+    used_qos = ~(channel.opa_total <= qos.opa_total * (1.0 + 1e-12))
+    column = used_qos[:, None]
+    powers = _Powers(np.where(column, qos.dl, channel.dl), np.where(column, qos.ul, channel.ul),
+                     np.where(used_qos, qos.total, channel.total),
+                     np.where(used_qos, qos.opa_total, channel.opa_total),
+                     np.where(column, qos.slots, channel.slots))
+    return chunk.outcome(powers), used_qos
+
+
+ADAPTIVE_ORDERS = [PAIRINGS, ("adaptive", "channel", "qos"), ("adaptive", "qos"), ("adaptive",)]
+ADAPTIVE_VARIANTS = {
+    "plain": dict(num_users=8),
+    # served-only EE sheds at the base caps, which the cap grids below repeat
+    "served-only": dict(num_users=8, ee_served_only=True, limits=PowerLimits(2.0, 0.05)),
+    "coupled-9": dict(num_users=9, qos_coupled_links=True, limits=PowerLimits(2.0, 0.05)),
+    "odd": dict(num_users=7, ee_served_only=True, limits=PowerLimits(1.0, 0.02)),
+    "one-rate": dict(num_users=6, qos_set=(2.0,), ee_served_only=True,
+                     limits=PowerLimits(0.5, 0.01)),
+}
+
+
+@pytest.mark.parametrize("pairings", ADAPTIVE_ORDERS, ids="-".join)
+@pytest.mark.parametrize("variant", list(ADAPTIVE_VARIANTS))
+def test_adaptive_cells_equal_powers_picked_before_the_outcome(pairings, variant):
+    config = ScenarioConfig(**dict(trials=96, seed=3, qos_set=(0.5, 1.0, 2.0, 3.0),
+                                   pairings=pairings) | ADAPTIVE_VARIANTS[variant])
+    trials = range(config.trials)
+    population = _population_from_words(
+        config, trials, np.stack([run_trial(config, i) for i in trials]))
+    base_dl, base_ul = config.limits.max_total_dl, config.limits.max_per_user_ul
+    # an unsorted downlink grid with a repeat and an infinite cap
+    for caps_dl, caps_ul in (((base_dl,), (base_ul,)),
+                             ((4.0, 0.5, math.inf, 0.5, base_dl), (base_ul, 0.01))):
+        cells, _, used_qos = _evaluate(config, population, caps_dl, caps_ul)
+        want, want_qos = picked_powers_first(config, population, caps_dl, caps_ul)
+        assert used_qos.tobytes() == want_qos.tobytes()
+        if len(config.qos_set) > 1:  # with one rate, QoS pairing never won here
+            assert 0 < used_qos.sum() < len(trials)
+        got = cells["adaptive"]
+        for name in ("total", "sum_rate", "ee", "k_out_dl", "k_out_ul"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.dtype == b.dtype, name
+            assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), name
+        if config.ee_served_only:
+            assert (got.ee != (got.sum_rate / got.total)).any()  # some users were shed
+
+
+@pytest.mark.parametrize("pairings", ADAPTIVE_ORDERS, ids="-".join)
+def test_adaptive_cell_results_are_the_chosen_pairings(pairings):
+    config = ScenarioConfig(num_users=7, trials=1, seed=4, qos_set=(0.5, 1.0, 2.0, 3.0),
+                            pairings=pairings, ee_served_only=True, limits=PowerLimits(1.0, 0.02))
+    both = replace(config, pairings=PAIRINGS)
+    chosen = set()
+    for trial in range(40):
+        users = sample_users(config, trial)
+        cells, reference = evaluate_population(config, users), evaluate_population(both, users)
+        for strategy in config.strategies:
+            got = cells[(strategy.value, "adaptive")]
+            method = got.method_used.partition(":")[2]
+            chosen.add(method)
+            assert got == replace(reference[(strategy.value, method)], pairing="adaptive",
+                                  method_used=f"adaptive:{method}")
+            for pairing in set(pairings) - {"adaptive"}:
+                assert cells[(strategy.value, pairing)] == reference[(strategy.value, pairing)]
+    assert chosen == {"channel", "qos"}
+
+
+@pytest.mark.parametrize("scenario, runner, per_chunk", [
+    ("campaign_16users.cfg", run_campaign, 2),  # channel and QoS; adaptive is picked from them
+    ("uop_downlink.cfg", run_uop_sweep, 1),  # adaptive alone: its powers are picked
+])
+def test_outcomes_counted_per_chunk(monkeypatch, scenario, runner, per_chunk):
+    config = replace(load_scenario(ROOT / "scenarios" / scenario), trials=CHUNK + 5)
+    outcome, calls = _Chunk.outcome, []
+    monkeypatch.setattr(_Chunk, "outcome", lambda chunk, powers: calls.append(1) or
+                        outcome(chunk, powers))
+    runner(config)
+    assert len(calls) == 2 * per_chunk  # two chunks
+
+
+def chunk_factors(config, trials, words):
+    """The rate factors a chunk reads, per link, and the drawn rates."""
+    population = _population_from_words(config, trials, words)
+    chunk = _Chunk(config, population, *_base_caps(config))
+    factors_dl, factors_ul = chunk.users[1:].reshape(2, len(trials), -1)
+    return (factors_dl, population.rates_dl), (factors_ul, population.rates_ul)
+
+
+def test_chunk_factors_are_the_scalar_factors_of_the_drawn_rates():
+    # three rates: Lemire's method rejects only a zero 32-bit draw, so trial
+    # 5's third draw (user 2's downlink, index 1 as drawn) is zeroed in its
+    # words, and the trial has its draws redone
+    three = ScenarioConfig(num_users=6, trials=8, seed=2, qos_set=(0.75, 2.0, 3.5))
+    words = np.stack([run_trial(three, i) for i in range(8)])
+    words[5, 3 * three.num_users + 1] &= np.uint64(0xFFFFFFFF00000000)
+    assert sample_users(three, 5)[2].qos.downlink != three.qos_set[0]
+    # a hundred thousand rates: trial 1150 rejects one of its 64 draws
+    many = ScenarioConfig(num_users=32, trials=1, seed=5,
+                          qos_set=tuple(k * 2.5e-3 for k in range(100_000)))
+    rng = np.random.default_rng([5, 1150])
+    rng.random(3 * 32)
+    rng.integers(0, 100_000, 64)
+    assert rng.bit_generator.state["state"] != state_after(many, 1150, 3 * 32 + 32)
+    for config, trials, words, row in ((three, range(8), words, 5),
+                                       (many, [1150], run_trial(many, 1150)[None], 0)):
+        redrawn = sample_users(config, trials[row])
+        for link, (factors, rates) in enumerate(chunk_factors(config, trials, words)):
+            want = [[_rate_factor(r) for r in rates_of] for rates_of in rates.tolist()]
+            assert factors.tolist() == want
+            assert rates[row].tolist() == [u.qos.uplink if link else u.qos.downlink
+                                           for u in redrawn]
+
+
+def state_after(config, trial, words):
+    """Trial ``trial``'s PCG64 state after ``words`` raw words."""
+    rng = np.random.default_rng([config.seed, trial])
+    rng.bit_generator.advance(words)
+    return rng.bit_generator.state["state"]
