@@ -228,6 +228,8 @@ def _summary_rows(summaries: list[CampaignSummary]) -> list[list[str]]:
 
 
 def _jsonable(value):
+    if dataclasses.is_dataclass(value):  # as dataclasses.asdict, without its deep copies
+        return {f.name: _jsonable(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, float) and not math.isfinite(value):
@@ -270,7 +272,7 @@ def run(command: str, config: ScenarioConfig, out_path, *, workers: int = 1) -> 
     summary_doc = {
         "command": command,
         "scenario_id": config.scenario_id,
-        "config": _jsonable(dataclasses.asdict(config)),
+        "config": _jsonable(config),
         "seed": config.seed,
         "trials": config.trials,
         "workers": workers,
@@ -278,9 +280,8 @@ def run(command: str, config: ScenarioConfig, out_path, *, workers: int = 1) -> 
         "output_csv": out_path.name,
         "version": __version__,
     }
-    with open(_summary_path(out_path), "w", encoding="utf-8") as handle:
-        json.dump(summary_doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    text = json.dumps(summary_doc, indent=2, sort_keys=True) + "\n"
+    _summary_path(out_path).write_text(text, encoding="utf-8")
     return out_path
 
 

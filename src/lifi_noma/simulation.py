@@ -15,7 +15,7 @@ Trials are evaluated in chunks of :data:`CHUNK` trials, doubled while the
 :func:`_chunk_size`): every input is a ``(trials, users)`` array, and each
 pairing method's slot powers are computed in one pass with the strategies
 on a leading axis. Adaptive pairing picks per trial from the channel and
-QoS pairings' outcomes where both are reported, else from their powers.
+QoS pairings' outcomes where both are reported, else their slots first.
 The scalar closed forms in :mod:`.allocation`, :mod:`.pairing` and
 :mod:`.metrics` are the reference the chunked arrays reproduce bit for bit
 from the gains on: a rate's factor is the scalar ``2 ** (2R)``, once per
@@ -38,7 +38,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass, field, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -330,6 +330,12 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> np.ndarray:
     return _stream(config, trial_index).bit_generator.random_raw(_word_count(config))
 
 
+@lru_cache(maxsize=1)
+def _factor_table(qos_set: tuple) -> np.ndarray:
+    """Each rate's scalar ``2 ** (2R)``, built once per QoS set (equal rates, equal factors)."""
+    return np.array([_rate_factor(r) for r in np.asarray(qos_set, dtype=float).tolist()])
+
+
 def _population_from_words(
     config: ScenarioConfig, trials: Sequence[int], words: np.ndarray
 ) -> _Population:
@@ -366,7 +372,7 @@ def _population_from_words(
                 index[row] = rng.integers(0, k, draws)
     else:
         index = np.zeros((len(words), n), dtype=np.intp)
-    rates, factors = choices[index], np.array([_rate_factor(r) for r in choices.tolist()])[index]
+    rates, factors = choices[index], _factor_table(tuple(config.qos_set))[index]
     # coupled links (and a one-rate set) draw one index per user for both
     return _Population(vertical, horizontal, polar, rates[:, :n], rates[:, -n:],
                        factors[:, :n], factors[:, -n:])
@@ -468,7 +474,12 @@ class _Powers(NamedTuple):
     total: np.ndarray  # (strategies, trials)
     opa_total: np.ndarray  # (trials,): what adaptive pairing compares, OPA configured or not
     slots: np.ndarray  # (trials, users): each slot's user, a flat index into the chunk
-    _columns = (True, True, False, False, True)  # fields with an axis after the trials
+
+
+def _total(pairs, single) -> np.ndarray:
+    """Pair by pair, ((far_dl + near_dl) + far_ul) + near_ul, then the unpaired user's two links."""
+    sums = ((pairs[0] + pairs[1]) + pairs[2]) + pairs[3]
+    return reduce(np.add, (sums[..., k] for k in range(sums.shape[-1]))) + sum(single)
 
 
 class _Cells(NamedTuple):
@@ -479,14 +490,12 @@ class _Cells(NamedTuple):
     ee: np.ndarray
     k_out_dl: np.ndarray  # (strategies, trials, caps_dl)
     k_out_ul: np.ndarray  # (strategies, trials, caps_ul)
-    _columns = (False, False, False, True, True)
 
 
-def _pick(used_qos: np.ndarray, qos, channel):
-    """Adaptive pairing's powers or cells: per trial, the QoS pairing's where ``used_qos``."""
-    column = used_qos[:, None]
-    return type(qos)(*(np.where(column if wide else used_qos, q, c)
-                       for wide, q, c in zip(qos._columns, qos, channel)))
+def _pick(used_qos: np.ndarray, qos: _Cells, channel: _Cells) -> _Cells:
+    """Adaptive pairing's cells: per trial, the QoS pairing's where ``used_qos``."""
+    return _Cells(*(np.where(used_qos[:, None] if q.ndim > 2 else used_qos, q, c)
+                    for q, c in zip(qos, channel)))
 
 
 def _base_caps(config: ScenarioConfig) -> tuple[tuple[float], tuple[float]]:
@@ -505,6 +514,7 @@ class _Chunk:
         trials, n = population.vertical.shape
         self.rates_dl, self.rates_ul = population.rates_dl, population.rates_ul
         self.row_start = np.arange(0, trials * n, n)[:, None]
+        self.far, self.near = slice(0, n - n % 2, 2), slice(1, n - n % 2, 2)  # each pair's slots
         # per user, flat over the chunk: gain (both links) and factors
         self.users = np.stack((_gains(config.front_end, population), population.factors_dl,
                                population.factors_ul)).reshape(3, -1)
@@ -517,60 +527,54 @@ class _Chunk:
             np.minimum(np.asarray(caps, dtype=float), sys.float_info.max)
             for caps in (caps_dl, caps_ul, _base_caps(config)))
 
-    def sort_order(self, method: str) -> np.ndarray:
+    def slots(self, method: str) -> np.ndarray:
+        """A pairing's slots, each user a flat index into the chunk: the i-th
+        sorted user pairs with the (n/2 + i)-th, far is the lower (gain, index)."""
         if method == "channel":  # ascending (gain, index)
-            return np.argsort(self.gains, axis=1, kind="stable")
-        values = _qos_sort_values(self.rates_dl, self.rates_ul, self.config.qos_pairing_key)
-        return np.argsort(-values, axis=1, kind="stable")  # descending (rate), then index
-
-    def slots(self, order: np.ndarray) -> np.ndarray:
-        """Pair the i-th with the (n/2 + i)-th sorted user; far is the lower (gain, index)."""
+            order = np.argsort(self.gains, axis=1, kind="stable")
+        else:  # descending (rate), then index
+            values = _qos_sort_values(self.rates_dl, self.rates_ul, self.config.qos_pairing_key)
+            order = np.argsort(-values, axis=1, kind="stable")
+        order += self.row_start
         half = order.shape[1] // 2
         a, b = order[:, :half], order[:, half:2 * half]
-        gains = np.take(self.users[0], order + self.row_start)
-        gain_a, gain_b = gains[:, :half], gains[:, half:2 * half]
+        gain_a, gain_b = self.users[0][a], self.users[0][b]
         swap = (gain_b < gain_a) | ((gain_b == gain_a) & (b < a))
         slots = order.copy()
-        slots[:, 0:2 * half:2] = np.where(swap, b, a)
-        slots[:, 1:2 * half:2] = np.where(swap, a, b)
+        slots[:, self.far] = np.where(swap, b, a)
+        slots[:, self.near] = np.where(swap, a, b)
         return slots
 
-    def powers(self, method: str) -> _Powers:
-        """Every strategy's slot powers on one pairing method."""
-        slots = self.slots(self.sort_order(method)) + self.row_start
+    def opa(self, slots: np.ndarray) -> tuple:
+        """On given slots: pair gains, factors and OPA powers, the unpaired user's
+        powers, and OPA's total (unmasked: inf where a pair is infeasible)."""
         h, f_dl, f_ul = self.users.take(slots, axis=1)
-        pz = self.config.noise_power
-        strategies = self.config.strategies
-        shape = (len(strategies),) + slots.shape
-        half = slots.shape[1] // 2
-        far, near = slice(0, 2 * half, 2), slice(1, 2 * half, 2)
-        h_far, h_near = h[:, far], h[:, near]
+        pz, far, near, single = self.config.noise_power, self.far, self.near, []
         factors = f_dl[:, far], f_dl[:, near], f_ul[:, far], f_ul[:, near]
-        dl, ul = np.empty(shape), np.empty(shape)
-        pairs = dl[..., far], dl[..., near], ul[..., far], ul[..., near]  # as in _opa_powers
-        infeasible = np.empty(shape[:2] + h_far.shape[1:], dtype=bool)
-        leftover = 0.0  # exact: adding it leaves a positive total as it is
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            opa = _opa_powers(pz, h_far, h_near, factors)
-            for row, strategy in enumerate(strategies):
+            opa = _opa_powers(pz, h[:, far], h[:, near], factors)
+            if slots.shape[1] % 2:  # single_user_allocation; a zero gain gives inf
+                single = [f[:, -1] * pz / (h[:, -1] * h[:, -1]) for f in (f_dl, f_ul)]
+        return h[:, far], h[:, near], factors, opa, single, _total(opa, single)
+
+    def powers(self, slots: np.ndarray) -> _Powers:
+        """Every strategy's slot powers on given slots (see :meth:`slots`)."""
+        h_far, h_near, factors, opa, single, opa_total = self.opa(slots)
+        pz, far, near = self.config.noise_power, self.far, self.near
+        dl, ul = (np.empty((len(self.config.strategies),) + slots.shape) for _ in range(2))
+        pairs = dl[..., far], dl[..., near], ul[..., far], ul[..., near]  # as in _opa_powers
+        infeasible = np.empty(dl.shape[:2] + h_far.shape[1:], dtype=bool)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for row, strategy in enumerate(self.config.strategies):
                 powers, infeasible[row] = _pair_powers(strategy, pz, h_far, h_near, opa, factors)
                 for slot, power in zip(pairs, powers):
                     slot[row] = power
-            if slots.shape[1] % 2:  # single_user_allocation; a zero gain gives inf
-                h_u = h[:, -1]
-                dl[..., -1] = f_dl[:, -1] * pz / (h_u * h_u)
-                ul[..., -1] = f_ul[:, -1] * pz / (h_u * h_u)
-                leftover = dl[0, :, -1] + ul[0, :, -1]
+        if single:
+            dl[..., -1], ul[..., -1] = single
         # an infeasible pair goes out whole: all four demands unbounded
         for slot in pairs:
             np.copyto(slot, math.inf, where=infeasible)
-        # pair by pair, each ((far_dl + near_dl) + far_ul) + near_ul, one column
-        # add at a time, then the leftover user's two links; OPA's own powers
-        # sum to inf at an infeasible pair without the mask
-        sums = (((p[0] + p[1]) + p[2]) + p[3] for p in (pairs, opa))
-        total, opa_total = (reduce(np.add, (s[..., k] for k in range(half))) + leftover
-                            for s in sums)
-        return _Powers(dl, ul, total, opa_total, slots)
+        return _Powers(dl, ul, _total(pairs, single), opa_total, slots)
 
     def outcome(self, powers: _Powers) -> _Cells:
         """Outage counts at every cap and the EE of the configured strategies."""
@@ -612,24 +616,27 @@ def _evaluate(
     at a time. Adaptive pairing picks, per trial, the channel or the QoS
     pairing (the QoS one where its OPA total is cheaper under the scalar
     relative guard): from their cells where both are reported, as every
-    outcome is per (strategy, trial) row; else from their powers, dropping
-    the unreported ones. Also returns the powers (adaptive pairing's where
-    picked) and, per trial, where adaptive pairing kept the QoS pairing.
+    outcome is per (strategy, trial) row; else their slots, by OPA totals
+    alone where unreported, and then its powers are computed once. Also
+    returns the powers and, per trial, where adaptive pairing kept QoS's.
     """
     _check_user_count(population.vertical.shape[1])
     chunk = _Chunk(config, population, caps_dl, caps_ul)
-    methods = dict.fromkeys(m for name in config.pairings
-                            for m in (("channel", "qos") if name == "adaptive" else (name,)))
-    powers = {m: chunk.powers(m) for m in methods}
+    del population  # the chunk holds what it reads: a draw handed over unnamed is freed
+    adaptive = "adaptive" in config.pairings
+    slots = {m: chunk.slots(m) for m in ("channel", "qos") if adaptive or m in config.pairings}
+    powers = {m: chunk.powers(s) for m, s in slots.items() if m in config.pairings}
     cells, used_qos = {}, None
-    if "adaptive" in config.pairings:
-        used_qos = ~(powers["channel"].opa_total <= powers["qos"].opa_total * (1.0 + 1e-12))
-        if methods.keys() <= set(config.pairings):
-            cells = {m: chunk.outcome(powers[m]) for m in methods}
+    if adaptive:
+        channel, qos = (powers[m].opa_total if m in powers else chunk.opa(slots[m])[-1]
+                        for m in ("channel", "qos"))
+        used_qos = ~(channel <= qos * (1.0 + 1e-12))
+        if len(powers) == 2:
+            cells = {m: chunk.outcome(powers[m]) for m in powers}
             cells["adaptive"] = _pick(used_qos, cells["qos"], cells["channel"])
-        else:  # one outcome; the unreported pairings' powers are dropped before it
-            powers["adaptive"] = _pick(used_qos, *(powers[m] if m in config.pairings
-                                                   else powers.pop(m) for m in ("qos", "channel")))
+        else:  # adaptive pairing's slots first, then its powers and outcome once
+            powers["adaptive"] = chunk.powers(np.where(used_qos[:, None], slots["qos"],
+                                                       slots["channel"]))
     cells = {name: cells.get(name) or chunk.outcome(powers[name]) for name in config.pairings}
     return cells, powers, used_qos
 
@@ -662,6 +669,15 @@ def evaluate_population(
     return out
 
 
+def _trial_words(config: ScenarioConfig, trials: range) -> np.ndarray:
+    """The :func:`run_trial` words of ``trials``, one row each; passed unnamed, freed once read."""
+    words = np.empty((len(trials), _word_count(config)), dtype=np.uint64)
+    for row, i in enumerate(trials):
+        # run_trial is looked up per call, so one trial stays the traceable unit
+        words[row] = run_trial(config, i)
+    return words
+
+
 def _chunk_values(config: ScenarioConfig, trials: range, caps_dl, caps_ul) -> np.ndarray:
     """Per-trial values to average, one row per trial of the range.
 
@@ -669,13 +685,8 @@ def _chunk_values(config: ScenarioConfig, trials: range, caps_dl, caps_ul) -> np
     config order (the keys :func:`_reduce` builds): EE, total power, the
     downlink UOP at each of ``caps_dl``, the uplink UOP at each of ``caps_ul``.
     """
-    words = np.empty((len(trials), _word_count(config)), dtype=np.uint64)
-    for row, i in enumerate(trials):
-        # run_trial is looked up per call, so one trial stays the traceable unit
-        words[row] = run_trial(config, i)
-    population = _population_from_words(config, trials, words)
-    del words  # a wide chunk's words weigh as much as its draws
-    cells = _evaluate(config, population, caps_dl, caps_ul)[0]
+    cells = _evaluate(config, _population_from_words(config, trials, _trial_words(config, trials)),
+                      caps_dl, caps_ul)[0]
     n = config.num_users
     blocks = [np.concatenate((cell.ee[..., None], cell.total[..., None],
                               cell.k_out_dl / n, cell.k_out_ul / n), axis=-1)

@@ -488,7 +488,7 @@ def picked_powers_first(config, population, caps_dl, caps_ul):
     """Adaptive pairing's cells as the engine once counted them: pick the
     channel or the QoS pairing's powers per trial, then one outcome."""
     chunk = _Chunk(config, population, caps_dl, caps_ul)
-    channel, qos = chunk.powers("channel"), chunk.powers("qos")
+    channel, qos = (chunk.powers(chunk.slots(m)) for m in ("channel", "qos"))
     used_qos = ~(channel.opa_total <= qos.opa_total * (1.0 + 1e-12))
     column = used_qos[:, None]
     powers = _Powers(np.where(column, qos.dl, channel.dl), np.where(column, qos.ul, channel.ul),
@@ -567,6 +567,89 @@ def test_outcomes_counted_per_chunk(monkeypatch, scenario, runner, per_chunk):
                         outcome(chunk, powers))
     runner(config)
     assert len(calls) == 2 * per_chunk  # two chunks
+
+
+@pytest.mark.parametrize("scenario, runner, per_chunk", [
+    ("campaign_16users.cfg", run_campaign, 2),  # channel and QoS pairing
+    # adaptive alone: its slots are picked by OPA totals, then one strategies pass
+    ("uop_downlink.cfg", run_uop_sweep, 1),
+    ("uop_uplink.cfg", run_uop_sweep, 1),
+])
+def test_strategy_powers_computed_per_chunk(monkeypatch, scenario, runner, per_chunk):
+    config = replace(load_scenario(ROOT / "scenarios" / scenario), trials=CHUNK + 5)
+    powers, calls = _Chunk.powers, []
+    monkeypatch.setattr(_Chunk, "powers", lambda chunk, slots: calls.append(1) or
+                        powers(chunk, slots))
+    runner(config)
+    assert len(calls) == 2 * per_chunk  # two chunks
+
+
+ADAPTIVE_ONLY = [("adaptive",), ("adaptive", "qos"), ("adaptive", "channel")]
+
+
+def chunk_population(config):
+    trials = range(config.trials)
+    return _population_from_words(config, trials,
+                                  np.stack([run_trial(config, i) for i in trials]))
+
+
+@pytest.mark.parametrize("pairings", ADAPTIVE_ONLY, ids="-".join)
+@pytest.mark.parametrize("variant", list(ADAPTIVE_VARIANTS))
+def test_adaptive_powers_equal_powers_picked_from_both_pairings(monkeypatch, pairings, variant):
+    config = ScenarioConfig(**dict(trials=96, seed=3, qos_set=(0.5, 1.0, 2.0, 3.0),
+                                   pairings=pairings) | ADAPTIVE_VARIANTS[variant])
+    population, caps = chunk_population(config), _base_caps(config)
+    _, powers, used_qos = _evaluate(config, population, *caps)
+    # picked_powers_first without its outcome: both pairings' full powers, picked per trial
+    monkeypatch.setattr(_Chunk, "outcome", lambda chunk, powers: powers)
+    want, want_qos = picked_powers_first(config, population, *caps)
+    assert used_qos.tobytes() == want_qos.tobytes()
+    got = powers["adaptive"]
+    for name in _Powers._fields:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), name
+
+
+@pytest.mark.parametrize("variant", ["narrow-fov"] + list(ADAPTIVE_VARIANTS))
+def test_opa_totals_are_the_strategies_pass_and_the_scalar_totals(variant):
+    extra = (dict(num_users=7, front_end=FRONT_ENDS["narrow"]) if variant == "narrow-fov"
+             else ADAPTIVE_VARIANTS[variant])
+    config = ScenarioConfig(**dict(trials=96, seed=3, qos_set=(0.5, 1.0, 2.0, 3.0)) | extra)
+    chunk = _Chunk(config, chunk_population(config), *_base_caps(config))
+    infinite = 0
+    for method in ("channel", "qos"):
+        slots = chunk.slots(method)
+        got = chunk.opa(slots)[-1]
+        assert got.tobytes() == chunk.powers(slots).opa_total.tobytes()
+        for gains, rates_dl, rates_ul, total in zip(
+                chunk.gains, chunk.rates_dl, chunk.rates_ul, got.tolist()):
+            outcome = (pair_by_channel(gains) if method == "channel" else
+                       pair_by_qos(rates_dl, rates_ul, gains, key=config.qos_pairing_key))
+            assert total == opa_total_power(outcome, rates_dl, rates_ul, gains,
+                                            noise_power=config.noise_power)
+        infinite += np.isinf(got).sum()
+    assert (infinite > 0) == (variant == "narrow-fov")  # out-of-FOV users need unbounded power
+
+
+@pytest.mark.parametrize("pairings", ADAPTIVE_ONLY, ids="-".join)
+def test_adaptive_only_cell_results_carry_the_chosen_pairings_powers(pairings):
+    config = ScenarioConfig(num_users=9, trials=1, seed=6, qos_set=(0.5, 1.0, 2.0, 3.0),
+                            pairings=pairings, qos_coupled_links=True,
+                            limits=PowerLimits(2.0, 0.05))
+    chosen = set()
+    for trial in range(40):
+        users = sample_users(config, trial)
+        cells = evaluate_population(config, users)
+        for strategy in config.strategies:
+            got = cells[(strategy.value, "adaptive")]
+            method = got.method_used.partition(":")[2]
+            chosen.add(method)
+            alone = evaluate_population(replace(config, pairings=(method,)), users)
+            want = alone[(strategy.value, method)]
+            assert (got.dl_powers, got.ul_powers) == (want.dl_powers, want.ul_powers)
+            assert (got.total_power, got.ee) == (want.total_power, want.ee)
+    assert chosen == {"channel", "qos"}
 
 
 def chunk_factors(config, trials, words):
