@@ -217,14 +217,17 @@ def _format_cell(value) -> str:
 
 
 def _summary_rows(summaries: list[CampaignSummary]) -> list[list[str]]:
-    return [
-        [_format_cell(value) for value in (
-            summary.scenario_id, summary.sweep_parameter, summary.sweep_value, strategy,
-            pairing, cell.mean_ee, cell.mean_total_power, cell.mean_uop_dl, cell.mean_uop_ul,
-            summary.trials, summary.seed, __version__)]
-        for summary in summaries
-        for (strategy, pairing), cell in summary.cells.items()
-    ]
+    rows = []
+    for summary in summaries:
+        # the columns a summary shares across its cells, formatted once
+        head, tail = ([_format_cell(value) for value in values] for values in (
+            (summary.scenario_id, summary.sweep_parameter, summary.sweep_value),
+            (summary.trials, summary.seed, __version__)))
+        rows += [head + [_format_cell(value) for value in (
+                    strategy, pairing, cell.mean_ee, cell.mean_total_power, cell.mean_uop_dl,
+                    cell.mean_uop_ul)] + tail
+                 for (strategy, pairing), cell in summary.cells.items()]
+    return rows
 
 
 def _jsonable(value):

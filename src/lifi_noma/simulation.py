@@ -16,6 +16,9 @@ Trials are evaluated in chunks of :data:`CHUNK` trials, doubled while the
 pairing method's slot powers are computed in one pass with the strategies
 on a leading axis. Adaptive pairing picks per trial from the channel and
 QoS pairings' outcomes where both are reported, else their slots first.
+Outages are counted users first, on ``(users, strategies, trials)``
+copies, one whole-plane operation per user or per cap (see
+:meth:`_Chunk.outcome`).
 The scalar closed forms in :mod:`.allocation`, :mod:`.pairing` and
 :mod:`.metrics` are the reference the chunked arrays reproduce bit for bit
 from the gains on: a rate's factor is the scalar ``2 ** (2R)``, once per
@@ -38,7 +41,7 @@ import numbers
 import operator
 import sys
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -330,10 +333,18 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> np.ndarray:
     return _stream(config, trial_index).bit_generator.random_raw(_word_count(config))
 
 
-@lru_cache(maxsize=1)
-def _factor_table(qos_set: tuple) -> np.ndarray:
-    """Each rate's scalar ``2 ** (2R)``, built once per QoS set (equal rates, equal factors)."""
-    return np.array([_rate_factor(r) for r in np.asarray(qos_set, dtype=float).tolist()])
+_held_rates: list = [()]  # the last QoS set converted, its rates and its factors
+
+
+def _rate_table(qos_set: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The set as an array and each rate's scalar ``2 ** (2R)``, held for the last set by
+    identity, not equality: ``0.0 == -0.0``, yet each drawn rate keeps its own sign."""
+    held = _held_rates[0]
+    if not held or held[0] is not qos_set:
+        rates = np.asarray(qos_set, dtype=float)
+        held = _held_rates[0] = (qos_set, rates,
+                                 np.array([_rate_factor(r) for r in rates.tolist()]))
+    return held[1:]
 
 
 def _population_from_words(
@@ -357,7 +368,7 @@ def _population_from_words(
             ((config.l_min, config.l_max), (0.0, config.r_max), (0.0, 2.0 * math.pi)))
     )
     del unit  # the draw's largest array, freed before the rate draws
-    choices = np.asarray(config.qos_set, dtype=float)
+    choices, table = _rate_table(tuple(config.qos_set))
     k, draws = len(choices), _rate_draws(config)
     if draws:
         tail = words[:, 3 * n:]
@@ -372,7 +383,7 @@ def _population_from_words(
                 index[row] = rng.integers(0, k, draws)
     else:
         index = np.zeros((len(words), n), dtype=np.intp)
-    rates, factors = choices[index], _factor_table(tuple(config.qos_set))[index]
+    rates, factors = choices[index], table[index]
     # coupled links (and a one-rate set) draw one index per user for both
     return _Population(vertical, horizontal, polar, rates[:, :n], rates[:, -n:],
                        factors[:, :n], factors[:, -n:])
@@ -498,6 +509,12 @@ def _pick(used_qos: np.ndarray, qos: _Cells, channel: _Cells) -> _Cells:
                     for q, c in zip(qos, channel)))
 
 
+def _count_above(users_first: np.ndarray, caps: np.ndarray) -> np.ndarray:
+    """Per strategy and trial, the users above each cap, as ``(strategies, trials, caps)``;
+    ``users_first`` is ``(users, strategies, trials)``."""
+    return (users_first > caps[:, None, None, None]).sum(axis=1).transpose(1, 2, 0)
+
+
 def _base_caps(config: ScenarioConfig) -> tuple[tuple[float], tuple[float]]:
     """The scenario's own downlink and uplink caps, each as a one-cap grid."""
     return (config.limits.max_total_dl,), (config.limits.max_per_user_ul,)
@@ -577,18 +594,28 @@ class _Chunk:
         return _Powers(dl, ul, _total(pairs, single), opa_total, slots)
 
     def outcome(self, powers: _Powers) -> _Cells:
-        """Outage counts at every cap and the EE of the configured strategies."""
+        """Outage counts at every cap and the EE of the configured strategies.
+
+        Counted users first: the uplink powers, then the downlink tail sums,
+        are ``(users, strategies, trials)`` copies, so the tail sums and every
+        count are whole-plane operations, one per user or per cap. The counts
+        are returned as ``(strategies, trials, caps)``.
+        """
         dl, ul = powers.dl, powers.ul
+        # one users-first float copy alive at a time: the uplink's is freed
+        # before the tails are made, and those are sorted in place
+        k_out_ul = _count_above(np.moveaxis(ul, -1, 0).copy(), self.caps_ul)
         # downlink_uop: tail sums from the smallest power up, sorted once for
-        # every cap
-        tails = np.sort(dl, axis=-1)
-        np.cumsum(tails, axis=-1, out=tails)
-        k_out_dl = (tails[..., None, :] > self.caps_dl[:, None]).sum(axis=-1)
-        k_out_ul = (ul[..., None, :] > self.caps_ul[:, None]).sum(axis=-1)
+        # every cap, then added user after user as np.cumsum adds them
+        tails = np.moveaxis(dl, -1, 0).copy()
+        tails.sort(axis=0)
+        for below, tail in zip(tails, tails[1:]):
+            np.add(below, tail, out=tail)
+        k_out_dl = _count_above(tails, self.caps_dl)
         sum_rate, power = np.broadcast_to(self.sum_rate, powers.total.shape), powers.total
         if self.config.ee_served_only:
             (cap_dl,), (cap_ul,) = self.base_caps
-            shed_count = (tails > cap_dl).sum(axis=-1)
+            shed_count = (tails > cap_dl).sum(axis=0)
             # downlink_outage_mask: the heaviest users go first, ties toward
             # the lower slot
             heaviest = np.argsort(-dl, axis=-1, kind="stable")

@@ -11,6 +11,7 @@ pattern exact, and to a 40-digit ``decimal`` value by a bound in ulp.
 """
 
 import math
+import time
 from dataclasses import replace
 from decimal import Decimal, localcontext
 from pathlib import Path
@@ -43,6 +44,7 @@ from lifi_noma.metrics import downlink_outage_mask, uplink_outage_mask
 from lifi_noma.pairing import opa_total_power
 from lifi_noma.channel import los_gain
 from lifi_noma.allocation import _rate_factor
+from lifi_noma import simulation
 from lifi_noma.cli import load_scenario
 from lifi_noma.simulation import (CHUNK, CellResult, _base_caps, _Chunk, _evaluate, _gains,
                                   _Population, _population_from_words, _population_of,
@@ -484,6 +486,47 @@ def test_served_only_ee_of_a_uop_sweep_reads_the_base_caps(link):
             assert (point.cells[key].mean_ee, point.cells[key].mean_total_power) == (ee, power)
 
 
+def wide_grid(config, link):
+    """An unsorted grid of 24 caps: repeats, ``inf``, a cap below every power
+    and a cap equal to one of trial 0's (its largest downlink tail sum, or
+    its first uplink power), where ``>`` and ``>=`` part ways."""
+    cell = evaluate_population(config, sample_users(config, 0))[("opa", "channel")]
+    if link == "dl":
+        scale, edge = 2.0, float(np.cumsum(np.sort(cell.dl_powers))[-1])
+    else:
+        scale, edge = 0.05, cell.ul_powers[0]
+    steps = (3, -9, 0, 5, -2, 1, -6, 4, 0, -1, 7, -4, 2, -8, 6, -3, 3, -5, -7)
+    return (edge, *(scale * 2.0 ** k for k in steps), math.inf, 1e-300, math.inf, edge)
+
+
+@pytest.mark.parametrize("num_users", [9, 16])
+@pytest.mark.parametrize("link", ["dl", "ul"])
+def test_a_wide_unsorted_cap_grid_equals_the_oracle(link, num_users):
+    # two chunks of trials; the base caps shed users for served-only EE
+    config = ScenarioConfig(
+        num_users=num_users, trials=CHUNK + 37, seed=13, qos_set=(0.5, 1.0, 2.0, 3.0),
+        pairings=PAIRINGS, limits=PowerLimits(4.0, 0.05), ee_served_only=True,
+        uop_sweep_link=link,
+    )
+    grid = wide_grid(config, link)
+    config = replace(config, uop_sweep_grid=grid)
+    base_dl, base_ul = config.limits.max_total_dl, config.limits.max_per_user_ul
+    caps_dl, caps_ul = (grid, (base_ul,)) if link == "dl" else ((base_dl,), grid)
+    want = oracle_means(config, caps_dl, caps_ul)
+    points = run_uop_sweep(config)
+    assert [p.sweep_value for p in points] == list(grid)
+    seen = set()
+    for g, point in enumerate(points):
+        for key, row in want.items():
+            uop_dl = row[2 + (g if link == "dl" else 0)]
+            uop_ul = row[2 + len(caps_dl) + (g if link == "ul" else 0)]
+            cell = point.cells[key]
+            assert (cell.mean_ee, cell.mean_total_power, cell.mean_uop_dl,
+                    cell.mean_uop_ul) == (row[0], row[1], uop_dl, uop_ul)
+            seen.add(uop_dl if link == "dl" else uop_ul)
+    assert {0.0, 1.0} < seen  # no cap and every cap out, with fractions between
+
+
 def picked_powers_first(config, population, caps_dl, caps_ul):
     """Adaptive pairing's cells as the engine once counted them: pick the
     channel or the QoS pairing's powers per trial, then one outcome."""
@@ -558,7 +601,8 @@ def test_adaptive_cell_results_are_the_chosen_pairings(pairings):
 
 @pytest.mark.parametrize("scenario, runner, per_chunk", [
     ("campaign_16users.cfg", run_campaign, 2),  # channel and QoS; adaptive is picked from them
-    ("uop_downlink.cfg", run_uop_sweep, 1),  # adaptive alone: its powers are picked
+    # adaptive alone: its slots are picked, then one outcome is counted
+    ("uop_downlink.cfg", run_uop_sweep, 1),
 ])
 def test_outcomes_counted_per_chunk(monkeypatch, scenario, runner, per_chunk):
     config = replace(load_scenario(ROOT / "scenarios" / scenario), trials=CHUNK + 5)
@@ -632,6 +676,35 @@ def test_opa_totals_are_the_strategies_pass_and_the_scalar_totals(variant):
     assert (infinite > 0) == (variant == "narrow-fov")  # out-of-FOV users need unbounded power
 
 
+def broadcast_counts(chunk, powers):
+    """Outage counts as the engine once made them: one ``(strategies, trials,
+    caps, users)`` compare, summed over the users of each row."""
+    tails = np.sort(powers.dl, axis=-1)
+    np.cumsum(tails, axis=-1, out=tails)
+    return ((tails[..., None, :] > chunk.caps_dl[:, None]).sum(axis=-1),
+            (powers.ul[..., None, :] > chunk.caps_ul[:, None]).sum(axis=-1))
+
+
+@pytest.mark.parametrize("count", [1, 8, 24])
+@pytest.mark.parametrize("variant", ["narrow-fov"] + list(ADAPTIVE_VARIANTS))
+def test_cap_counts_equal_the_broadcast_count(variant, count):
+    extra = (dict(num_users=7, front_end=FRONT_ENDS["narrow"]) if variant == "narrow-fov"
+             else ADAPTIVE_VARIANTS[variant])
+    config = ScenarioConfig(**dict(trials=96, seed=3, qos_set=(0.5, 1.0, 2.0, 3.0)) | extra)
+    steps = np.random.default_rng(count).permutation(np.arange(count) - count // 2)
+    grids = [list(scale * 2.0 ** steps) for scale in (2.0, 0.05)]
+    for grid in grids if count > 2 else ():
+        grid[1:3] = math.inf, grid[0]  # an infinite cap and a repeat
+    chunk = _Chunk(config, chunk_population(config), *grids)
+    for method in ("channel", "qos"):
+        powers = chunk.powers(chunk.slots(method))
+        got = chunk.outcome(powers)
+        for a, b in zip((got.k_out_dl, got.k_out_ul), broadcast_counts(chunk, powers)):
+            assert a.shape == b.shape == (len(config.strategies), config.trials, count)
+            assert a.dtype == b.dtype
+            assert np.ascontiguousarray(a).tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("pairings", ADAPTIVE_ONLY, ids="-".join)
 def test_adaptive_only_cell_results_carry_the_chosen_pairings_powers(pairings):
     config = ScenarioConfig(num_users=9, trials=1, seed=6, qos_set=(0.5, 1.0, 2.0, 3.0),
@@ -683,6 +756,38 @@ def test_chunk_factors_are_the_scalar_factors_of_the_drawn_rates():
             assert factors.tolist() == want
             assert rates[row].tolist() == [u.qos.uplink if link else u.qos.downlink
                                            for u in redrawn]
+
+
+def test_the_rate_table_is_built_once_per_qos_set_and_keeps_the_sign_of_zero(monkeypatch):
+    # the configs are equal, as 0.0 == -0.0: a table shared by equal QoS sets
+    # would hand one config the other's zeros
+    plus, minus = (ScenarioConfig(num_users=8, trials=16, seed=1, qos_set=(zero, 1.0))
+                   for zero in (0.0, -0.0))
+    assert plus == minus
+    for config in (plus, minus, plus):
+        rates = np.concatenate(chunk_population(config)[3:5])
+        zeros = rates == 0.0
+        assert zeros.any()
+        assert (np.signbit(rates[zeros]) == np.signbit(config.qos_set[0])).all()
+    # a hundred thousand rates: converted and factored once, on the first draw
+    calls = []
+    monkeypatch.setattr(simulation, "_rate_factor",
+                        lambda rate: calls.append(rate) or _rate_factor(rate))
+    many = ScenarioConfig(num_users=32, trials=1, seed=5,
+                          qos_set=tuple(k * 2.5e-3 for k in range(100_000)))
+    few = replace(many, qos_set=(0.5, 1.0, 2.0, 3.0))
+    medians = []
+    for config in (many, few):
+        sample_users(config, 0)
+        times = []
+        for trial in range(1, 16):
+            start = time.perf_counter()
+            sample_users(config, trial)
+            times.append(time.perf_counter() - start)
+        medians.append(np.median(times))
+    assert len(calls) == len(many.qos_set) + len(few.qos_set)
+    # a draw reads the held table, so the set's size must not show in its time
+    assert medians[0] < 5 * medians[1]
 
 
 def state_after(config, trial, words):
