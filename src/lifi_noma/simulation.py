@@ -11,13 +11,14 @@ together, by NumPy's own ``uniform`` and ``integers`` arithmetic, into the
 draws ``default_rng([seed, i])`` makes.
 
 Trials are evaluated in chunks of :data:`CHUNK` trials, doubled while the
-``(strategies, trials, users)`` arrays stay within a desk chunk's (see
-:func:`_chunk_size`): every input is a ``(trials, users)`` array, and each
-pairing method's slot powers are computed in one pass with the strategies
-on a leading axis. Adaptive pairing picks per trial from the channel and
-QoS pairings' outcomes where both are reported, else their slots first.
-Outages are counted users first, on ``(users, strategies, trials)``
-copies, one whole-plane operation per user or per cap (see
+``(users, strategies, trials)`` arrays stay within a desk chunk's (see
+:func:`_chunk_size`). The draws are ``(trials, users)`` arrays; from the
+pairing on, every array puts the trials last and contiguous, so each pair,
+user or cap is one whole row or plane. Each pairing method's slot powers
+are computed in one pass for all the strategies. Adaptive pairing picks
+per trial from the channel and QoS pairings' outcomes where both are
+reported, else their slots first. Outages and served-only EE are counted
+one ``(strategies, trials)`` plane per user or per cap (see
 :meth:`_Chunk.outcome`).
 The scalar closed forms in :mod:`.allocation`, :mod:`.pairing` and
 :mod:`.metrics` are the reference the chunked arrays reproduce bit for bit
@@ -51,7 +52,7 @@ from .allocation import MAX_RATE, PowerLimits, QosRates, Strategy, _check_rates,
 from .channel import NoiseModel, OpticalFrontEnd, UserPosition, channel_gain
 from .metrics import LinkOutage
 from .pairing import QOS_SORT_KEYS, _check_user_count, _qos_sort_values
-from .streams import CHUNK, _MASK32, _stream
+from .streams import CHUNK, _MASK32, _trial_raw
 
 # The engine does not call these scalar reference functions; the benchmark's
 # tracer (bench/spans.py) looks each of them up on this module by name.
@@ -330,7 +331,7 @@ def run_trial(config: ScenarioConfig, trial_index: int) -> np.ndarray:
     the one RNG stream of a trial, and that order is part of the contract.
     The chunk evaluator calls it once per trial.
     """
-    return _stream(config, trial_index).bit_generator.random_raw(_word_count(config))
+    return _trial_raw(config, trial_index, _word_count)
 
 
 _held_rates: list = [()]  # the last QoS set converted, its rates and its factors
@@ -358,7 +359,7 @@ def _population_from_words(
     and each rate is ``qos_set[integers(0, k)]``, which is Lemire's
     ``(u32 * k) >> 32``. Lemire's method rejects a ``u32`` whose low product
     word is below ``(2^32 - k) % k`` and draws again; a row with such a word
-    has its rate draws redone by the Generator, past the ``3n`` uniforms.
+    has its rate draws redone by ``default_rng([seed, i])``, past the ``3n`` uniforms.
     """
     n = config.num_users
     unit = (words[:, :3 * n] >> 11) * 2.0 ** -53
@@ -374,16 +375,16 @@ def _population_from_words(
         tail = words[:, 3 * n:]
         halves = np.stack((tail & _MASK32, tail >> 32), axis=2).reshape(len(words), -1)
         scaled = halves[:, :draws] * np.uint64(k)
-        index = scaled >> 32
+        index = (scaled >> 32).astype(np.intp)
         threshold = ((1 << 32) - k) % k
         if threshold:
             for row in np.flatnonzero(((scaled & _MASK32) < threshold).any(axis=1)).tolist():
-                rng = _stream(config, trials[row])
+                rng = np.random.default_rng([config.seed, trials[row]])
                 rng.bit_generator.advance(3 * n)
                 index[row] = rng.integers(0, k, draws)
     else:
         index = np.zeros((len(words), n), dtype=np.intp)
-    rates, factors = choices[index], table[index]
+    rates, factors = choices.take(index), table.take(index)
     # coupled links (and a one-rate set) draw one index per user for both
     return _Population(vertical, horizontal, polar, rates[:, :n], rates[:, -n:],
                        factors[:, :n], factors[:, -n:])
@@ -475,22 +476,22 @@ def _pair_powers(strategy: Strategy, pz: float, h_far, h_near, opa, factors) -> 
 
 
 class _Powers(NamedTuple):
-    """One pairing's slot powers, leading axis the configured strategies.
+    """One pairing's slot powers, slots leading and trials last.
 
-    Slots are far, near of each pair in pair order, then the unpaired user.
+    Slots are far, near of each pair in pair order, then the unpaired user;
+    the strategies are the configured ones, in config order.
     """
 
-    dl: np.ndarray  # (strategies, trials, users)
+    dl: np.ndarray  # (users, strategies, trials)
     ul: np.ndarray
     total: np.ndarray  # (strategies, trials)
     opa_total: np.ndarray  # (trials,): what adaptive pairing compares, OPA configured or not
-    slots: np.ndarray  # (trials, users): each slot's user, a flat index into the chunk
+    slots: np.ndarray  # (users, trials): each slot's user, a flat index into the chunk
 
 
 def _total(pairs, single) -> np.ndarray:
     """Pair by pair, ((far_dl + near_dl) + far_ul) + near_ul, then the unpaired user's two links."""
-    sums = ((pairs[0] + pairs[1]) + pairs[2]) + pairs[3]
-    return reduce(np.add, (sums[..., k] for k in range(sums.shape[-1]))) + sum(single)
+    return reduce(np.add, ((pairs[0] + pairs[1]) + pairs[2]) + pairs[3]) + sum(single)
 
 
 class _Cells(NamedTuple):
@@ -545,49 +546,51 @@ class _Chunk:
             for caps in (caps_dl, caps_ul, _base_caps(config)))
 
     def slots(self, method: str) -> np.ndarray:
-        """A pairing's slots, each user a flat index into the chunk: the i-th
-        sorted user pairs with the (n/2 + i)-th, far is the lower (gain, index)."""
+        """A pairing's slots, ``(users, trials)``, each user a flat index into the
+        chunk: the i-th sorted user pairs with the (n/2 + i)-th, far is the
+        lower (gain, index)."""
         if method == "channel":  # ascending (gain, index)
             order = np.argsort(self.gains, axis=1, kind="stable")
         else:  # descending (rate), then index
             values = _qos_sort_values(self.rates_dl, self.rates_ul, self.config.qos_pairing_key)
             order = np.argsort(-values, axis=1, kind="stable")
         order += self.row_start
-        half = order.shape[1] // 2
-        a, b = order[:, :half], order[:, half:2 * half]
+        slots = order.T.copy()
+        half = len(slots) // 2
+        a, b = slots[:half], slots[half:2 * half]
         gain_a, gain_b = self.users[0][a], self.users[0][b]
         swap = (gain_b < gain_a) | ((gain_b == gain_a) & (b < a))
-        slots = order.copy()
-        slots[:, self.far] = np.where(swap, b, a)
-        slots[:, self.near] = np.where(swap, a, b)
+        slots[self.far], slots[self.near] = np.where(swap, b, a), np.where(swap, a, b)
         return slots
 
     def opa(self, slots: np.ndarray) -> tuple:
         """On given slots: pair gains, factors and OPA powers, the unpaired user's
-        powers, and OPA's total (unmasked: inf where a pair is infeasible)."""
+        powers, and OPA's total (unmasked: inf where a pair is infeasible).
+        Each is a ``(pairs, trials)`` array, or ``(trials,)``."""
         h, f_dl, f_ul = self.users.take(slots, axis=1)
         pz, far, near, single = self.config.noise_power, self.far, self.near, []
-        factors = f_dl[:, far], f_dl[:, near], f_ul[:, far], f_ul[:, near]
+        factors = f_dl[far], f_dl[near], f_ul[far], f_ul[near]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            opa = _opa_powers(pz, h[:, far], h[:, near], factors)
-            if slots.shape[1] % 2:  # single_user_allocation; a zero gain gives inf
-                single = [f[:, -1] * pz / (h[:, -1] * h[:, -1]) for f in (f_dl, f_ul)]
-        return h[:, far], h[:, near], factors, opa, single, _total(opa, single)
+            opa = _opa_powers(pz, h[far], h[near], factors)
+            if len(slots) % 2:  # single_user_allocation; a zero gain gives inf
+                single = [f[-1] * pz / (h[-1] * h[-1]) for f in (f_dl, f_ul)]
+        return h[far], h[near], factors, opa, single, _total(opa, single)
 
     def powers(self, slots: np.ndarray) -> _Powers:
         """Every strategy's slot powers on given slots (see :meth:`slots`)."""
         h_far, h_near, factors, opa, single, opa_total = self.opa(slots)
         pz, far, near = self.config.noise_power, self.far, self.near
-        dl, ul = (np.empty((len(self.config.strategies),) + slots.shape) for _ in range(2))
-        pairs = dl[..., far], dl[..., near], ul[..., far], ul[..., near]  # as in _opa_powers
-        infeasible = np.empty(dl.shape[:2] + h_far.shape[1:], dtype=bool)
+        users, trials = slots.shape
+        dl, ul = (np.empty((users, len(self.config.strategies), trials)) for _ in range(2))
+        pairs = dl[far], dl[near], ul[far], ul[near]  # as in _opa_powers
+        infeasible = np.empty(pairs[0].shape, dtype=bool)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             for row, strategy in enumerate(self.config.strategies):
-                powers, infeasible[row] = _pair_powers(strategy, pz, h_far, h_near, opa, factors)
+                powers, infeasible[:, row] = _pair_powers(strategy, pz, h_far, h_near, opa, factors)
                 for slot, power in zip(pairs, powers):
-                    slot[row] = power
+                    slot[:, row] = power
         if single:
-            dl[..., -1], ul[..., -1] = single
+            dl[-1], ul[-1] = single
         # an infeasible pair goes out whole: all four demands unbounded
         for slot in pairs:
             np.copyto(slot, math.inf, where=infeasible)
@@ -596,19 +599,17 @@ class _Chunk:
     def outcome(self, powers: _Powers) -> _Cells:
         """Outage counts at every cap and the EE of the configured strategies.
 
-        Counted users first: the uplink powers, then the downlink tail sums,
-        are ``(users, strategies, trials)`` copies, so the tail sums and every
-        count are whole-plane operations, one per user or per cap. The counts
-        are returned as ``(strategies, trials, caps)``.
+        Counted on the ``(users, strategies, trials)`` powers, so the tail
+        sums, every count and the served-only sums are whole-plane
+        operations, one per user or per cap. The counts are returned as
+        ``(strategies, trials, caps)``.
         """
         dl, ul = powers.dl, powers.ul
-        # one users-first float copy alive at a time: the uplink's is freed
-        # before the tails are made, and those are sorted in place
-        k_out_ul = _count_above(np.moveaxis(ul, -1, 0).copy(), self.caps_ul)
+        k_out_ul = _count_above(ul, self.caps_ul)
         # downlink_uop: tail sums from the smallest power up, sorted once for
         # every cap, then added user after user as np.cumsum adds them
-        tails = np.moveaxis(dl, -1, 0).copy()
-        tails.sort(axis=0)
+        ordered = np.sort(dl, axis=0)
+        tails = ordered.copy() if self.config.ee_served_only else ordered
         for below, tail in zip(tails, tails[1:]):
             np.add(below, tail, out=tail)
         k_out_dl = _count_above(tails, self.caps_dl)
@@ -616,19 +617,19 @@ class _Chunk:
         if self.config.ee_served_only:
             (cap_dl,), (cap_ul,) = self.base_caps
             shed_count = (tails > cap_dl).sum(axis=0)
-            # downlink_outage_mask: the heaviest users go first, ties toward
-            # the lower slot
-            heaviest = np.argsort(-dl, axis=-1, kind="stable")
-            served_dl = np.empty(dl.shape, dtype=bool)
-            np.put_along_axis(served_dl, heaviest,
-                              np.arange(dl.shape[-1]) >= shed_count[..., None], axis=-1)
-            # links last, (..., users, 2): flat, the terms go slot by slot,
-            # downlink before uplink; a skipped term adds 0.0
-            served = np.stack((served_dl, ~(ul > cap_ul)), axis=-1)
-            rates = np.stack((self.rates_dl, self.rates_ul), axis=-1).reshape(-1, 2)[powers.slots]
-            flat = dl.shape[:-1] + (-1,)
-            sum_rate, power = (np.cumsum(np.where(served, t, 0.0).reshape(flat), axis=-1)[..., -1]
-                               for t in (rates, np.stack((dl, ul), axis=-1)))
+            # downlink_outage_mask sheds the heaviest first, ties toward the lower
+            # slot: all above the lightest shed power (the heaviest if none is
+            # shed), then as many of its equals as are left, in slot order
+            rank = np.minimum(len(dl) - shed_count, len(dl) - 1)
+            lightest = np.take_along_axis(ordered, rank[None], axis=0)
+            above, level = dl > lightest, dl == lightest
+            shed = above | level & (np.cumsum(level, axis=0) <= shed_count - above.sum(axis=0))
+            # slot by slot, downlink before uplink, as the scalar sums add
+            # them; a skipped term adds 0.0
+            served = ~shed, ~(ul > cap_ul)
+            rates = [r.take(powers.slots)[:, None] for r in (self.rates_dl, self.rates_ul)]
+            sum_rate, power = (reduce(np.add, chain.from_iterable(zip(*(
+                np.where(s, t, 0.0) for s, t in zip(served, terms))))) for terms in (rates, (dl, ul)))
         with np.errstate(divide="ignore", invalid="ignore"):
             ee = np.where(power > 0.0, sum_rate / power, 0.0)
         return _Cells(powers.total, sum_rate, ee, k_out_dl, k_out_ul)
@@ -662,8 +663,7 @@ def _evaluate(
             cells = {m: chunk.outcome(powers[m]) for m in powers}
             cells["adaptive"] = _pick(used_qos, cells["qos"], cells["channel"])
         else:  # adaptive pairing's slots first, then its powers and outcome once
-            powers["adaptive"] = chunk.powers(np.where(used_qos[:, None], slots["qos"],
-                                                       slots["channel"]))
+            powers["adaptive"] = chunk.powers(np.where(used_qos, slots["qos"], slots["channel"]))
     cells = {name: cells.get(name) or chunk.outcome(powers[name]) for name in config.pairings}
     return cells, powers, used_qos
 
@@ -690,8 +690,8 @@ def evaluate_population(
                 ee=float(cell.ee[row, 0]),
                 outage_dl=LinkOutage(k_dl, k_dl / n),
                 outage_ul=LinkOutage(k_ul, k_ul / n),
-                dl_powers=tuple(slots.dl[row, 0].tolist()),
-                ul_powers=tuple(slots.ul[row, 0].tolist()),
+                dl_powers=tuple(slots.dl[:, row, 0].tolist()),
+                ul_powers=tuple(slots.ul[:, row, 0].tolist()),
             )
     return out
 
@@ -723,7 +723,7 @@ def _chunk_values(config: ScenarioConfig, trials: range, caps_dl, caps_ul) -> np
 
 
 def _chunk_size(config: ScenarioConfig) -> int:
-    """CHUNK, doubled while the ``(strategies, trials, users)`` arrays fit a desk chunk's."""
+    """CHUNK, doubled while the ``(users, strategies, trials)`` arrays fit a desk chunk's."""
     size, width = CHUNK, len(config.strategies) * config.num_users
     while 2 * size * width <= 64 * CHUNK and size < config.trials:
         size *= 2

@@ -2,8 +2,10 @@
 
 The starts of a span of SPAN trials, clipped at the run's last trial, come
 from one vectorized pass over SeedSequence's integer hash and PCG64's seeding
-step. A trial's start is written into its thread's Generator in place,
-through a view whose layout is checked once per thread against the setter.
+step. Each thread holds the span it drew from last, with its config, starts
+and words per trial. A trial of that span has its start written into the
+thread's PCG64 in place, through a view whose layout is checked once per
+thread against the setter, and its words drawn.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import ctypes
 import operator
 import threading
-from functools import lru_cache
 
 import numpy as np
 
@@ -42,7 +43,6 @@ def _words(value: int) -> list[int]:
     return words
 
 
-@lru_cache(maxsize=1)
 def _block_streams(seed: int, span: int, count: int) -> bytes:
     """PCG64 starts of the ``count`` trials from ``span * SPAN`` on, 32 bytes each.
 
@@ -50,7 +50,7 @@ def _block_streams(seed: int, span: int, count: int) -> bytes:
     little-endian bytes of ``state | inc << 128``. The uint32 arithmetic of
     SeedSequence (hash pool, then ``generate_state(4, uint64)``) runs on
     arrays over the span, and so does PCG64's 128-bit seeding step, in
-    uint64 halves. One span is kept: a run walks its trials in order.
+    uint64 halves.
     """
     seed_words = _words(seed)
     entropy = [np.full(count, w, dtype=np.uint32) for w in seed_words + _words(span * SPAN)]
@@ -104,10 +104,15 @@ def _block_streams(seed: int, span: int, count: int) -> bytes:
     return np.stack((lo, hi, inc_lo, inc_hi), axis=1).astype("<u8", copy=False).tobytes()
 
 
-# One Generator per thread, with a writable view of its (state, inc). Made on
-# first use: importing numpy.random with the package would add about 12 ms
-# to every start.
-_generators = threading.local()
+class _Thread(threading.local):
+    """This thread's held span: the config (by identity), its first and stop
+    trial, their starts, words per trial, and the PCG64's state view and
+    ``random_raw``. Each thread holds its own; none is shared."""
+
+    span = (None, 0, 0, b"", 0, None, None)
+
+
+_thread = _Thread()
 _PROBE = bytes(range(1, 33))  # 32 distinct bytes: another layout reads them differently
 
 
@@ -117,27 +122,41 @@ def _state_view(bit_generator) -> memoryview:
     return memoryview((ctypes.c_ubyte * 32).from_address(address)).cast("B")
 
 
-def _stream(config, trial_index: int) -> np.random.Generator:
-    """This thread's Generator, set to the start of trial ``trial_index`` of ``config.seed``."""
+def _hold(config, trial_index: int, word_count) -> tuple:
+    """Seed this thread's span of ``config``'s trials around ``trial_index``, and hold it."""
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
-    span, offset = divmod(operator.index(trial_index), SPAN)
+    span = operator.index(trial_index) // SPAN
     # a run's last span stops at its last trial; an index past the run gets a whole span
     count = SPAN if trial_index >= config.trials else min(config.trials - span * SPAN, SPAN)
-    try:
-        rng, state = _generators.current
-    except AttributeError:
-        # NumPy's struct layout is internal: check the view once against the setter
-        rng = np.random.Generator(np.random.PCG64(0))
-        state = _state_view(rng.bit_generator)
+    state, random_raw = _thread.span[5:]
+    if state is None:
+        # made on first use: importing numpy.random with the package would
+        # add about 12 ms to every start. NumPy's struct layout is internal:
+        # check the view once per thread against the setter
+        bit_generator = np.random.PCG64(0)
+        state, random_raw = _state_view(bit_generator), bit_generator.random_raw
         probe, inc = (int.from_bytes(_PROBE[i:i + 16], "little") for i in (0, 16))
-        rng.bit_generator.state = {"bit_generator": "PCG64", "state": {"state": probe, "inc": inc},
-                                   "has_uint32": 0, "uinteger": 0}
+        bit_generator.state = {"bit_generator": "PCG64", "state": {"state": probe, "inc": inc},
+                               "has_uint32": 0, "uinteger": 0}
         if bytes(state) != _PROBE:
             raise RuntimeError(f"NumPy {np.__version__} does not store PCG64's state as "
                                "little-endian 128-bit state then inc; trial streams cannot be set")
-        _generators.current = rng, state
-    # has_uint32 and uinteger stay as they are: random_raw never reads them,
-    # and the redraw path's advance() resets them first
-    state[:] = _block_streams(config.seed, span, count)[32 * offset:32 * offset + 32]
-    return rng
+    first, starts = span * SPAN, _block_streams(config.seed, span, count)
+    _thread.span = held = (config, first, first + count, starts, word_count(config), state, random_raw)
+    return held
+
+
+def _trial_raw(config, trial_index: int, word_count) -> np.ndarray:
+    """The first ``word_count(config)`` raw words of trial ``trial_index`` of ``config.seed``.
+
+    In this thread's held span, a trial costs an identity and a range check,
+    a 32-byte state write and ``random_raw`` (which reads the state alone);
+    any other trial first seeds and holds its own span.
+    """
+    held, first, stop, starts, count, state, random_raw = _thread.span
+    if held is not config or not first <= trial_index < stop:
+        held, first, stop, starts, count, state, random_raw = _hold(config, trial_index, word_count)
+    offset = 32 * (trial_index - first)
+    state[:] = starts[offset:offset + 32]
+    return random_raw(count)

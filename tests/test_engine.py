@@ -10,6 +10,7 @@ to :func:`.channel.los_gain` by a declared relative bound, with the zero
 pattern exact, and to a 40-digit ``decimal`` value by a bound in ulp.
 """
 
+import itertools
 import math
 import time
 from dataclasses import replace
@@ -401,6 +402,26 @@ def test_hand_built_populations_equal_the_oracle(users, served_only):
         assert evaluate_population(config, users) == oracle_cells(config, users)
 
 
+def test_served_only_ee_sheds_part_of_equal_powers_toward_the_lower_slot():
+    # users at two spots, so pairs and slot powers repeat and a cap can fall
+    # inside a group of equal powers: some shed, the higher slots served
+    spots = [user(2.0, 0.5, 1.0, 2.0), user(2.0, 2.0, 1.0, 2.0)]
+    rng = np.random.default_rng(12)
+    split = 0
+    for n, cap in itertools.product((4, 5, 6), (0.01, 0.03, 1.0)):
+        config = ScenarioConfig(num_users=n, trials=1, pairings=PAIRINGS,
+                                limits=PowerLimits(cap, 0.05), ee_served_only=True)
+        for _ in range(6):
+            users = [spots[i] for i in rng.integers(0, len(spots), n).tolist()]
+            cells = evaluate_population(config, users)
+            assert cells == oracle_cells(config, users)
+            for cell in cells.values():
+                dl = np.array(cell.dl_powers)
+                shed = downlink_outage_mask(dl, cap)
+                split += any(0 < shed[dl == power].sum() < (dl == power).sum() for power in dl)
+    assert split
+
+
 def test_out_of_fov_users_make_infinite_pairs():
     config = ScenarioConfig(num_users=8, trials=1, seed=7, pairings=PAIRINGS,
                             front_end=OpticalFrontEnd(fov_half_angle_deg=40.0))
@@ -533,11 +554,8 @@ def picked_powers_first(config, population, caps_dl, caps_ul):
     chunk = _Chunk(config, population, caps_dl, caps_ul)
     channel, qos = (chunk.powers(chunk.slots(m)) for m in ("channel", "qos"))
     used_qos = ~(channel.opa_total <= qos.opa_total * (1.0 + 1e-12))
-    column = used_qos[:, None]
-    powers = _Powers(np.where(column, qos.dl, channel.dl), np.where(column, qos.ul, channel.ul),
-                     np.where(used_qos, qos.total, channel.total),
-                     np.where(used_qos, qos.opa_total, channel.opa_total),
-                     np.where(column, qos.slots, channel.slots))
+    # trials are every field's last axis
+    powers = _Powers(*(np.where(used_qos, q, c) for q, c in zip(qos, channel)))
     return chunk.outcome(powers), used_qos
 
 
@@ -679,10 +697,11 @@ def test_opa_totals_are_the_strategies_pass_and_the_scalar_totals(variant):
 def broadcast_counts(chunk, powers):
     """Outage counts as the engine once made them: one ``(strategies, trials,
     caps, users)`` compare, summed over the users of each row."""
-    tails = np.sort(powers.dl, axis=-1)
+    dl, ul = (np.moveaxis(p, 0, -1) for p in (powers.dl, powers.ul))  # users last
+    tails = np.sort(dl, axis=-1)
     np.cumsum(tails, axis=-1, out=tails)
     return ((tails[..., None, :] > chunk.caps_dl[:, None]).sum(axis=-1),
-            (powers.ul[..., None, :] > chunk.caps_ul[:, None]).sum(axis=-1))
+            (ul[..., None, :] > chunk.caps_ul[:, None]).sum(axis=-1))
 
 
 @pytest.mark.parametrize("count", [1, 8, 24])

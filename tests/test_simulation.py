@@ -160,9 +160,8 @@ class TestStreamSeeding:
     def test_the_last_span_stops_at_the_runs_last_trial(self):
         config = desk_config(seed=3, num_users=7, trials=300)
         assert drawn(config, 299) == reference_draw(config, 299)
-        hits = _block_streams.cache_info().hits
-        assert len(_block_streams(config.seed, 0, 300)) == 32 * 300
-        assert _block_streams.cache_info().hits == hits + 1
+        held, first, stop, starts = streams._thread.span[:4]
+        assert held is config and (first, stop, len(starts)) == (0, 300, 32 * 300)
         # an index past the run still gets its stream
         trial = config.trials + 2 * SPAN + 5
         users = sample_users(config, trial)
@@ -171,18 +170,22 @@ class TestStreamSeeding:
                          for u in users]).T.tobytes() == b"".join(reference_draw(config, trial))
 
     def test_the_written_state_reads_back_through_the_public_getter(self):
-        # one Generator, at and across a span boundary
+        # one bit generator, at and across a span boundary: after a trial's
+        # words it stands where default_rng([seed, trial]) does after as many
         config = desk_config(seed=11)
         for trial in (SPAN - 2, SPAN - 1, SPAN, SPAN + 1, 3 * SPAN):
-            want = np.random.default_rng([config.seed, trial]).bit_generator.state["state"]
-            assert streams._stream(config, trial).bit_generator.state["state"] == want
+            words = run_trial(config, trial)
+            want = np.random.default_rng([config.seed, trial]).bit_generator
+            want.advance(len(words))
+            got = streams._thread.span[-1].__self__  # the held random_raw's bit generator
+            assert got.state["state"] == want.state["state"]
 
     def test_a_layout_other_than_the_setters_is_refused(self, monkeypatch):
         # a fresh thread's Generator whose view reads other bytes than the probe
         monkeypatch.setattr(streams, "_state_view", lambda bit_generator: memoryview(bytearray(32)))
-        monkeypatch.setattr(streams, "_generators", threading.local())
+        monkeypatch.setattr(streams, "_thread", streams._Thread())
         with pytest.raises(RuntimeError, match=re.escape(f"NumPy {np.__version__} ")):
-            streams._stream(desk_config(), 0)
+            run_trial(desk_config(), 0)
 
     def test_out_of_order_draws_never_see_a_stale_block(self):
         sequence = [(5, 300), (5, 3), (5, SPAN + 3), (5, 300), (6, 300), (5, 3), (6, 3)]
@@ -216,6 +219,88 @@ class TestStreamSeeding:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
+
+
+def reference_words(config: ScenarioConfig, trials) -> np.ndarray:
+    """Each trial's words from default_rng([seed, trial]), one row each."""
+    count = simulation._word_count(config)
+    return np.stack([np.random.default_rng([config.seed, i]).bit_generator.random_raw(count)
+                     for i in trials])
+
+
+class TestHeldSpan:
+    """A thread holds the span it drew from last, with its config, starts and
+    word count; every trial must still read default_rng([seed, trial])'s
+    words, whatever the thread held before."""
+
+    @staticmethod
+    def assert_words(config, trials):
+        got = simulation._trial_words(config, trials)
+        assert got.tobytes() == reference_words(config, trials).tobytes()
+
+    def test_trials_at_a_span_boundary(self):
+        self.assert_words(desk_config(seed=21, trials=3 * SPAN), range(SPAN - 1, SPAN + 2))
+
+    def test_the_runs_last_partial_span_then_indices_past_the_run(self):
+        config = desk_config(seed=22, trials=2 * SPAN + 100)
+        self.assert_words(config, range(2 * SPAN + 90, 2 * SPAN + 100))
+        # past the run, a whole span is held; the run's last trials read from it too
+        self.assert_words(config, range(config.trials - 2, config.trials + 3))
+        self.assert_words(config, [config.trials + SPAN, config.trials - 1, 3 * SPAN - 1])
+
+    def test_configs_of_one_seed_interleaved_on_one_thread(self):
+        # equal seeds, so only the held config tells the spans and word counts apart
+        short = desk_config(seed=23, trials=300)
+        configs = (short, replace(short, trials=3000), replace(short, num_users=5),
+                   replace(short))
+        for trial in (0, 1, 299, 298, 7):
+            for config in configs:
+                self.assert_words(config, [trial])
+        self.assert_words(configs[1], [300, SPAN - 1, SPAN, 2999])
+        self.assert_words(short, [299, 300])
+
+    def test_two_threads_alternating_configs(self):
+        one = desk_config(seed=24, trials=300)
+        configs = (one, replace(one, trials=SPAN + 50), replace(one, num_users=5, trials=SPAN + 50))
+        trials = [0, 1, 299, SPAN - 1, SPAN, SPAN + 49]
+        want = {(id(c), i): reference_words(c, [i]).tobytes() for c in configs for i in trials}
+        wrong = []
+
+        def work(order):
+            for _ in range(30):
+                for config in order:
+                    for i in trials:
+                        if simulation._trial_words(config, [i]).tobytes() != want[(id(config), i)]:
+                            wrong.append((config.trials, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(order,))
+                       for order in (configs, configs[::-1])]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    @pytest.mark.parametrize("index, error, message", [
+        (-1, ValueError, "trial_index must be >= 0, got -1"),
+        (-SPAN - 3, ValueError, f"trial_index must be >= 0, got {-SPAN - 3}"),
+        (2.0, TypeError, None),  # inside the held span
+        (2.5, TypeError, None),
+        (SPAN + 2.0, TypeError, None),  # outside it
+        ("2", TypeError, None),
+    ])
+    def test_negative_and_non_integer_indices_raise(self, index, error, message):
+        config = desk_config(trials=SPAN)
+        run_trial(config, 3)  # holds trials 0 to SPAN - 1
+        with pytest.raises(error, match=message and re.escape(message)):
+            run_trial(config, index)
+        assert run_trial(config, 3).tobytes() == reference_words(config, [3]).tobytes()
 
 
 def reads_past_its_words(config: ScenarioConfig, trial: int) -> bool:
