@@ -746,32 +746,6 @@ def _sums_in_trial_order(parts: Iterable[np.ndarray], columns: int) -> np.ndarra
     return sums[0]
 
 
-def _share_worker(conn, config: ScenarioConfig, share: list[range], caps_dl, caps_ul) -> None:
-    """A child's share: ``None``, then one float64 message per range; or its error."""
-    with conn:
-        try:
-            parts = [_chunk_values(config, trials, caps_dl, caps_ul) for trials in share]
-        except Exception as error:
-            return conn.send(error)
-        conn.send(None)
-        for part in parts:
-            conn.send_bytes(part)
-
-
-def _share_rows(child, conn, share: list[range], columns: int) -> Iterable[np.ndarray]:
-    """A child's rows in trial order, one range at a time; its error is raised."""
-    try:
-        error = conn.recv()
-        for trials in share if error is None else ():
-            yield np.frombuffer(conn.recv_bytes()).reshape(len(trials), columns)
-    except EOFError:
-        child.join()
-        raise RuntimeError(f"a worker process exited with code {child.exitcode} "
-                           "before sending all its trials") from None
-    if error is not None:
-        raise error
-
-
 def _reduce(
     config: ScenarioConfig, caps_dl: Sequence[float], caps_ul: Sequence[float], workers: int
 ) -> list[dict[tuple[str, str], CellSummary]]:
@@ -780,8 +754,9 @@ def _reduce(
     ``workers`` counts processes, the caller included: the trial ranges are
     split into that many contiguous shares (at most one per range), and
     ``workers - 1`` child processes evaluate the later shares while the
-    caller evaluates the first. A child's error is re-raised here. Every
-    child is joined, or terminated and joined, before this returns or raises.
+    caller evaluates the first (see :mod:`.workers`). A child's error is
+    re-raised here. Every child is reaped, or terminated and reaped, before
+    this returns or raises.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -791,31 +766,15 @@ def _reduce(
     workers = min(workers, len(ranges))
     shares = [ranges[len(ranges) * k // workers:len(ranges) * (k + 1) // workers]
               for k in range(workers)]
-    children = []
-    try:
-        for share in shares[1:]:
-            import multiprocessing  # here: single-worker runs need not load it
+    columns = width * len(keys)
+    own = map(_chunk_values, repeat(config), shares[0], repeat(caps_dl), repeat(caps_ul))
+    if workers == 1:
+        sums = _sums_in_trial_order(own, columns)
+    else:
+        from .workers import children  # here: a serial run neither compiles nor loads it
 
-            # fork on Linux, where Python 3.14's default (forkserver) re-imports NumPy per child
-            context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
-            conn, send = context.Pipe(duplex=False)
-            child = context.Process(target=_share_worker,
-                                    args=(send, config, share, caps_dl, caps_ul))
-            with send:  # then only the child holds it: its exit reads as EOF
-                child.start()
-            children.append((child, conn, share))
-        own = map(_chunk_values, repeat(config), shares[0], repeat(caps_dl), repeat(caps_ul))
-        received = (_share_rows(child, conn, share, width * len(keys))
-                    for child, conn, share in children)
-        sums = _sums_in_trial_order(chain(own, *received), width * len(keys))
-    except BaseException:
-        for child, _, _ in children:
-            child.terminate()
-        raise
-    finally:
-        for child, conn, _ in children:
-            child.join()
-            conn.close()
+        with children(config, shares[1:], caps_dl, caps_ul, columns) as received:
+            sums = _sums_in_trial_order(chain(own, *received), columns)
     means = (sums / config.trials).reshape(len(keys), width).tolist()
     dl, ul = len(caps_dl), len(caps_ul)  # a one-cap link repeats its UOP at every grid point
     return [{key: CellSummary(row[0], row[1], row[2 + min(g, dl - 1)], row[2 + dl + min(g, ul - 1)])

@@ -4,7 +4,6 @@ document, reproducibility and exit codes."""
 import csv
 import json
 import math
-import multiprocessing.process
 import os
 import subprocess
 import sys
@@ -224,17 +223,19 @@ class TestCliRuns:
         # an infinite mean is written as such, not as the empty "not applicable"
         assert all(r["mean_total_power"] == "inf" for r in rows)
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="the engine forks on Linux only")
     def test_pool_never_outnumbers_its_tasks(self, tmp_path, monkeypatch):
-        # the caller evaluates the first share itself and starts one process
+        # the caller evaluates the first share itself and forks one process
         # per other share, never more than there are trial ranges
         started = []
-        start = multiprocessing.process.BaseProcess.start
+        fork = os.fork
 
-        def recording_start(process):
-            started.append(process)
-            start(process)
+        def recording_fork():
+            pid = fork()
+            started.append(pid)  # the child's own list is never read
+            return pid
 
-        monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", recording_start)
+        monkeypatch.setattr(os, "fork", recording_fork)
         scenario = write(tmp_path, "s.cfg", "num_users = 4\ntrials = 3\n")
         outs = [tmp_path / "one.csv", tmp_path / "many.csv"]
         counts = []

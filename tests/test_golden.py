@@ -1,7 +1,9 @@
 """The shipped scenarios against their recorded CSVs (tests/data/golden/).
 
 The recorded files are the CLI's output for each scenario in
-``scenarios/``; the campaign was run with ``--trials 300``. A refactor of
+``scenarios/``; the desk campaign was run with ``--trials 300``. The
+served-only campaign (``ee_served_only``, finite caps on both links) guards
+the served-only EE, which no other scenario reports. A refactor of
 the engine must reproduce them: text fields exactly, floats within a
 relative 1e-12. That leaves room for last-bit differences between NumPy
 and libm builds on other machines, and for the engine's array gains,
@@ -25,6 +27,7 @@ REL = 1e-12
 
 RUNS = [
     ("campaign", "campaign_16users", ["--trials", "300"]),
+    ("campaign", "campaign_served_only", []),
     ("uop-sweep", "uop_downlink", []),
     ("uop-sweep", "uop_uplink", []),
     ("sweep-two-user", "two_user_sweep", []),

@@ -9,13 +9,15 @@ import subprocess
 import sys
 import textwrap
 import threading
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from lifi_noma import (
+    NoiseModel,
+    OpticalFrontEnd,
     PowerLimits,
     QosRates,
     ScenarioConfig,
@@ -133,6 +135,29 @@ class TestSampling:
             assert np.array([(u.position.vertical, u.position.horizontal,
                               u.position.polar_angle, u.qos.downlink, u.qos.uplink)
                              for u in users]).T.tobytes() == b"".join(want)
+
+    def test_configs_that_share_the_geometry_fields_place_the_same_users(self):
+        # a trial's first 3n words are its positions, so every field but
+        # these five may differ; the rate draws come after them
+        shared = ("seed", "num_users", "l_min", "l_max", "r_max")
+        base = ScenarioConfig(num_users=7, trials=1, seed=9, l_min=1.2, l_max=2.8, r_max=2.5)
+        others = [
+            replace(base, trials=3000, scenario_id="rates", qos_set=(1.0, 2.0, 3.0, 4.0),
+                    limits=PowerLimits(4.0, 0.5), strategies=(Strategy.OPA,),
+                    pairings=("channel", "qos"), qos_pairing_key="uplink", ee_served_only=True),
+            replace(base, qos_set=(2.5, 1.0, 3.0), qos_coupled_links=True,
+                    front_end=OpticalFrontEnd(semi_angle_deg=15.0, fov_half_angle_deg=40.0),
+                    noise=NoiseModel(psd=3e-22, bandwidth=1e7), sweep_mode="vertical",
+                    sweep_values=(2.0,), sweep_rate=2.0, uop_sweep_link="ul",
+                    uop_sweep_grid=(0.5, 1.0)),
+        ]
+        varied = {f.name for f in fields(ScenarioConfig)
+                  if any(getattr(c, f.name) != getattr(base, f.name) for c in others)}
+        assert varied == {f.name for f in fields(ScenarioConfig)} - set(shared)
+        for trial in (0, SPAN - 1, SPAN, 2999):
+            want = [user.position for user in sample_users(base, trial)]
+            for config in others:
+                assert [user.position for user in sample_users(config, trial)] == want
 
     def test_negative_trial_index_rejected(self):
         with pytest.raises(ValueError):
@@ -568,6 +593,27 @@ forked = pytest.mark.skipif(
     reason="the engine is patched before the children are forked")
 
 
+def assert_no_child_left() -> None:
+    """This process has no child, running or exited but not reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class Locked(ArithmeticError):
+    """An error that cannot be pickled: it holds a lock."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.lock = threading.Lock()
+
+
+class Two(ArithmeticError):
+    """An error that pickles but cannot be rebuilt: its ``__init__`` takes two arguments."""
+
+    def __init__(self, what, where):
+        super().__init__(f"no {what} {where}")
+
+
 def _run_python(code: str) -> None:
     """Run ``code`` in a fresh interpreter that imports this package; it must exit 0."""
     src = str(Path(simulation.__file__).parents[1])
@@ -588,7 +634,7 @@ class TestWorkerProcesses:
         _patched_chunks(monkeypatch, fail)
         with pytest.raises(ArithmeticError, match="^no trial 6$"):
             run_campaign(desk_config(trials=12), workers=2)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @forked
     def test_a_child_that_dies_names_its_exit_code(self, monkeypatch):
@@ -599,7 +645,7 @@ class TestWorkerProcesses:
         _patched_chunks(monkeypatch, fail)
         with pytest.raises(RuntimeError, match="exited with code 3 "):
             run_campaign(desk_config(trials=12), workers=2)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
 
     @forked
     def test_an_error_in_the_callers_share_leaves_no_child(self, monkeypatch):
@@ -613,7 +659,32 @@ class TestWorkerProcesses:
         grid = tuple(2.0 ** k for k in range(-8, 8))
         with pytest.raises(ArithmeticError, match="^no trial 0$"):
             run_uop_sweep(desk_config(trials=3 * CHUNK, uop_sweep_grid=grid), workers=3)
-        assert multiprocessing.active_children() == []
+        assert_no_child_left()
+
+    @forked
+    @pytest.mark.parametrize("error", [Locked("no trial 6"), Two("trial", 6)],
+                             ids=["not-picklable", "not-rebuildable"])
+    def test_an_error_the_caller_cannot_receive_is_named(self, monkeypatch, capfd, error):
+        def fail(trials):
+            if trials.start:
+                raise error
+
+        _patched_chunks(monkeypatch, fail)
+        name = type(error).__name__
+        with pytest.raises(RuntimeError, match=f"^a worker process raised {name}: no trial 6$"):
+            run_campaign(desk_config(trials=12), workers=2)
+        assert capfd.readouterr().err == ""
+        assert_no_child_left()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the engine forks on Linux only")
+    def test_a_pooled_run_on_linux_leaves_multiprocessing_unloaded(self):
+        _run_python(textwrap.dedent("""
+            import sys
+            from lifi_noma import ScenarioConfig, run_campaign
+            c = ScenarioConfig(num_users=5, trials=2 * 256 + 9, seed=4, qos_set=(1.0, 2.0))
+            same = run_campaign(c, workers=3) == run_campaign(c, workers=1)
+            sys.exit(not same or "multiprocessing" in sys.modules)
+        """))
 
     def test_shares_under_spawn_equal_one_worker(self):
         # spawned children import the package afresh and get the config pickled
