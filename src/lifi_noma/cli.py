@@ -33,6 +33,7 @@ from .simulation import (
     CampaignSummary,
     ScenarioConfig,
     ScenarioValidationError,
+    _worker_count,
     run_campaign,
     run_uop_sweep,
     two_user_sweep,
@@ -255,8 +256,7 @@ def run(command: str, config: ScenarioConfig, out_path, *, workers: int = 1) -> 
 
     Returns the path of the written CSV.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _worker_count(workers)
     if command == "sweep-two-user":
         summaries = two_user_sweep(config)
     elif command == "campaign":

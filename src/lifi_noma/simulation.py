@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 import sys
 from dataclasses import dataclass, field, replace
-from functools import reduce
-from itertools import chain, repeat
+from functools import partial, reduce
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -152,11 +151,12 @@ class ScenarioConfig:
         problems = []
         for name, least in (("num_users", 2), ("trials", 1), ("seed", 0)):
             value = getattr(self, name)
-            try:
-                if operator.index(value) < least:
-                    problems.append(f"{name} must be >= {least}, got {value}")
-            except TypeError:
-                problems.append(f"{name} must be an integer, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                problems.append(f"{name} must be an integer (not a bool), got {value!r}")
+            elif value < least:
+                problems.append(f"{name} must be >= {least}, got {value}")
+            else:  # a NumPy integer is stored as the Python int the CSV and JSON write
+                object.__setattr__(self, name, int(value))
         listed = (list, tuple)
         kinds = {"scenario_id": (str,), "front_end": (OpticalFrontEnd,), "noise": (NoiseModel,),
                  "limits": (PowerLimits,), "strategies": listed, "pairings": listed,
@@ -173,6 +173,14 @@ class ScenarioConfig:
                   if name not in wrong and not all(map(_is_real, values))}
         if wrong:  # the checks below use these as numbers, parts and lists
             raise ScenarioValidationError(problems + list(wrong.values()))
+        # tuples of Python numbers, hashable and written to the CSV and JSON as Python's own;
+        # one given as such is kept, as _rate_table holds its table by identity
+        for name, values in reals.items():
+            if type(values) is not tuple or not all(type(v) in (int, float) for v in values):
+                plain = [int(v) if isinstance(v, numbers.Integral) else float(v) for v in values]
+                object.__setattr__(self, name, tuple(plain) if name in kinds else plain[0])
+        for name in ("strategies", "pairings"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.qos_set:
             problems.append("qos_set must not be empty")
         for name, rates in (("qos_set", self.qos_set), ("sweep_rate", (self.sweep_rate,))):
@@ -369,7 +377,7 @@ def _population_from_words(
             ((config.l_min, config.l_max), (0.0, config.r_max), (0.0, 2.0 * math.pi)))
     )
     del unit  # the draw's largest array, freed before the rate draws
-    choices, table = _rate_table(tuple(config.qos_set))
+    choices, table = _rate_table(config.qos_set)
     k, draws = len(choices), _rate_draws(config)
     if draws:
         tail = words[:, 3 * n:]
@@ -730,6 +738,13 @@ def _chunk_size(config: ScenarioConfig) -> int:
     return size
 
 
+def _worker_count(workers) -> int:
+    """The one rule for a worker count: an integer, not a bool, >= 1."""
+    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    return int(workers)
+
+
 def _trial_ranges(trials: int, workers: int, size: int) -> list[range]:
     """Contiguous ranges of at most ``size`` trials, at least one per worker."""
     count = max(-(-trials // size), min(workers, trials))
@@ -758,22 +773,21 @@ def _reduce(
     re-raised here. Every child is reaped, or terminated and reaped, before
     this returns or raises.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     keys = [(s.value, p) for p in config.pairings for s in config.strategies]
     width = 2 + len(caps_dl) + len(caps_ul)
-    ranges = _trial_ranges(config.trials, workers, _chunk_size(config))
+    ranges = _trial_ranges(config.trials, _worker_count(workers), _chunk_size(config))
     workers = min(workers, len(ranges))
     shares = [ranges[len(ranges) * k // workers:len(ranges) * (k + 1) // workers]
               for k in range(workers)]
     columns = width * len(keys)
-    own = map(_chunk_values, repeat(config), shares[0], repeat(caps_dl), repeat(caps_ul))
+    task = partial(_chunk_values, config, caps_dl=caps_dl, caps_ul=caps_ul)
+    own = map(task, shares[0])
     if workers == 1:
         sums = _sums_in_trial_order(own, columns)
     else:
         from .workers import children  # here: a serial run neither compiles nor loads it
 
-        with children(config, shares[1:], caps_dl, caps_ul, columns) as received:
+        with children(task, shares[1:]) as received:  # float64 rows, as task returns them
             sums = _sums_in_trial_order(chain(own, *received), columns)
     means = (sums / config.trials).reshape(len(keys), width).tolist()
     dl, ul = len(caps_dl), len(caps_ul)  # a one-cap link repeats its UOP at every grid point

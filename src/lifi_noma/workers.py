@@ -1,13 +1,14 @@
-"""Child processes of a multi-worker run, one per share of its trial ranges.
+"""Child processes of a multi-worker run: a task mapped over shares of trial ranges.
 
 :func:`.simulation._reduce` imports this module on its first multi-worker
-call, so a serial run neither compiles nor loads it. On Linux a child is
-made by ``os.fork`` and writes to a raw ``os.pipe``; elsewhere it is a
-``multiprocessing.Process`` under the default start method, writing to a
-``multiprocessing`` pipe. Either way the child sends one stream, in the
-units the caller reads: the length of a pickled header (8 bytes,
-little-endian), the header (``None``, or the error its share raised), then
-its float64 rows, one range after another.
+call, so a serial run neither compiles nor loads it. The task takes one
+range and returns its float64 rows. On Linux a child is made by ``os.fork``
+and pickles its messages onto a raw ``os.pipe``; elsewhere it is a
+``multiprocessing.Process`` under the default start method, sending them
+through a ``multiprocessing`` pipe. A child computes its whole share (it
+would block on a full pipe while the caller evaluates its own), then sends
+``None`` or the error its share raised, then each range's rows as ``bytes``:
+every child is a fresh process, where an array's first pickle is slow.
 """
 
 from __future__ import annotations
@@ -17,56 +18,45 @@ import pickle
 import signal
 import sys
 from contextlib import contextmanager
+from functools import partial
 from typing import Callable, Iterator
 
 import numpy as np
 
-from . import simulation
 
-
-def _header(error: Exception | None) -> bytes:
-    """``error`` pickled if the caller can rebuild it, else a RuntimeError naming it."""
+def _send(dump: Callable, task: Callable, share: list[range]) -> None:
+    """A child's messages through ``dump``: ``None`` or its error, then each range's rows."""
     try:
-        header = pickle.dumps(error)
-        pickle.loads(header)
-    except Exception:
-        header = pickle.dumps(RuntimeError(f"a worker process raised {type(error).__name__}: {error}"))
-    return header
-
-
-def _send(write: Callable, config, share: list[range], caps_dl, caps_ul) -> None:
-    """A child's share through ``write``: its header, then its rows one range at a time."""
-    try:
-        parts, error = [simulation._chunk_values(config, trials, caps_dl, caps_ul)
-                        for trials in share], None
+        parts, error = [task(trials) for trials in share], None
     except Exception as raised:
         parts, error = [], raised
-    header = _header(error)
-    for data in (len(header).to_bytes(8, "little"), header, *parts):
-        write(data)
+    try:  # an error the caller could not rebuild is sent by name
+        pickle.loads(pickle.dumps(error))
+    except Exception:
+        error = RuntimeError(f"a worker process raised {type(error).__name__}: {error}")
+    for message in (error, *(part.tobytes() for part in parts)):
+        dump(message)
 
 
-def _rows(child, share: list[range], columns: int) -> Iterator[np.ndarray]:
+def _rows(child, share: list[range]) -> Iterator[np.ndarray]:
     """A child's rows in trial order, one range at a time; its error is raised."""
-
-    def read(size: int) -> bytes:
-        data = child.read(size)
-        if len(data) != size:
-            raise RuntimeError(f"a worker process exited with code {child.exit_code()} "
-                               "before sending all its trials")
-        return data
-
-    error = pickle.loads(read(int.from_bytes(read(8), "little")))
-    for trials in share if error is None else ():
-        yield np.frombuffer(read(8 * len(trials) * columns)).reshape(len(trials), columns)
+    try:
+        error = child.load()
+        for trials in share if error is None else ():
+            yield np.frombuffer(child.load()).reshape(len(trials), -1)
+    except child.ended:
+        raise RuntimeError(f"a worker process exited with code {child.exit_code()} "
+                           "before sending all its trials") from None
     if error is not None:
         raise error
 
 
 class _Forked:
-    """A child made by ``os.fork``, writing to a raw ``os.pipe`` (Linux)."""
+    """A child made by ``os.fork``, pickling to a raw ``os.pipe`` (Linux)."""
 
-    def __init__(self, *task):
+    ended = (EOFError, pickle.UnpicklingError)
+
+    def __init__(self, *job):
         fd_read, fd_write = os.pipe()
         try:
             self.pid = os.fork()
@@ -79,15 +69,13 @@ class _Forked:
             try:
                 os.close(fd_read)
                 with open(fd_write, "wb") as stream:
-                    _send(stream.write, *task)
+                    _send(partial(pickle.dump, file=stream), *job)
                 code = 0
             finally:
                 os._exit(code)
         os.close(fd_write)  # then only the child holds it: its exit reads as EOF
         self.stream, self.status = open(fd_read, "rb"), None
-
-    def read(self, size: int) -> bytes:
-        return self.stream.read(size)
+        self.load = partial(pickle.load, self.stream)
 
     def exit_code(self) -> int:
         """The child's exit code (minus the signal that ended it), once it has exited."""
@@ -105,21 +93,18 @@ class _Forked:
 
 
 class _Process:
-    """A ``multiprocessing.Process``, writing one message per unit to its pipe."""
+    """A ``multiprocessing.Process``, sending its messages through a ``multiprocessing`` pipe."""
 
-    def __init__(self, *task):
+    ended = (EOFError, OSError)  # OSError: the pipe ended inside a message
+
+    def __init__(self, *job):
         import multiprocessing  # here: Linux never loads it
 
         self.conn, send = multiprocessing.Pipe(duplex=False)
-        self.process = multiprocessing.Process(target=_send, args=(send.send_bytes, *task))
+        self.process = multiprocessing.Process(target=_send, args=(send.send, *job))
         with send:  # then only the child holds it: its exit reads as EOF
             self.process.start()
-
-    def read(self, size: int) -> bytes:
-        try:
-            return self.conn.recv_bytes()
-        except EOFError:
-            return b""
+        self.load = self.conn.recv
 
     def exit_code(self) -> int:
         self.process.join()
@@ -134,8 +119,8 @@ class _Process:
 
 
 @contextmanager
-def children(config, shares: list[list[range]], caps_dl, caps_ul, columns: int):
-    """Start one child per share; give each child's rows, lazily and in trial order.
+def children(task: Callable[[range], np.ndarray], shares: list[list[range]]):
+    """Run ``task`` over each share in a child; give each child's rows lazily, in trial order.
 
     On any error every child not yet reaped is sent SIGTERM. Every child is
     reaped, and its pipe closed, before the ``with`` block is left.
@@ -144,8 +129,8 @@ def children(config, shares: list[list[range]], caps_dl, caps_ul, columns: int):
     started = []
     try:
         for share in shares:
-            started.append(start(config, share, caps_dl, caps_ul))
-        yield [_rows(child, share, columns) for child, share in zip(started, shares)]
+            started.append(start(task, share))
+        yield [_rows(child, share) for child, share in zip(started, shares)]
     except BaseException:
         for child in started:
             child.terminate()

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lifi_noma import (
@@ -384,6 +385,39 @@ class TestExitCodes:
             with pytest.raises(ValueError, match="workers"):
                 run(command, config, out, workers=workers)
             assert not out.exists()
+
+    @pytest.mark.parametrize("workers", [True, 2.0, "2"])
+    def test_library_entry_points_refuse_a_worker_count_that_is_not_an_integer(self, tmp_path,
+                                                                               workers):
+        config = ScenarioConfig(num_users=4, trials=2, uop_sweep_grid=(1.0, 2.0))
+        for call in (run_campaign, run_uop_sweep):
+            with pytest.raises(ValueError, match="^workers must be an integer >= 1"):
+                call(config, workers=workers)
+        for command in ("campaign", "uop-sweep", "sweep-two-user"):
+            out = tmp_path / f"{command}.csv"
+            with pytest.raises(ValueError, match="^workers must be an integer >= 1"):
+                run(command, config, out, workers=workers)
+            assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["num_users", "trials", "seed"])
+    def test_a_bool_is_refused_as_an_integer_field(self, field):
+        with pytest.raises(ScenarioValidationError, match=f"^{field} must be an integer "):
+            ScenarioConfig(**{"num_users": 4, "trials": 2, field: True})
+
+    def test_numpy_numbers_write_what_python_numbers_write(self, tmp_path):
+        numpy = ScenarioConfig(num_users=np.int64(4), trials=np.int64(3), seed=np.uint64(5),
+                               qos_set=[np.float32(1.0), 2.0], l_min=np.float32(1.5),
+                               uop_sweep_grid=[np.int64(1), np.float64(2.0)])
+        plain = ScenarioConfig(num_users=4, trials=3, seed=5, qos_set=(1.0, 2.0), l_min=1.5,
+                               uop_sweep_grid=(1, 2.0))
+        assert numpy == plain
+        for command in ("campaign", "uop-sweep"):
+            written = []
+            for name, config, workers in (("numpy", numpy, np.int64(2)), ("plain", plain, 2)):
+                (tmp_path / name).mkdir(exist_ok=True)
+                out = run(command, config, tmp_path / name / f"{command}.csv", workers=workers)
+                written.append((out.read_bytes(), out.with_suffix(".summary.json").read_bytes()))
+            assert written[0] == written[1]
 
     def test_file_that_is_not_utf8_is_two(self, tmp_path, capsys):
         scenario = tmp_path / "s.cfg"

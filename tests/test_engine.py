@@ -809,6 +809,22 @@ def test_the_rate_table_is_built_once_per_qos_set_and_keeps_the_sign_of_zero(mon
     assert medians[0] < 5 * medians[1]
 
 
+def test_a_listed_qos_set_is_held_as_a_tuple_and_its_table_built_once_per_run(monkeypatch):
+    listed = ScenarioConfig(num_users=8, trials=200, seed=3, qos_set=[0.5, 1.0, 2.0],
+                            strategies=[Strategy.OPA], pairings=["channel", "qos"])
+    tupled = replace(listed, qos_set=(0.5, 1.0, 2.0), strategies=(Strategy.OPA,),
+                     pairings=("channel", "qos"))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    assert type(listed.qos_set) is type(listed.strategies) is type(listed.pairings) is tuple
+    calls = []
+    monkeypatch.setattr(simulation, "_rate_factor",
+                        lambda rate: calls.append(rate) or _rate_factor(rate))
+    monkeypatch.setattr(simulation, "_chunk_size", lambda config: 16)  # thirteen chunks
+    summary = run_campaign(listed)
+    assert calls == [0.5, 1.0, 2.0]
+    assert run_campaign(tupled) == summary
+
+
 def state_after(config, trial, words):
     """Trial ``trial``'s PCG64 state after ``words`` raw words."""
     rng = np.random.default_rng([config.seed, trial])

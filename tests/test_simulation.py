@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -593,6 +594,23 @@ forked = pytest.mark.skipif(
     reason="the engine is patched before the children are forked")
 
 
+BOUND_S = 30  # an in-process worker test takes well under a second
+
+
+@pytest.fixture
+def bounded():
+    """Fail the test, rather than hang, if it still waits after ``BOUND_S`` seconds."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"the test still waited after {BOUND_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, BOUND_S)  # a forked child does not inherit it
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 def assert_no_child_left() -> None:
     """This process has no child, running or exited but not reaped."""
     with pytest.raises(ChildProcessError):
@@ -626,6 +644,7 @@ class TestWorkerProcesses:
     """``workers - 1`` children evaluate the later shares, the caller the first."""
 
     @forked
+    @pytest.mark.usefixtures("bounded")
     def test_a_child_error_is_raised_in_the_caller(self, monkeypatch):
         def fail(trials):
             if trials.start:
@@ -637,6 +656,7 @@ class TestWorkerProcesses:
         assert_no_child_left()
 
     @forked
+    @pytest.mark.usefixtures("bounded")
     def test_a_child_that_dies_names_its_exit_code(self, monkeypatch):
         def fail(trials):
             if trials.start:
@@ -648,6 +668,7 @@ class TestWorkerProcesses:
         assert_no_child_left()
 
     @forked
+    @pytest.mark.usefixtures("bounded")
     def test_an_error_in_the_callers_share_leaves_no_child(self, monkeypatch):
         def fail(trials):
             if not trials.start:
@@ -662,6 +683,7 @@ class TestWorkerProcesses:
         assert_no_child_left()
 
     @forked
+    @pytest.mark.usefixtures("bounded")
     @pytest.mark.parametrize("error", [Locked("no trial 6"), Two("trial", 6)],
                              ids=["not-picklable", "not-rebuildable"])
     def test_an_error_the_caller_cannot_receive_is_named(self, monkeypatch, capfd, error):
