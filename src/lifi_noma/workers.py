@@ -56,7 +56,7 @@ class _Forked:
 
     ended = (EOFError, pickle.UnpicklingError)
 
-    def __init__(self, *job):
+    def __init__(self, task: Callable, share: list[range]):
         fd_read, fd_write = os.pipe()
         try:
             self.pid = os.fork()
@@ -69,7 +69,7 @@ class _Forked:
             try:
                 os.close(fd_read)
                 with open(fd_write, "wb") as stream:
-                    _send(partial(pickle.dump, file=stream), *job)
+                    _send(partial(pickle.dump, file=stream), task, share)
                 code = 0
             finally:
                 os._exit(code)
@@ -97,11 +97,11 @@ class _Process:
 
     ended = (EOFError, OSError)  # OSError: the pipe ended inside a message
 
-    def __init__(self, *job):
+    def __init__(self, task: Callable, share: list[range]):
         import multiprocessing  # here: Linux never loads it
 
         self.conn, send = multiprocessing.Pipe(duplex=False)
-        self.process = multiprocessing.Process(target=_send, args=(send.send, *job))
+        self.process = multiprocessing.Process(target=_send, args=(send.send, task, share))
         with send:  # then only the child holds it: its exit reads as EOF
             self.process.start()
         self.load = self.conn.recv
