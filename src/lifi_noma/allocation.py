@@ -20,6 +20,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .channel import _plain_reals
+
 __all__ = [
     "Strategy",
     "QosRates",
@@ -111,12 +113,9 @@ class PowerLimits:
     max_per_user_ul: float = math.inf
 
     def __post_init__(self) -> None:
-        problems = [
+        problems = _plain_reals(self, vars(self)) or [
             f"{name} must be positive (inf for no cap), got {value}"
-            for name, value in (
-                ("max_total_dl", self.max_total_dl),
-                ("max_per_user_ul", self.max_per_user_ul),
-            )
+            for name, value in vars(self).items()
             if not value > 0.0  # also rejects NaN
         ]
         if problems:

@@ -14,6 +14,7 @@ All powers derived from this model stay in relative electrical units
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -24,6 +25,26 @@ __all__ = [
     "channel_gain",
     "los_gain",
 ]
+
+
+def _plain_reals(owner, scalars, lists=()) -> list[str]:
+    """Store named fields of a frozen dataclass as Python numbers; list those not real.
+
+    ``scalars`` hold one real each, ``lists`` a list or tuple of them, or None. A NumPy
+    real becomes the int or float the CSV and JSON write; a bool is not a real here. A
+    tuple of Python numbers is kept as it is: ``simulation._rate_table`` holds its table
+    by identity.
+    """
+    problems = []
+    for name in (*scalars, *lists):
+        value = getattr(owner, name)
+        values = (value or ()) if name in lists else (value,)
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
+            problems.append(f"{name} must be real (a number, not a bool), got {value!r}")
+        elif type(values) is not tuple or not all(type(v) in (int, float) for v in values):
+            plain = tuple(int(v) if isinstance(v, numbers.Integral) else float(v) for v in values)
+            object.__setattr__(owner, name, plain if name in lists else plain[0])
+    return problems
 
 
 @dataclass(frozen=True)
@@ -51,7 +72,9 @@ class OpticalFrontEnd:
     refractive_index: float = 1.5
 
     def __post_init__(self) -> None:
-        problems = []
+        problems = _plain_reals(self, vars(self))
+        if problems:  # the checks below compare these as numbers
+            raise ValueError("invalid optical front end: " + "; ".join(problems))
         if not 0.0 < self.semi_angle_deg < 90.0:
             problems.append(f"semi_angle_deg must be in (0, 90), got {self.semi_angle_deg}")
         if not 0.0 < self.responsivity < math.inf:
@@ -189,6 +212,8 @@ class NoiseModel:
     bandwidth: float = 2e7
 
     def __post_init__(self) -> None:
+        if problems := _plain_reals(self, vars(self)):
+            raise ValueError("invalid noise model: " + "; ".join(problems))
         if not 0.0 < self.psd < math.inf:
             raise ValueError(f"noise PSD must be positive and finite, got {self.psd}")
         if not 0.0 < self.bandwidth < math.inf:

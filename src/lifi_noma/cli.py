@@ -1,10 +1,5 @@
 """Command-line runner: load a scenario file, run an experiment, write CSV.
 
-Commands
-    sweep-two-user   deterministic two-user geometry sweep (EE per strategy)
-    campaign         averaged multi-user Monte Carlo campaign
-    uop-sweep        outage probability over a grid of power caps
-
 Every run writes one CSV of result records plus a JSON summary echoing the
 fully resolved configuration and seed, so each row can be reproduced. Exit
 codes: 0 success, 1 usage error, 2 scenario parse/validation error, 3 I/O
@@ -17,7 +12,6 @@ the full key table.
 
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import json
@@ -26,10 +20,13 @@ import sys
 from enum import Enum
 from pathlib import Path
 
+import numpy
+
 from . import __version__
 from .allocation import PowerLimits, Strategy
 from .channel import NoiseModel, OpticalFrontEnd
 from .simulation import (
+    PAIRING_METHODS,
     CampaignSummary,
     ScenarioConfig,
     ScenarioValidationError,
@@ -251,20 +248,27 @@ def _summary_path(out_path: Path) -> Path:
     return Path(str(out_path) + ".summary.json")
 
 
+# Each command: its help line and the engine call that gives its summaries. The calls
+# look the engine functions up by name, so a patched module attribute is the one called.
+_COMMANDS = {
+    "sweep-two-user": ("deterministic two-user geometry sweep (EE per strategy)",
+                       lambda config, workers: two_user_sweep(config)),
+    "campaign": ("averaged multi-user Monte Carlo campaign",
+                 lambda config, workers: [run_campaign(config, workers=workers)]),
+    "uop-sweep": ("outage probability over a grid of power caps",
+                  lambda config, workers: run_uop_sweep(config, workers=workers)),
+}
+
+
 def run(command: str, config: ScenarioConfig, out_path, *, workers: int = 1) -> Path:
     """Execute one command and persist the CSV plus the JSON run summary.
 
     Returns the path of the written CSV.
     """
     workers = _worker_count(workers)
-    if command == "sweep-two-user":
-        summaries = two_user_sweep(config)
-    elif command == "campaign":
-        summaries = [run_campaign(config, workers=workers)]
-    elif command == "uop-sweep":
-        summaries = run_uop_sweep(config, workers=workers)
-    else:
+    if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
+    summaries = _COMMANDS[command][1](config, workers)
 
     out_path = Path(out_path)
     with open(out_path, "w", newline="", encoding="utf-8") as handle:
@@ -282,41 +286,29 @@ def run(command: str, config: ScenarioConfig, out_path, *, workers: int = 1) -> 
         "rng": "numpy PCG64, per-trial streams from SeedSequence([seed, trial_index])",
         "output_csv": out_path.name,
         "version": __version__,
+        "numpy": numpy.__version__,  # its build decides the last bits of np.power
     }
     text = json.dumps(summary_doc, indent=2, sort_keys=True) + "\n"
     _summary_path(out_path).write_text(text, encoding="utf-8")
     return out_path
 
 
-class _UsageError(Exception):
-    pass
+def _build_parser():
+    import argparse  # the command line alone needs it; the library and benchmark do not load it
 
-
-class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1 (argparse's default would be 2, which this tool
-    # reserves for scenario validation failures)
-    def error(self, message):
-        raise _UsageError(message)
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="lifi-noma", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = argparse.ArgumentParser(prog="lifi-noma", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("sweep-two-user", "deterministic two-user geometry sweep"),
-        ("campaign", "averaged multi-user Monte Carlo campaign"),
-        ("uop-sweep", "outage probability over a grid of power caps"),
-    ):
+    for name, (blurb, _) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=blurb)
         cmd.add_argument("--scenario", required=True, help="scenario file path")
         cmd.add_argument("--out", required=True, help="output CSV path")
         cmd.add_argument("--trials", type=int, help="override the trial count")
         cmd.add_argument("--seed", type=int, help="override the RNG seed")
-        cmd.add_argument("--strategies", nargs="+", metavar="NAME",
-                         help="override strategies (opa ngdpa grpa oma)")
-        cmd.add_argument("--pairing", nargs="+", metavar="NAME",
-                         help="override pairing methods (channel qos adaptive)")
+        cmd.add_argument("--strategies", nargs="+", type=str.lower, metavar="NAME",
+                         help=f"override strategies ({' '.join(s.value for s in Strategy)})")
+        cmd.add_argument("--pairing", nargs="+", type=str.lower, metavar="NAME",
+                         help=f"override pairing methods ({' '.join(PAIRING_METHODS)})")
         cmd.add_argument("--workers", type=int, default=1,
                          help="processes in total, this one included (same results)")
     return parser
@@ -326,24 +318,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.workers < 1:
-            raise _UsageError(f"--workers must be >= 1, got {args.workers}")
-    except _UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
+        try:
+            _worker_count(args.workers)
+        except ValueError as err:
+            parser.error(f"--{err}")
+    except SystemExit as stop:  # usage errors exit 1, not argparse's 2: that is a scenario error
+        return 0 if stop.code == 0 else 1
     try:
         config = load_scenario(args.scenario)
-        overrides = {}
-        if args.trials is not None:
-            overrides["trials"] = args.trials
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.strategies is not None:
-            overrides["strategies"] = _strategies_from_tokens([t.lower() for t in args.strategies])
-        if args.pairing is not None:
-            overrides["pairings"] = tuple(t.lower() for t in args.pairing)
-        if overrides:
-            config = dataclasses.replace(config, **overrides)
+        overrides = {"trials": args.trials, "seed": args.seed, "pairings": args.pairing,
+                     "strategies": args.strategies and _strategies_from_tokens(args.strategies)}
+        config = dataclasses.replace(config, **{k: v for k, v in overrides.items() if v is not None})
         out = run(args.command, config, args.out, workers=args.workers)
     except (ScenarioParseError, ScenarioValidationError) as err:
         print(f"scenario error: {err}", file=sys.stderr)

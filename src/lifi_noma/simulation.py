@@ -48,7 +48,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .allocation import MAX_RATE, PowerLimits, QosRates, Strategy, _check_rates, _rate_factor
-from .channel import NoiseModel, OpticalFrontEnd, UserPosition, channel_gain
+from .channel import NoiseModel, OpticalFrontEnd, UserPosition, _plain_reals, channel_gain
 from .metrics import LinkOutage
 from .pairing import QOS_SORT_KEYS, _check_user_count, _qos_sort_values
 from .streams import CHUNK, _MASK32, _trial_raw
@@ -92,10 +92,6 @@ class ScenarioValidationError(ValueError):
     def __init__(self, problems: Sequence[str]):
         super().__init__("; ".join(problems))
         self.problems = tuple(problems)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -165,20 +161,11 @@ class ScenarioConfig:
         wrong = {name: f"{name} must be of type {' or '.join(k.__name__ for k in kind)}, "
                        f"got {getattr(self, name)!r}"
                  for name, kind in kinds.items() if not isinstance(getattr(self, name), kind)}
-        reals = {"l_min": [self.l_min], "l_max": [self.l_max], "r_max": [self.r_max],
-                 "sweep_rate": [self.sweep_rate], "qos_set": self.qos_set,
-                 "uop_sweep_grid": self.uop_sweep_grid, "sweep_values": self.sweep_values or ()}
-        wrong |= {name: f"{name} must be real (a number, not a bool), got {getattr(self, name)!r}"
-                  for name, values in reals.items()
-                  if name not in wrong and not all(map(_is_real, values))}
+        scalars = ("l_min", "l_max", "r_max", "sweep_rate")
+        lists = [n for n in ("qos_set", "uop_sweep_grid", "sweep_values") if n not in wrong]
+        wrong = [*wrong.values(), *_plain_reals(self, scalars, lists)]
         if wrong:  # the checks below use these as numbers, parts and lists
-            raise ScenarioValidationError(problems + list(wrong.values()))
-        # tuples of Python numbers, hashable and written to the CSV and JSON as Python's own;
-        # one given as such is kept, as _rate_table holds its table by identity
-        for name, values in reals.items():
-            if type(values) is not tuple or not all(type(v) in (int, float) for v in values):
-                plain = [int(v) if isinstance(v, numbers.Integral) else float(v) for v in values]
-                object.__setattr__(self, name, tuple(plain) if name in kinds else plain[0])
+            raise ScenarioValidationError(problems + wrong)
         for name in ("strategies", "pairings"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.qos_set:

@@ -40,9 +40,11 @@ def test_package_import_leaves_lazy_modules_unloaded():
     # numpy.random (the PCG64 each thread writes a trial's stream state into)
     # and the worker processes' modules (lifi_noma.workers; multiprocessing
     # off Linux) load on first use, not with the package; concurrent.futures
-    # is not used at all. Only what the package adds counts: a NumPy whose
-    # own import loads numpy.random is not the package's doing
-    lazy = ("numpy.random", "lifi_noma.workers", "multiprocessing", "concurrent.futures")
+    # is not used at all, and argparse (with its gettext) loads in cli.main
+    # only. Only what the package adds counts: a NumPy whose own import
+    # loads numpy.random is not the package's doing
+    lazy = ("numpy.random", "lifi_noma.workers", "multiprocessing", "concurrent.futures",
+            "argparse", "gettext")
     code = ("import sys, numpy; bare = set(sys.modules); import lifi_noma, lifi_noma.cli; "
             f"print([m for m in {lazy!r} if m in sys.modules and m not in bare])")
     src = str(BENCH.parent / "src")

@@ -12,9 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import lifi_noma
 from lifi_noma import (
     NoiseModel,
     OpticalFrontEnd,
+    PowerLimits,
     ScenarioConfig,
     ScenarioValidationError,
     Strategy,
@@ -22,6 +24,7 @@ from lifi_noma import (
     run_uop_sweep,
 )
 from lifi_noma.cli import (
+    _COMMANDS,
     CSV_COLUMNS,
     ScenarioParseError,
     load_scenario,
@@ -272,8 +275,23 @@ class TestCliRuns:
         assert summary["config"]["strategies"] == ["opa", "ngdpa", "grpa", "oma"]
         assert "SeedSequence" in summary["rng"]
 
+    def test_summary_records_the_numpy_version(self, tmp_path):
+        # the NumPy build decides the last bits of np.power, so of the means
+        out = run("campaign", ScenarioConfig(num_users=4, trials=2), tmp_path / "c.csv")
+        summary = json.loads(out.with_suffix(".summary.json").read_text())
+        assert summary["numpy"] == np.__version__
+        assert summary["version"] == lifi_noma.__version__
+
 
 class TestExitCodes:
+    def test_help_is_zero_and_lists_each_command_with_its_help_line(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "200")  # no help line wrapped at a hyphen
+        assert main(["--help"]) == 0
+        listing = " ".join(capsys.readouterr().out.split())
+        assert set(_COMMANDS) == {"sweep-two-user", "campaign", "uop-sweep"}
+        for name, (blurb, _) in _COMMANDS.items():
+            assert f"{name} {blurb}" in listing
+
     def test_usage_error_is_one(self, capsys):
         assert main([]) == 1
         assert main(["campaign"]) == 1  # missing --scenario/--out
@@ -404,13 +422,35 @@ class TestExitCodes:
         with pytest.raises(ScenarioValidationError, match=f"^{field} must be an integer "):
             ScenarioConfig(**{"num_users": 4, "trials": 2, field: True})
 
+    @pytest.mark.parametrize("part, field", [
+        (OpticalFrontEnd, "area"), (OpticalFrontEnd, "filter_gain"), (NoiseModel, "psd"),
+        (NoiseModel, "bandwidth"), (PowerLimits, "max_total_dl"), (PowerLimits, "max_per_user_ul"),
+    ])
+    @pytest.mark.parametrize("value", [True, "1"])
+    def test_a_bool_or_a_non_real_is_refused_by_name_in_each_part(self, part, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be real \\(a number, not a bool\\)"):
+            part(**{field: value})
+
     def test_numpy_numbers_write_what_python_numbers_write(self, tmp_path):
+        # every NumPy value here is exactly representable, so it is the Python number's twin
         numpy = ScenarioConfig(num_users=np.int64(4), trials=np.int64(3), seed=np.uint64(5),
                                qos_set=[np.float32(1.0), 2.0], l_min=np.float32(1.5),
-                               uop_sweep_grid=[np.int64(1), np.float64(2.0)])
+                               uop_sweep_grid=[np.int64(1), np.float64(2.0)],
+                               front_end=OpticalFrontEnd(area=np.float32(2.0 ** -13),
+                                                         fov_half_angle_deg=np.int32(60)),
+                               noise=NoiseModel(psd=np.float64(1e-22),
+                                                bandwidth=np.int64(20_000_000)),
+                               limits=PowerLimits(max_total_dl=np.float32(2.0),
+                                                  max_per_user_ul=np.float16(0.5)))
         plain = ScenarioConfig(num_users=4, trials=3, seed=5, qos_set=(1.0, 2.0), l_min=1.5,
-                               uop_sweep_grid=(1, 2.0))
+                               uop_sweep_grid=(1, 2.0),
+                               front_end=OpticalFrontEnd(area=2.0 ** -13, fov_half_angle_deg=60),
+                               noise=NoiseModel(psd=1e-22, bandwidth=20_000_000),
+                               limits=PowerLimits(max_total_dl=2.0, max_per_user_ul=0.5))
         assert numpy == plain
+        for part in ("front_end", "noise", "limits"):
+            for name, value in vars(getattr(numpy, part)).items():
+                assert type(value) is type(getattr(getattr(plain, part), name)), (part, name)
         for command in ("campaign", "uop-sweep"):
             written = []
             for name, config, workers in (("numpy", numpy, np.int64(2)), ("plain", plain, 2)):

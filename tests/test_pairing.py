@@ -1,6 +1,9 @@
-"""User pairing: sort rules, partition properties, the adaptive menu, and
-an exhaustive-matching oracle at small sizes."""
+"""User pairing: sort rules, partition properties, the adaptive menu, an
+exhaustive-matching oracle at small sizes, and the exact optimum pairing
+against which the engine's pairings are measured."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -11,14 +14,20 @@ from hypothesis import strategies as st
 from lifi_noma import (
     QosRates,
     ScenarioConfig,
+    Strategy,
     UserNode,
     UserPosition,
     adaptive_pairing,
+    channel_gain,
     evaluate_population,
+    opa_set,
     pair_by_channel,
     pair_by_qos,
+    sample_users,
+    single_user_allocation,
 )
-from lifi_noma.pairing import QOS_SORT_KEYS, _qos_sort_values, opa_total_power
+from lifi_noma.pairing import QOS_SORT_KEYS, _qos_sort_values, make_pair, opa_total_power
+from lifi_noma.simulation import PAIRING_METHODS
 
 PZ = 2e-15
 
@@ -60,6 +69,42 @@ def all_matchings(indices):
         remaining = rest[:i] + rest[i + 1:]
         for tail in all_matchings(remaining):
             yield [(first, partner)] + tail
+
+
+def optimal_total(gains, rates_dl, rates_ul, pz=PZ) -> float:
+    """The least OPA total power over every pairing of the users.
+
+    A pair costs its ``opa_set`` total. With an odd count a dummy slot joins
+    the users: pairing a user with it costs ``single_user_allocation``'s
+    powers, so the user left alone is chosen optimally too. The best perfect
+    matching of the slots comes from a program over the subsets of slots
+    still unmatched, the lowest of which is matched first.
+    """
+    n, qos = len(gains), [QosRates(float(d), float(u)) for d, u in zip(rates_dl, rates_ul)]
+    cost = [[math.inf] * (n + n % 2) for _ in range(n + n % 2)]
+    for a, b in itertools.combinations(range(n), 2):
+        pair = make_pair(a, b, gains)
+        cost[a][b] = cost[b][a] = opa_set(pair, qos[pair.far], qos[pair.near], pz).total
+    if n % 2:
+        for u in range(n):
+            cost[u][n] = cost[n][u] = sum(single_user_allocation(float(gains[u]), qos[u], pz))
+
+    @functools.cache
+    def best(rest: int) -> float:
+        if not rest:
+            return 0.0
+        i = (rest & -rest).bit_length() - 1
+        rest ^= 1 << i
+        return min(cost[i][j] + best(rest ^ (1 << j)) for j in range(len(cost)) if rest >> j & 1)
+
+    return best((1 << len(cost)) - 1)
+
+
+def trial_population(config: ScenarioConfig, users):
+    """The gains and rates of a trial's users, for :func:`optimal_total`."""
+    gains = np.array([channel_gain(u.position, config.front_end) for u in users])
+    return (gains, [u.qos.downlink for u in users], [u.qos.uplink for u in users],
+            config.noise_power)
 
 
 class TestChannelPairing:
@@ -320,3 +365,47 @@ class TestAdaptivePairing:
                     for matching in all_matchings(list(range(n)))
                 )
                 assert adaptive.min_total_power >= best * (1.0 - 1e-12)
+
+
+class TestOptimalPairing:
+    """How far the engine's pairings are from the best pairing of a trial."""
+
+    def test_the_subset_program_finds_the_exhaustive_optimum(self):
+        # every way to pair the users, one left alone when their count is odd
+        rng = np.random.default_rng(9)
+        for n in range(2, 9):
+            for _ in range(12):
+                gains = rng.uniform(1e-7, 1e-5, n)
+                rates_dl, rates_ul = rng.choice([0.5, 1.0, 2.0, 4.0], (2, n))
+                exhaustive = min(
+                    oracle_total([sorted(pair, key=lambda k: (gains[k], k)) for pair in matching],
+                                 alone, gains, rates_dl, rates_ul)
+                    for alone in (range(n) if n % 2 else [None])
+                    for matching in all_matchings([k for k in range(n) if k != alone])
+                )
+                assert optimal_total(gains, rates_dl, rates_ul) == pytest.approx(exhaustive,
+                                                                                  rel=1e-12)
+
+    @pytest.mark.parametrize("num_users", [5, 8, 11])
+    def test_no_engine_pairing_needs_less_than_the_optimum(self, num_users):
+        config = ScenarioConfig(num_users=num_users, trials=10, seed=2024,
+                                qos_set=(1.0, 2.0, 3.0, 4.0), strategies=(Strategy.OPA,),
+                                pairings=PAIRING_METHODS)
+        for trial in range(config.trials):
+            users = sample_users(config, trial)
+            best = optimal_total(*trial_population(config, users))
+            cells = evaluate_population(config, users)
+            for pairing in PAIRING_METHODS:
+                assert cells[("opa", pairing)].total_power >= best * (1.0 - 1e-12), (trial,
+                                                                                     pairing)
+
+    @pytest.mark.parametrize("num_users", [6, 10])
+    def test_with_one_rate_channel_pairing_is_the_optimum(self, num_users):
+        # the claim behind criterion 6's collapse to channel pairing
+        config = ScenarioConfig(num_users=num_users, trials=10, seed=7, qos_set=(1.0,),
+                                strategies=(Strategy.OPA,), pairings=("channel",))
+        for trial in range(config.trials):
+            users = sample_users(config, trial)
+            best = optimal_total(*trial_population(config, users))
+            total = evaluate_population(config, users)[("opa", "channel")].total_power
+            assert total == pytest.approx(best, rel=1e-9), trial
