@@ -68,7 +68,9 @@ class QosRates:
     uplink: float
 
     def __post_init__(self) -> None:
-        _check_rates(downlink=self.downlink, uplink=self.uplink)
+        if problems := _plain_reals(self, vars(self)):
+            raise ValueError("; ".join(problems))
+        _check_rates(**vars(self))
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,13 @@ def _plain_reals(owner, scalars, lists=()) -> list[str]:
     return problems
 
 
+def _plain_int(name: str, value, least: int) -> int:
+    """``value`` as a Python int, if it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class OpticalFrontEnd:
     """LED/photodiode parameters shared by one link of the attocell.
@@ -152,8 +159,10 @@ class UserPosition:
     polar_angle: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("vertical", "horizontal", "polar_angle"):
-            if not math.isfinite(value := getattr(self, name)):
+        if problems := _plain_reals(self, vars(self)):
+            raise ValueError("; ".join(problems))
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.vertical <= 0.0:
             raise ValueError(f"vertical distance must be positive, got {self.vertical}")
@@ -212,15 +221,16 @@ class NoiseModel:
     bandwidth: float = 2e7
 
     def __post_init__(self) -> None:
-        if problems := _plain_reals(self, vars(self)):
+        problems = _plain_reals(self, vars(self)) or [
+            f"{label} must be positive and finite, got {value}"
+            for label, value in (("noise PSD", self.psd), ("bandwidth", self.bandwidth))
+            if not 0.0 < value < math.inf
+        ]
+        if not problems and not sys.float_info.min <= self.noise_power < math.inf:
+            problems.append(f"noise power psd * bandwidth must be a normal float "
+                            f"(>= {sys.float_info.min}) and finite, got {self.noise_power}")
+        if problems:
             raise ValueError("invalid noise model: " + "; ".join(problems))
-        if not 0.0 < self.psd < math.inf:
-            raise ValueError(f"noise PSD must be positive and finite, got {self.psd}")
-        if not 0.0 < self.bandwidth < math.inf:
-            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
-        if not sys.float_info.min <= self.noise_power < math.inf:
-            raise ValueError(f"noise power psd * bandwidth must be a normal float "
-                             f"(>= {sys.float_info.min}) and finite, got {self.noise_power}")
 
     @property
     def noise_power(self) -> float:

@@ -24,13 +24,12 @@ import numpy
 
 from . import __version__
 from .allocation import PowerLimits, Strategy
-from .channel import NoiseModel, OpticalFrontEnd
+from .channel import NoiseModel, OpticalFrontEnd, _plain_int
 from .simulation import (
     PAIRING_METHODS,
     CampaignSummary,
     ScenarioConfig,
     ScenarioValidationError,
-    _worker_count,
     run_campaign,
     run_uop_sweep,
     two_user_sweep,
@@ -235,8 +234,6 @@ def _jsonable(value):
         return value.value
     if isinstance(value, float) and not math.isfinite(value):
         return "inf" if value > 0 else "-inf"
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return value
@@ -265,7 +262,7 @@ def run(command: str, config: ScenarioConfig, out_path, *, workers: int = 1) -> 
 
     Returns the path of the written CSV.
     """
-    workers = _worker_count(workers)
+    workers = _plain_int("workers", workers, 1)
     if command not in _COMMANDS:
         raise ValueError(f"unknown command {command!r}")
     summaries = _COMMANDS[command][1](config, workers)
@@ -296,6 +293,12 @@ def run(command: str, config: ScenarioConfig, out_path, *, workers: int = 1) -> 
 def _build_parser():
     import argparse  # the command line alone needs it; the library and benchmark do not load it
 
+    def workers(text: str) -> int:  # the library's rule, refused with the subcommand's usage
+        try:
+            return _plain_int("workers", _parse_int(text), 1)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+
     parser = argparse.ArgumentParser(prog="lifi-noma", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -309,7 +312,7 @@ def _build_parser():
                          help=f"override strategies ({' '.join(s.value for s in Strategy)})")
         cmd.add_argument("--pairing", nargs="+", type=str.lower, metavar="NAME",
                          help=f"override pairing methods ({' '.join(PAIRING_METHODS)})")
-        cmd.add_argument("--workers", type=int, default=1,
+        cmd.add_argument("--workers", type=workers, default=1,
                          help="processes in total, this one included (same results)")
     return parser
 
@@ -318,10 +321,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        try:
-            _worker_count(args.workers)
-        except ValueError as err:
-            parser.error(f"--{err}")
     except SystemExit as stop:  # usage errors exit 1, not argparse's 2: that is a scenario error
         return 0 if stop.code == 0 else 1
     try:

@@ -38,7 +38,6 @@ caps on each link.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from functools import partial, reduce
@@ -48,7 +47,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .allocation import MAX_RATE, PowerLimits, QosRates, Strategy, _check_rates, _rate_factor
-from .channel import NoiseModel, OpticalFrontEnd, UserPosition, _plain_reals, channel_gain
+from .channel import NoiseModel, OpticalFrontEnd, UserPosition, _plain_int, _plain_reals, channel_gain
 from .metrics import LinkOutage
 from .pairing import QOS_SORT_KEYS, _check_user_count, _qos_sort_values
 from .streams import CHUNK, _MASK32, _trial_raw
@@ -146,18 +145,15 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         problems = []
         for name, least in (("num_users", 2), ("trials", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                problems.append(f"{name} must be an integer (not a bool), got {value!r}")
-            elif value < least:
-                problems.append(f"{name} must be >= {least}, got {value}")
-            else:  # a NumPy integer is stored as the Python int the CSV and JSON write
-                object.__setattr__(self, name, int(value))
-        listed = (list, tuple)
+            try:  # a NumPy integer is stored as the Python int the CSV and JSON write
+                object.__setattr__(self, name, _plain_int(name, getattr(self, name), least))
+            except ValueError as error:
+                problems.append(str(error))
+        listed, flag = (list, tuple), (bool,)
         kinds = {"scenario_id": (str,), "front_end": (OpticalFrontEnd,), "noise": (NoiseModel,),
                  "limits": (PowerLimits,), "strategies": listed, "pairings": listed,
-                 "qos_set": listed, "uop_sweep_grid": listed,
-                 "sweep_values": (*listed, type(None))}
+                 "qos_set": listed, "uop_sweep_grid": listed, "qos_coupled_links": flag,
+                 "ee_served_only": flag, "sweep_values": (*listed, type(None))}
         wrong = {name: f"{name} must be of type {' or '.join(k.__name__ for k in kind)}, "
                        f"got {getattr(self, name)!r}"
                  for name, kind in kinds.items() if not isinstance(getattr(self, name), kind)}
@@ -222,9 +218,6 @@ class ScenarioConfig:
                     f"sweep_values (far-user heights) must be positive and not too close "
                     f"to the access point, got {self.sweep_values}"
                 )
-        for name in ("qos_coupled_links", "ee_served_only"):
-            if not isinstance(value := getattr(self, name), bool):
-                problems.append(f"{name} must be a bool, got {value!r}")
         if self.uop_sweep_link not in ("dl", "ul"):
             problems.append(f"uop_sweep_link must be 'dl' or 'ul', got {self.uop_sweep_link!r}")
         if not all(v > 0.0 for v in self.uop_sweep_grid):
@@ -725,13 +718,6 @@ def _chunk_size(config: ScenarioConfig) -> int:
     return size
 
 
-def _worker_count(workers) -> int:
-    """The one rule for a worker count: an integer, not a bool, >= 1."""
-    if isinstance(workers, bool) or not isinstance(workers, numbers.Integral) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
-    return int(workers)
-
-
 def _trial_ranges(trials: int, workers: int, size: int) -> list[range]:
     """Contiguous ranges of at most ``size`` trials, at least one per worker."""
     count = max(-(-trials // size), min(workers, trials))
@@ -762,7 +748,7 @@ def _reduce(
     """
     keys = [(s.value, p) for p in config.pairings for s in config.strategies]
     width = 2 + len(caps_dl) + len(caps_ul)
-    ranges = _trial_ranges(config.trials, _worker_count(workers), _chunk_size(config))
+    ranges = _trial_ranges(config.trials, _plain_int("workers", workers, 1), _chunk_size(config))
     workers = min(workers, len(ranges))
     shares = [ranges[len(ranges) * k // workers:len(ranges) * (k + 1) // workers]
               for k in range(workers)]
@@ -854,23 +840,23 @@ def two_user_sweep(config: ScenarioConfig) -> list[CampaignSummary]:
     """
     mode = config.sweep_mode
     values = config.sweep_values or _default_sweep_values(config)
-    qos = QosRates(config.sweep_rate, config.sweep_rate)
-    points = []
-    for value in values:
-        if mode == "horizontal":
-            near = UserPosition(config.l_max, 0.0)
-            far = UserPosition(config.l_max, float(value))
-        else:
-            near = UserPosition(config.l_min, 0.0)
-            # clamped to a finite position: where r overflows, the gain is 0
-            # either way (out of the FOV, or l * l overflows too)
-            r = config.r_max * float(value) / config.l_max
-            far = UserPosition(float(value), min(r, sys.float_info.max))
-        points.append([UserNode(near, qos), UserNode(far, qos)])
+    far = np.array(values, dtype=float)
+    vertical, horizontal = np.zeros((2, len(far), 2))  # a row per point: near user, far user
+    if mode == "horizontal":
+        vertical[:], horizontal[:, 1] = config.l_max, far
+    else:
+        # clamped to a finite position: where r overflows, the gain is 0
+        # either way (out of the FOV, or l * l overflows too)
+        with np.errstate(over="ignore"):
+            np.minimum(config.r_max * far / config.l_max, sys.float_info.max, out=horizontal[:, 1])
+        vertical[:, 0], vertical[:, 1] = config.l_min, far
+    rates = np.full_like(vertical, config.sweep_rate)
+    factors = np.full_like(vertical, _rate_factor(config.sweep_rate))
+    points = _Population(vertical, horizontal, np.zeros_like(vertical), rates, rates, factors, factors)
     # channel pairing of two users is their one pair, roles by gain
     pair_config = replace(config, num_users=2, trials=1, pairings=("channel",),
                           ee_served_only=False)
-    cell = _evaluate(pair_config, _population_of(points), *_base_caps(config))[0]["channel"]
+    cell = _evaluate(pair_config, points, *_base_caps(config))[0]["channel"]
     parameter = "r_far" if mode == "horizontal" else "l_far"
     return [_summary(pair_config, {(s.value, "none"): CellSummary(ee, total, None, None)
                                    for s, ee, total in zip(config.strategies, ees, totals)},

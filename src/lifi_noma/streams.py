@@ -55,14 +55,17 @@ def _block_streams(seed: int, span: int, count: int) -> bytes:
     seed_words = _words(seed)
     entropy = [np.full(count, w, dtype=np.uint32) for w in seed_words + _words(span * SPAN)]
     entropy[len(seed_words)] += np.arange(count, dtype=np.uint32)
-    hash_const = _INIT_A
 
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal hash_const
-        value = value ^ hash_const
-        hash_const = hash_const * _MULT_A & _MASK32
-        value = value * hash_const
-        return value ^ value >> 16
+    def hasher(const: int, mult: int):  # SeedSequence's hash step, from its two constants
+        def step(value: np.ndarray) -> np.ndarray:
+            nonlocal const
+            value = value ^ const
+            const = const * mult & _MASK32
+            value = value * const
+            return value ^ value >> 16
+        return step
+
+    hashmix = hasher(_INIT_A, _MULT_A)
 
     def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         result = _MIX_L * x - _MIX_R * y
@@ -79,14 +82,7 @@ def _block_streams(seed: int, span: int, count: int) -> bytes:
             pool[dst] = mix(pool[dst], hashmix(word))
     # generate_state(4, uint64): eight words cycling the pool, paired
     # little-endian into (initstate high, low, initseq high, low)
-    hash_const = _INIT_B
-    words = []
-    for k in range(8):
-        value = pool[k % _POOL] ^ hash_const
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * hash_const
-        words.append(value ^ value >> 16)
-    words = np.array(words, dtype=np.uint64)
+    words = np.array(list(map(hasher(_INIT_B, _MULT_B), pool * 2)), dtype=np.uint64)
     state_hi, state_lo, seq_hi, seq_lo = words[0::2] | words[1::2] << 32
     # PCG64's srandom_r: inc = seq << 1 | 1, state = (initstate + inc) * MULT + inc,
     # mod 2^128 in wrapping uint64 halves

@@ -502,6 +502,19 @@ class TestQosRates:
                 with pytest.raises(ValueError, match=f"^{name} must lie in \\[0, 256\\)"):
                     QosRates(**rates)
 
+    @pytest.mark.parametrize("value", [True, False, "1", None])
+    @pytest.mark.parametrize("name", ["downlink", "uplink"])
+    def test_a_bool_or_a_non_real_is_refused_by_name(self, name, value):
+        # a bool was once taken as the rate 1 or 0
+        rates = {"downlink": 1.0, "uplink": 1.0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be real \\(a number, not a bool\\)"):
+            QosRates(**rates)
+
+    def test_numpy_reals_are_stored_as_python_numbers(self):
+        qos = QosRates(np.float32(1.5), np.int64(2))
+        assert qos == QosRates(1.5, 2)
+        assert (type(qos.downlink), type(qos.uplink)) == (float, int)
+
     def test_the_largest_rates_do_not_overflow(self):
         # the OMA factor of two rates just under the bound still fits a float
         top = math.nextafter(MAX_RATE, 0.0)

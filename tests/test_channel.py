@@ -3,6 +3,7 @@
 import math
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -132,6 +133,19 @@ class TestUserPosition:
                 assert cell.total_power == math.inf
 
 
+    @pytest.mark.parametrize("value", [True, "1", None])
+    @pytest.mark.parametrize("name", ["vertical", "horizontal", "polar_angle"])
+    def test_a_bool_or_a_non_real_is_refused_by_name(self, name, value):
+        fields = {"vertical": 2.0, "horizontal": 1.0, "polar_angle": 0.5, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be real \\(a number, not a bool\\)"):
+            UserPosition(**fields)
+
+    def test_numpy_reals_are_stored_as_python_numbers(self):
+        position = UserPosition(np.float32(2.5), np.int64(1), np.float64(0.5))
+        assert position == UserPosition(2.5, 1, 0.5)
+        assert [type(v) for v in vars(position).values()] == [float, int, float]
+
+
 class TestChannelGain:
     def test_reference_on_axis(self):
         gain = channel_gain(UserPosition(2.5, 0.0), OpticalFrontEnd())
@@ -199,3 +213,12 @@ class TestNoiseModel:
     def test_rejects_zero_bandwidth(self):
         with pytest.raises(ValueError):
             NoiseModel(psd=1e-22, bandwidth=0.0)
+
+    def test_lists_every_problem(self):
+        with pytest.raises(ValueError) as err:
+            NoiseModel(psd=math.inf, bandwidth=0.0)
+        assert str(err.value) == ("invalid noise model: noise PSD must be positive and finite, "
+                                  "got inf; bandwidth must be positive and finite, got 0.0")
+        # the noise power is checked once both fields pass
+        with pytest.raises(ValueError, match="noise power psd \\* bandwidth"):
+            NoiseModel(psd=1e-200, bandwidth=1e-200)

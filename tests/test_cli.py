@@ -392,6 +392,21 @@ class TestExitCodes:
         assert "--workers" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("workers, message", [
+        ("0", "argument --workers: workers must be an integer >= 1, got 0"),
+        ("x", "argument --workers: not an integer: 'x'"),
+    ])
+    def test_worker_count_is_refused_with_the_subcommands_usage_line(self, tmp_path, capsys,
+                                                                     workers, message):
+        scenario = write(tmp_path, "s.cfg", MINIMAL)
+        out = tmp_path / "x.csv"
+        assert main(["campaign", "--scenario", str(scenario), "--out", str(out),
+                     "--workers", workers]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: lifi-noma campaign ")
+        assert err.rstrip().endswith(f"lifi-noma campaign: error: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_library_entry_points_reject_a_worker_count_below_one(self, tmp_path, workers):
         config = ScenarioConfig(num_users=4, trials=2, uop_sweep_grid=(1.0, 2.0))
@@ -421,6 +436,23 @@ class TestExitCodes:
     def test_a_bool_is_refused_as_an_integer_field(self, field):
         with pytest.raises(ScenarioValidationError, match=f"^{field} must be an integer "):
             ScenarioConfig(**{"num_users": 4, "trials": 2, field: True})
+
+    @pytest.mark.parametrize("field, least", [("num_users", 2), ("trials", 1), ("seed", 0)])
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_an_integer_field_below_its_least_is_refused_by_the_integer_rule(self, field, least,
+                                                                             step):
+        fields = {"num_users": 4, "trials": 2, field: least - step}
+        with pytest.raises(ScenarioValidationError) as err:
+            ScenarioConfig(**fields)
+        assert err.value.problems == (f"{field} must be an integer >= {least}, got {least - step}",)
+
+    @pytest.mark.parametrize("flag", ["qos_coupled_links", "ee_served_only"])
+    @pytest.mark.parametrize("value", [1, "true", None, np.True_])
+    def test_a_wrong_typed_flag_is_one_problem_refused_with_the_other_types(self, flag, value):
+        # refused before the value checks, so the bad r_max is not listed beside it
+        with pytest.raises(ScenarioValidationError) as err:
+            ScenarioConfig(num_users=4, trials=2, r_max=-1.0, **{flag: value})
+        assert err.value.problems == (f"{flag} must be of type bool, got {value!r}",)
 
     @pytest.mark.parametrize("part, field", [
         (OpticalFrontEnd, "area"), (OpticalFrontEnd, "filter_gain"), (NoiseModel, "psd"),

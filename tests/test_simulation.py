@@ -814,6 +814,28 @@ class TestTwoUserSweep:
             for cell in point.cells.values():
                 assert (cell.mean_ee, cell.mean_total_power) == (0.0, math.inf)
 
+    @pytest.mark.parametrize("mode, r_max, values", [
+        ("horizontal", 3.0, (0.0, -0.0, 0.5, 2.9, 1e200)),
+        ("vertical", 3.0, (1.5, 1.7, 2.5, 1e250)),
+        ("vertical", 1e10, (1.5, 1e299, 1e300)),  # r = r_max * l / l_max overflows here
+    ])
+    def test_each_point_is_the_pair_evaluate_population_sees(self, mode, r_max, values):
+        config = ScenarioConfig(num_users=2, trials=1, r_max=r_max, sweep_mode=mode,
+                                sweep_values=values, sweep_rate=0.7, pairings=("channel",))
+        qos = QosRates(0.7, 0.7)
+        for value, point in zip(values, two_user_sweep(config)):
+            if mode == "horizontal":
+                near, far = UserPosition(config.l_max, 0.0), UserPosition(config.l_max, value)
+            else:
+                r = min(config.r_max * value / config.l_max, sys.float_info.max)
+                near, far = UserPosition(config.l_min, 0.0), UserPosition(value, r)
+            cells = evaluate_population(config, [UserNode(near, qos), UserNode(far, qos)])
+            assert point.cells == {
+                (s.value, "none"): simulation.CellSummary(cells[(s.value, "channel")].ee,
+                                                          cells[(s.value, "channel")].total_power,
+                                                          None, None)
+                for s in config.strategies}
+
 
 class TestServedOnlyAccounting:
     def test_uncapped_served_only_matches_default(self):
