@@ -38,6 +38,12 @@ def _plain_reals(owner, scalars, lists=()) -> list[str]:
     problems = []
     for name in (*scalars, *lists):
         value = getattr(owner, name)
+        if name not in lists:  # a plain number first, without the ABC test below
+            if type(value) in (int, float):
+                continue
+            if isinstance(value, float):  # a float subclass, NumPy's float64 among them
+                object.__setattr__(owner, name, float(value))
+                continue
         values = (value or ()) if name in lists else (value,)
         if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in values):
             problems.append(f"{name} must be real (a number, not a bool), got {value!r}")

@@ -94,37 +94,19 @@ def _parse_bool(text: str) -> bool:
 # The parts of a config that scenario keys set field by field.
 _PARTS = {"front_end": OpticalFrontEnd, "noise": NoiseModel, "limits": PowerLimits}
 
+# Each scenario key names a field of the config or of one of its parts, save these six.
+_RENAMED = {"area": "area_m2", "psd": "noise_psd", "bandwidth": "bandwidth_hz",
+            "max_total_dl": "p_max_dl", "max_per_user_ul": "p_max_ul", "pairings": "pairing"}
+
+# The parser of each field annotation (a string: the modules postpone their annotations).
+_PARSERS = {"int": _parse_int, "float": _parse_float, "str": str, "bool": _parse_bool,
+            "tuple[float, ...]": _parse_floats, "tuple[float, ...] | None": _parse_floats,
+            "tuple[Strategy, ...]": _parse_names, "tuple[str, ...]": _parse_names}
+
 # Each scenario key: its parser, the part it sets (None: the config itself), its field there.
-_KEYS = {
-    "scenario_id": (str, None, "scenario_id"),
-    "num_users": (_parse_int, None, "num_users"),
-    "trials": (_parse_int, None, "trials"),
-    "seed": (_parse_int, None, "seed"),
-    "qos_set": (_parse_floats, None, "qos_set"),
-    "l_min": (_parse_float, None, "l_min"),
-    "l_max": (_parse_float, None, "l_max"),
-    "r_max": (_parse_float, None, "r_max"),
-    "semi_angle_deg": (_parse_float, "front_end", "semi_angle_deg"),
-    "responsivity": (_parse_float, "front_end", "responsivity"),
-    "area_m2": (_parse_float, "front_end", "area"),
-    "fov_half_angle_deg": (_parse_float, "front_end", "fov_half_angle_deg"),
-    "filter_gain": (_parse_float, "front_end", "filter_gain"),
-    "refractive_index": (_parse_float, "front_end", "refractive_index"),
-    "noise_psd": (_parse_float, "noise", "psd"),
-    "bandwidth_hz": (_parse_float, "noise", "bandwidth"),
-    "p_max_dl": (_parse_float, "limits", "max_total_dl"),
-    "p_max_ul": (_parse_float, "limits", "max_per_user_ul"),
-    "strategies": (_parse_names, None, "strategies"),
-    "pairing": (_parse_names, None, "pairings"),
-    "qos_pairing_key": (str, None, "qos_pairing_key"),
-    "qos_coupled_links": (_parse_bool, None, "qos_coupled_links"),
-    "ee_served_only": (_parse_bool, None, "ee_served_only"),
-    "sweep_mode": (str, None, "sweep_mode"),
-    "sweep_values": (_parse_floats, None, "sweep_values"),
-    "sweep_rate": (_parse_float, None, "sweep_rate"),
-    "uop_sweep_link": (str, None, "uop_sweep_link"),
-    "uop_sweep_grid": (_parse_floats, None, "uop_sweep_grid"),
-}
+_KEYS = {_RENAMED.get(f.name, f.name): (_PARSERS[f.type], part, f.name)
+         for part, owner in ((None, ScenarioConfig), *_PARTS.items())
+         for f in dataclasses.fields(owner) if f.name not in _PARTS}
 
 
 def _parse_file(path: Path) -> dict:

@@ -4,7 +4,9 @@ optimality, dominance and rate-closure properties."""
 
 import dataclasses
 import decimal
+import itertools
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -27,7 +29,7 @@ from lifi_noma import (
     UserPosition,
     evaluate_population,
 )
-from lifi_noma import simulation
+from lifi_noma import allocation, simulation
 from lifi_noma.allocation import (
     MAX_RATE,
     channel_ratio,
@@ -251,6 +253,86 @@ class TestOpaSet:
         assert scaled.near_dl == base.near_dl * factor
         assert scaled.far_ul == base.far_ul * factor
         assert scaled.near_ul == base.near_ul * factor
+
+
+def _lp_vertices(constraints):
+    """The vertices of ``x, y >= 0`` and each ``a x + b y >= c``, exactly.
+
+    The sum ``x + y`` is bounded below there, so its minimum sits at a vertex:
+    a meeting point of two constraint lines that meets every constraint.
+    """
+    zero, one = Fraction(0), Fraction(1)
+    rows = [*constraints, (one, zero, zero), (zero, one, zero)]
+    vertices = []
+    for (a1, b1, c1), (a2, b2, c2) in itertools.combinations(rows, 2):
+        if det := a1 * b2 - a2 * b1:
+            x, y = (c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det
+            if all(a * x + b * y >= c for a, b, c in rows):
+                vertices.append((x, y))
+    return vertices
+
+
+def _link_constraints(link, first, second, noise):
+    """One link's rate constraints on ``(x, y)``, the powers of the users decoded
+    first and second; each user is its ``(gain, 2^(2R))``.
+
+    Each decoded signal needs signal >= 2^(2R) * (interference + noise) at every
+    receiver that decodes it, and SIC removes the signals decoded before it.
+    """
+    (g1, f1), (g2, f2) = ((h * h, factor) for h, factor in (first, second))
+    if link == "downlink":  # each user's own receiver; the second one decodes both signals
+        return [(g1, -f1 * g1, f1 * noise), (g2, -f1 * g2, f1 * noise),
+                (0, g2, f2 * noise)]
+    # the access point, which receives each signal through its sender's gain
+    return [(g1, -f1 * g2, f1 * noise), (0, g2, f2 * noise)]
+
+
+def _lp_cases():
+    # (h_far, h_near, far (downlink, uplink) rates, near rates), fixed before any run:
+    # a seeded draw, equal gains, rate 0 and rates whose 2^(2R) is no power of two
+    rates = [0.0, 0.25, 1.0, 2.5, 3.0]
+    rng = np.random.default_rng(2026)
+    cases = [(*sorted(map(float, rng.uniform(1e-7, 1e-5, 2))),
+              tuple(map(float, rng.choice(rates, 2))), tuple(map(float, rng.choice(rates, 2))))
+             for _ in range(300)]
+    for h in (H_FAR, H_NEAR, 4e-6):
+        cases += [(h, h, far, near) for far, near in itertools.product(
+            [(0.0, 0.0), (0.25, 1.0), (2.5, 0.25)], repeat=2)]
+    return cases + [(H_FAR, H_NEAR, (0.0, 0.0), (0.0, 0.0)),
+                    (H_FAR, H_NEAR, (0.25, 0.25), (0.25, 0.25)),
+                    (H_FAR, H_NEAR, (0.0, 0.25), (0.25, 0.0))]
+
+
+class _ExactFactor(Fraction):
+    """A factor 2^(2R) as a Fraction that keeps ``1.0 + factor`` exact too."""
+
+    def __radd__(self, other):
+        return Fraction(other) + Fraction(self)
+
+
+class TestOpaLinearProgram:
+    def test_closed_form_is_the_exact_optimum_of_both_decoding_orders(self, monkeypatch):
+        # opa_set itself, in Fractions: exact gains and noise, and the exact value of
+        # each float factor 2^(2R) the engine computes
+        float_factor = allocation._rate_factor
+        monkeypatch.setattr(allocation, "_rate_factor", lambda r: _ExactFactor(float_factor(r)))
+        noise = Fraction(PZ)
+        for h_far, h_near, far, near in _lp_cases():
+            gains = Fraction(h_far), Fraction(h_near)
+            closed = opa_set(UserPair(0, 1, *gains), QosRates(*far), QosRates(*near), noise)
+            links = {"downlink": (closed.far_dl, closed.near_dl),
+                     "uplink": (closed.far_ul, closed.near_ul)}
+            for k, (link, powers) in enumerate(links.items()):
+                assert all(type(p) is Fraction for p in powers)
+                users = [(g, Fraction(float_factor(rate[k]))) for g, rate in
+                         zip(gains, (far, near))]
+                # (far, near) power vertices of both decoding orders
+                vertices = _lp_vertices(_link_constraints(link, *users, noise)) + [
+                    (y, x) for x, y in _lp_vertices(_link_constraints(link, *users[::-1], noise))]
+                best = min(x + y for x, y in vertices)
+                case = (link, h_far, h_near, far, near)
+                assert sum(powers) == best, case
+                assert powers in vertices, case
 
 
 class TestChannelRatio:

@@ -25,6 +25,7 @@ from lifi_noma import (
 )
 from lifi_noma.cli import (
     _COMMANDS,
+    _KEYS,
     CSV_COLUMNS,
     ScenarioParseError,
     load_scenario,
@@ -42,6 +43,47 @@ SIX_BAD_VALUES = MINIMAL + (
 STAGE_TWO_PROBLEMS = ("area must be positive", "noise PSD must be positive",
                       "max_total_dl must be positive", "unknown strategy 'foo'",
                       "unknown strategy 'bar'")
+
+
+# Every scenario key: a valid value other than its default, and where the loaded config
+# holds it. Six keys are not their field's name: area_m2, noise_psd, bandwidth_hz,
+# p_max_dl, p_max_ul and pairing.
+EVERY_KEY = {
+    "scenario_id": ("Desk_A", "scenario_id", "Desk_A"),
+    "num_users": ("6", "num_users", 6),
+    "trials": ("3", "trials", 3),
+    "seed": ("7", "seed", 7),
+    "qos_set": ("0.5, 2", "qos_set", (0.5, 2.0)),
+    "l_min": ("1.2", "l_min", 1.2),
+    "l_max": ("2.8", "l_max", 2.8),
+    "r_max": ("2.5", "r_max", 2.5),
+    "semi_angle_deg": ("60", "front_end.semi_angle_deg", 60.0),
+    "responsivity": ("0.5", "front_end.responsivity", 0.5),
+    "area_m2": ("2e-4", "front_end.area", 2e-4),
+    "fov_half_angle_deg": ("65", "front_end.fov_half_angle_deg", 65.0),
+    "filter_gain": ("0.8", "front_end.filter_gain", 0.8),
+    "refractive_index": ("1.4", "front_end.refractive_index", 1.4),
+    "noise_psd": ("3e-22", "noise.psd", 3e-22),
+    "bandwidth_hz": ("1e7", "noise.bandwidth", 1e7),
+    "p_max_dl": ("0.5", "limits.max_total_dl", 0.5),
+    "p_max_ul": ("0.25", "limits.max_per_user_ul", 0.25),
+    "strategies": ("OMA, opa", "strategies", (Strategy.OMA, Strategy.OPA)),
+    "pairing": ("channel, qos", "pairings", ("channel", "qos")),
+    "qos_pairing_key": ("uplink", "qos_pairing_key", "uplink"),
+    "qos_coupled_links": ("true", "qos_coupled_links", True),
+    "ee_served_only": ("yes", "ee_served_only", True),
+    "sweep_mode": ("vertical", "sweep_mode", "vertical"),
+    "sweep_values": ("1.5, 2", "sweep_values", (1.5, 2.0)),
+    "sweep_rate": ("0.75", "sweep_rate", 0.75),
+    "uop_sweep_link": ("ul", "uop_sweep_link", "ul"),
+    "uop_sweep_grid": ("0.1, 1", "uop_sweep_grid", (0.1, 1.0)),
+}
+
+
+def field_of(config, path):
+    for name in path.split("."):
+        config = getattr(config, name)
+    return config
 
 
 def write(tmp_path, name, text):
@@ -140,6 +182,17 @@ class TestLoadScenario:
             "line 4: field 'seed': empty value",
             "line 5: field 'ee_served_only': not a boolean: 'maybe'",
         ]
+
+    def test_every_key_lands_in_the_field_it_names(self, tmp_path):
+        assert set(EVERY_KEY) == set(_KEYS)
+        text = "".join(f"{key} = {value}\n" for key, (value, _, _) in EVERY_KEY.items())
+        config = load_scenario(write(tmp_path, "s.cfg", text))
+        default = ScenarioConfig(num_users=2, trials=1)
+        # repr tells 6 from 6.0 and "6", so a wrong parser is named too
+        assert [key for key, (_, path, value) in EVERY_KEY.items()
+                if value == field_of(default, path)] == []
+        assert [key for key, (_, path, value) in EVERY_KEY.items()
+                if repr(field_of(config, path)) != repr(value)] == []
 
     def test_invalid_physics_listed(self, tmp_path):
         with pytest.raises(ScenarioValidationError) as err:
