@@ -99,7 +99,7 @@ _RENAMED = {"area": "area_m2", "psd": "noise_psd", "bandwidth": "bandwidth_hz",
             "max_total_dl": "p_max_dl", "max_per_user_ul": "p_max_ul", "pairings": "pairing"}
 
 # The parser of each field annotation (a string: the modules postpone their annotations).
-_PARSERS = {"int": _parse_int, "float": _parse_float, "str": str, "bool": _parse_bool,
+_PARSERS = {"int": _parse_int, "float": _parse_float, "str": str.lower, "bool": _parse_bool,
             "tuple[float, ...]": _parse_floats, "tuple[float, ...] | None": _parse_floats,
             "tuple[Strategy, ...]": _parse_names, "tuple[str, ...]": _parse_names}
 
@@ -107,6 +107,7 @@ _PARSERS = {"int": _parse_int, "float": _parse_float, "str": str, "bool": _parse
 _KEYS = {_RENAMED.get(f.name, f.name): (_PARSERS[f.type], part, f.name)
          for part, owner in ((None, ScenarioConfig), *_PARTS.items())
          for f in dataclasses.fields(owner) if f.name not in _PARTS}
+_KEYS["scenario_id"] = (str, None, "scenario_id")  # names ignore case, as keys do; ids do not
 
 
 def _parse_file(path: Path) -> dict:

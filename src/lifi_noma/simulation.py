@@ -3,12 +3,12 @@
 A trial draws a random user population, pairs it with each configured
 pairing method, allocates powers with each configured strategy and records
 energy efficiency plus both links' outage probabilities. Campaigns average
-many trials. Trial ``i`` reads its raw 64-bit words in one call
-(:func:`run_trial`) from its own PCG64 stream (:mod:`.streams`), so results
-are bit-identical for any worker count or execution order; the per-cell
-averages are reduced in trial order. The words of a chunk are converted
-together, by NumPy's own ``uniform`` and ``integers`` arithmetic, into the
-draws ``default_rng([seed, i])`` makes.
+many trials. Trial ``i`` reads its raw 64-bit words in one call from its
+own PCG64 stream (:func:`.streams.run_trial`, which also sets their count
+and order), so results are bit-identical for any worker count or execution
+order; the per-cell averages are reduced in trial order. The words of a
+chunk are converted together, by NumPy's own ``uniform`` and ``integers``
+arithmetic, into the draws ``default_rng([seed, i])`` makes.
 
 Trials are evaluated in chunks of :data:`CHUNK` trials, doubled while the
 ``(users, strategies, trials)`` arrays stay within a desk chunk's (see
@@ -50,7 +50,7 @@ from .allocation import MAX_RATE, PowerLimits, QosRates, Strategy, _check_rates,
 from .channel import NoiseModel, OpticalFrontEnd, UserPosition, _plain_int, _plain_reals, channel_gain
 from .metrics import LinkOutage
 from .pairing import QOS_SORT_KEYS, _check_user_count, _qos_sort_values
-from .streams import CHUNK, _MASK32, _trial_raw
+from .streams import CHUNK, _MASK32, _rate_draws, _word_count, run_trial
 
 # The engine does not call these scalar reference functions; the benchmark's
 # tracer (bench/spans.py) looks each of them up on this module by name.
@@ -295,31 +295,6 @@ class CampaignSummary:
     cells: dict[tuple[str, str], CellSummary]
     sweep_parameter: str | None = None
     sweep_value: float | None = None
-
-
-def _rate_draws(config: ScenarioConfig) -> int:
-    """How many 32-bit integer draws pick a trial's rates (none from one rate)."""
-    if len(config.qos_set) == 1:
-        return 0
-    return config.num_users if config.qos_coupled_links else 2 * config.num_users
-
-
-def _word_count(config: ScenarioConfig) -> int:
-    """Raw 64-bit words of one trial: ``3n`` uniforms, then the rate draws in pairs."""
-    return 3 * config.num_users + (_rate_draws(config) + 1) // 2
-
-
-def run_trial(config: ScenarioConfig, trial_index: int) -> np.ndarray:
-    """Trial ``trial_index``'s raw PCG64 words: all that its draw consumes.
-
-    The draw (see :func:`_population_from_words`) takes one 64-bit word per
-    uniform (vertical and horizontal distances, polar angles; ``3n``) and
-    one 32-bit half-word per rate index, low half first: ``2n``, or ``n``
-    with ``qos_coupled_links``, or none from a one-rate QoS set. This is
-    the one RNG stream of a trial, and that order is part of the contract.
-    The chunk evaluator calls it once per trial.
-    """
-    return _trial_raw(config, trial_index, _word_count)
 
 
 _held_rates: list = [()]  # the last QoS set converted, its rates and its factors

@@ -1,4 +1,5 @@
-"""Per-trial PCG64 streams: trial ``i`` reads ``default_rng([seed, i])``'s stream.
+"""Per-trial PCG64 streams: trial ``i`` reads ``default_rng([seed, i])``'s stream,
+as many words as its draw takes and in its draw's order (:func:`run_trial`).
 
 The starts of a span of SPAN trials, clipped at the run's last trial, come
 from one vectorized pass over SeedSequence's integer hash and PCG64's seeding
@@ -100,6 +101,18 @@ def _block_streams(seed: int, span: int, count: int) -> bytes:
     return np.stack((lo, hi, inc_lo, inc_hi), axis=1).astype("<u8", copy=False).tobytes()
 
 
+def _rate_draws(config) -> int:
+    """How many 32-bit integer draws pick a trial's rates (none from one rate)."""
+    if len(config.qos_set) == 1:
+        return 0
+    return config.num_users if config.qos_coupled_links else 2 * config.num_users
+
+
+def _word_count(config) -> int:
+    """Raw 64-bit words of one trial: ``3n`` uniforms, then the rate draws in pairs."""
+    return 3 * config.num_users + (_rate_draws(config) + 1) // 2
+
+
 class _Thread(threading.local):
     """This thread's held span: the config (by identity), its first and stop
     trial, their starts, words per trial, and the PCG64's state view and
@@ -118,7 +131,7 @@ def _state_view(bit_generator) -> memoryview:
     return memoryview((ctypes.c_ubyte * 32).from_address(address)).cast("B")
 
 
-def _hold(config, trial_index: int, word_count) -> tuple:
+def _hold(config, trial_index: int) -> tuple:
     """Seed this thread's span of ``config``'s trials around ``trial_index``, and hold it."""
     if trial_index < 0:
         raise ValueError(f"trial_index must be >= 0, got {trial_index}")
@@ -139,12 +152,19 @@ def _hold(config, trial_index: int, word_count) -> tuple:
             raise RuntimeError(f"NumPy {np.__version__} does not store PCG64's state as "
                                "little-endian 128-bit state then inc; trial streams cannot be set")
     first, starts = span * SPAN, _block_streams(config.seed, span, count)
-    _thread.span = held = (config, first, first + count, starts, word_count(config), state, random_raw)
+    _thread.span = held = (config, first, first + count, starts, _word_count(config), state, random_raw)
     return held
 
 
-def _trial_raw(config, trial_index: int, word_count) -> np.ndarray:
-    """The first ``word_count(config)`` raw words of trial ``trial_index`` of ``config.seed``.
+def run_trial(config, trial_index: int) -> np.ndarray:
+    """Trial ``trial_index``'s raw PCG64 words: all that its draw consumes.
+
+    The draw (see :func:`.simulation._population_from_words`) takes one
+    64-bit word per uniform (vertical and horizontal distances, polar
+    angles; ``3n``) and one 32-bit half-word per rate index, low half first:
+    ``2n``, or ``n`` with ``qos_coupled_links``, or none from a one-rate QoS
+    set. This is the one RNG stream of a trial, and that order is part of
+    the contract. The chunk evaluator calls it once per trial.
 
     In this thread's held span, a trial costs an identity and a range check,
     a 32-byte state write and ``random_raw`` (which reads the state alone);
@@ -152,7 +172,7 @@ def _trial_raw(config, trial_index: int, word_count) -> np.ndarray:
     """
     held, first, stop, starts, count, state, random_raw = _thread.span
     if held is not config or not first <= trial_index < stop:
-        held, first, stop, starts, count, state, random_raw = _hold(config, trial_index, word_count)
+        held, first, stop, starts, count, state, random_raw = _hold(config, trial_index)
     offset = 32 * (trial_index - first)
     state[:] = starts[offset:offset + 32]
     return random_raw(count)

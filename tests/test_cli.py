@@ -194,6 +194,17 @@ class TestLoadScenario:
         assert [key for key, (_, path, value) in EVERY_KEY.items()
                 if repr(field_of(config, path)) != repr(value)] == []
 
+    def test_names_ignore_case_and_the_scenario_id_is_kept_as_written(self, tmp_path):
+        text = MINIMAL + ("sweep_mode = Vertical\nuop_sweep_link = UL\nqos_pairing_key = Sum\n"
+                          "strategies = OMA\nscenario_id = Desk-A\n")
+        config = load_scenario(write(tmp_path, "s.cfg", text))
+        assert (config.sweep_mode, config.uop_sweep_link, config.qos_pairing_key,
+                config.strategies, config.scenario_id) == (
+                    "vertical", "ul", "sum", (Strategy.OMA,), "Desk-A")
+        with pytest.raises(ScenarioValidationError) as err:  # a refused name, as read
+            load_scenario(write(tmp_path, "s.cfg", MINIMAL + "sweep_mode = Diagonal\n"))
+        assert "'diagonal'" in str(err.value)
+
     def test_invalid_physics_listed(self, tmp_path):
         with pytest.raises(ScenarioValidationError) as err:
             load_scenario(write(tmp_path, "s.cfg", MINIMAL + "filter_gain = 7\n"))

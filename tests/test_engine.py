@@ -10,11 +10,13 @@ to :func:`.channel.los_gain` by a declared relative bound, with the zero
 pattern exact, and to a 40-digit ``decimal`` value by a bound in ulp.
 """
 
+import functools
 import itertools
 import math
 import time
 from dataclasses import replace
 from decimal import Decimal, localcontext
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -830,3 +832,83 @@ def state_after(config, trial, words):
     rng = np.random.default_rng([config.seed, trial])
     rng.bit_generator.advance(words)
     return rng.bit_generator.state["state"]
+
+
+def exact_pair_powers(strategies, pz, h_far, h_near, f):
+    """One pair's slot powers (far, near downlink, far, near uplink) per strategy, as
+    Fractions from the same gains, noise power and factors ``f`` (far, near downlink,
+    far, near uplink) as the engine's; None where the pair is infeasible."""
+    if h_far == 0:
+        return dict.fromkeys(strategies)
+    near_dl = f[1] * pz / (h_near * h_near)
+    opa = (f[0] * (near_dl + pz / (h_far * h_far)), near_dl,
+           f[2] * pz / (h_far * h_far), f[3] * (1 + f[2]) * pz / (h_near * h_near))
+    k_dl, k_ul = f[0] * f[1] * pz, f[2] * f[3] * pz
+    out = {Strategy.OPA: opa, Strategy.OMA: (k_dl / (h_far * h_far), k_dl / (h_near * h_near),
+                                             k_ul / (h_far * h_far), k_ul / (h_near * h_near))}
+    for strategy, alpha in ((Strategy.GRPA, (h_far / h_near) ** 2),
+                            (Strategy.NGDPA, (h_near - h_far) / h_near)):
+        out[strategy] = None if alpha == 0 else tuple(itertools.chain.from_iterable(
+            (p_far, alpha * p_far) if alpha >= p_near / p_far else (p_near / alpha, p_near)
+            for p_far, p_near in (opa[:2], opa[2:])))
+    return out
+
+
+def ulps(got: float, exact: Fraction) -> float:
+    """``|got - exact|`` in ulp of ``exact``'s float; int quotients round once each."""
+    (a, b), n, d = got.as_integer_ratio(), exact.numerator, exact.denominator
+    return abs(a * d - n * b) / (b * d) / math.ulp(n / d)
+
+
+# Each bound counts roundings: a power n roundings from exact float inputs is within a
+# relative n * eps / 2 to first order, so within n ulp. OPA's far downlink and near
+# uplink powers take 5, OMA's 4, the unpaired user's 3. GRPA's ratio takes 3 and
+# NGDPA's 2 (h_near - h_far is exact or one rounding); each adds an OPA power's 5 and
+# one product or quotient. Measured on these chunks: OPA 1.9, OMA 1.3, GRPA 4.1,
+# NGDPA 3.3 and the unpaired user 1.1 ulp at most.
+ULP_BOUNDS = {Strategy.OPA: 5, Strategy.OMA: 4, Strategy.GRPA: 9, Strategy.NGDPA: 8,
+              "unpaired": 3}
+ULP_CHUNKS = {
+    "desk": lambda: replace(load_scenario(ROOT / "scenarios" / "campaign_16users.cfg"),
+                            trials=CHUNK),
+    # an unpaired user, and users out of FOV (r / l > tan 70 degrees) in infeasible pairs
+    "odd-out-of-fov": lambda: ScenarioConfig(num_users=7, trials=CHUNK, seed=5, r_max=6.0,
+                                             qos_set=(0.5, 1.0, 2.0, 3.0), pairings=PAIRINGS),
+}
+
+
+@pytest.mark.parametrize("variant", list(ULP_CHUNKS))
+def test_chunk_powers_are_within_k_ulp_of_the_exact_powers(variant):
+    config = ULP_CHUNKS[variant]()
+    population, caps = chunk_population(config), _base_caps(config)
+    chunk, used_qos = _Chunk(config, population, *caps), _evaluate(config, population, *caps)[2]
+    pz = Fraction(config.noise_power)
+    h, f_dl, f_ul = ([Fraction(v) for v in row] for row in chunk.users.tolist())
+    exact = functools.cache(lambda far, near: exact_pair_powers(
+        config.strategies, pz, h[far], h[near], (f_dl[far], f_dl[near], f_ul[far], f_ul[near])))
+    worst, infeasible = dict.fromkeys(ULP_BOUNDS, 0.0), 0
+    channel, qos = chunk.slots("channel"), chunk.slots("qos")
+    for slots in (channel, qos, np.where(used_qos, qos, channel)):
+        powers = chunk.powers(slots)
+        dl, ul = powers.dl.transpose(2, 1, 0).tolist(), powers.ul.transpose(2, 1, 0).tolist()
+        for trial, users in enumerate(slots.T.tolist()):
+            for row, strategy in enumerate(config.strategies):
+                got_dl, got_ul = dl[trial][row], ul[trial][row]
+                for far in range(0, len(users) - 1, 2):
+                    got = got_dl[far], got_dl[far + 1], got_ul[far], got_ul[far + 1]
+                    want = exact(users[far], users[far + 1])[strategy]
+                    if want is None:  # all four demands unbounded, not merely large
+                        assert got == (math.inf,) * 4, (strategy, trial, far)
+                        infeasible += 1
+                        continue
+                    worst[strategy] = max(worst[strategy], *map(ulps, got, want))
+                if len(users) % 2:
+                    user = users[-1]
+                    for power, factor in ((got_dl[-1], f_dl[user]), (got_ul[-1], f_ul[user])):
+                        if h[user] == 0:
+                            assert power == math.inf
+                        else:
+                            value = factor * pz / (h[user] * h[user])
+                            worst["unpaired"] = max(worst["unpaired"], ulps(power, value))
+    assert all(worst[key] <= bound for key, bound in ULP_BOUNDS.items()), worst
+    assert (infeasible > 0) == (variant == "odd-out-of-fov")
