@@ -6,9 +6,9 @@ energy efficiency plus both links' outage probabilities. Campaigns average
 many trials. Trial ``i`` reads its raw 64-bit words in one call from its
 own PCG64 stream (:func:`.streams.run_trial`, which also sets their count
 and order), so results are bit-identical for any worker count or execution
-order; the per-cell averages are reduced in trial order. The words of a
-chunk are converted together, by NumPy's own ``uniform`` and ``integers``
-arithmetic, into the draws ``default_rng([seed, i])`` makes.
+order; the per-cell averages are reduced in trial order. :mod:`.streams`
+also converts a chunk's words into the draws ``default_rng([seed, i])``
+makes (:func:`.streams._draws`); this module maps their rate indices to rates.
 
 Trials are evaluated in chunks of :data:`CHUNK` trials, doubled while the
 ``(users, strategies, trials)`` arrays stay within a desk chunk's (see
@@ -50,7 +50,7 @@ from .allocation import MAX_RATE, PowerLimits, QosRates, Strategy, _check_rates,
 from .channel import NoiseModel, OpticalFrontEnd, UserPosition, _plain_int, _plain_reals, channel_gain
 from .metrics import LinkOutage
 from .pairing import QOS_SORT_KEYS, _check_user_count, _qos_sort_values
-from .streams import CHUNK, _MASK32, _rate_draws, _word_count, run_trial
+from .streams import CHUNK, _draws, _word_count, run_trial
 
 # The engine does not call these scalar reference functions; the benchmark's
 # tracer (bench/spans.py) looks each of them up on this module by name.
@@ -314,43 +314,14 @@ def _rate_table(qos_set: tuple) -> tuple[np.ndarray, np.ndarray]:
 def _population_from_words(
     config: ScenarioConfig, trials: Sequence[int], words: np.ndarray
 ) -> _Population:
-    """The draws of ``trials`` from their :func:`run_trial` words, one row each.
-
-    Redoes NumPy's conversions on the whole ``(trials, words)`` array, bit
-    for bit, as ``default_rng([seed, i])`` draws them: ``uniform(low,
-    high)`` is ``low + (high - low) * d`` with ``d = (word >> 11) * 2^-53``,
-    and each rate is ``qos_set[integers(0, k)]``, which is Lemire's
-    ``(u32 * k) >> 32``. Lemire's method rejects a ``u32`` whose low product
-    word is below ``(2^32 - k) % k`` and draws again; a row with such a word
-    has its rate draws redone by ``default_rng([seed, i])``, past the ``3n`` uniforms.
-    """
+    """The draws of ``trials`` from their :func:`run_trial` words (:func:`.streams._draws`),
+    one row each, with each rate index mapped to its rate and factor."""
     n = config.num_users
-    unit = (words[:, :3 * n] >> 11) * 2.0 ** -53
-    vertical, horizontal, polar = (
-        low + (high - low) * unit[:, part * n:(part + 1) * n]
-        for part, (low, high) in enumerate(
-            ((config.l_min, config.l_max), (0.0, config.r_max), (0.0, 2.0 * math.pi)))
-    )
-    del unit  # the draw's largest array, freed before the rate draws
+    *positions, index = _draws(config, trials, words)
     choices, table = _rate_table(config.qos_set)
-    k, draws = len(choices), _rate_draws(config)
-    if draws:
-        tail = words[:, 3 * n:]
-        halves = np.stack((tail & _MASK32, tail >> 32), axis=2).reshape(len(words), -1)
-        scaled = halves[:, :draws] * np.uint64(k)
-        index = (scaled >> 32).astype(np.intp)
-        threshold = ((1 << 32) - k) % k
-        if threshold:
-            for row in np.flatnonzero(((scaled & _MASK32) < threshold).any(axis=1)).tolist():
-                rng = np.random.default_rng([config.seed, trials[row]])
-                rng.bit_generator.advance(3 * n)
-                index[row] = rng.integers(0, k, draws)
-    else:
-        index = np.zeros((len(words), n), dtype=np.intp)
     rates, factors = choices.take(index), table.take(index)
     # coupled links (and a one-rate set) draw one index per user for both
-    return _Population(vertical, horizontal, polar, rates[:, :n], rates[:, -n:],
-                       factors[:, :n], factors[:, -n:])
+    return _Population(*positions, rates[:, :n], rates[:, -n:], factors[:, :n], factors[:, -n:])
 
 
 def sample_users(config: ScenarioConfig, trial_index: int) -> list[UserNode]:

@@ -1,5 +1,6 @@
 """Per-trial PCG64 streams: trial ``i`` reads ``default_rng([seed, i])``'s stream,
-as many words as its draw takes and in its draw's order (:func:`run_trial`).
+as many words as its draw takes and in its draw's order (:func:`run_trial`),
+and a chunk's words become that generator's draws (:func:`_draws`).
 
 The starts of a span of SPAN trials, clipped at the run's last trial, come
 from one vectorized pass over SeedSequence's integer hash and PCG64's seeding
@@ -159,12 +160,11 @@ def _hold(config, trial_index: int) -> tuple:
 def run_trial(config, trial_index: int) -> np.ndarray:
     """Trial ``trial_index``'s raw PCG64 words: all that its draw consumes.
 
-    The draw (see :func:`.simulation._population_from_words`) takes one
-    64-bit word per uniform (vertical and horizontal distances, polar
-    angles; ``3n``) and one 32-bit half-word per rate index, low half first:
-    ``2n``, or ``n`` with ``qos_coupled_links``, or none from a one-rate QoS
-    set. This is the one RNG stream of a trial, and that order is part of
-    the contract. The chunk evaluator calls it once per trial.
+    The draw (:func:`_draws`) takes one 64-bit word per uniform (vertical and
+    horizontal distances, polar angles; ``3n``) and one 32-bit half-word per
+    rate index, low half first: ``2n``, or ``n`` with ``qos_coupled_links``, or
+    none from a one-rate QoS set. This is the one RNG stream of a trial, and
+    that order is part of the contract. The chunk evaluator calls it once per trial.
 
     In this thread's held span, a trial costs an identity and a range check,
     a 32-byte state write and ``random_raw`` (which reads the state alone);
@@ -176,3 +176,32 @@ def run_trial(config, trial_index: int) -> np.ndarray:
     offset = 32 * (trial_index - first)
     state[:] = starts[offset:offset + 32]
     return random_raw(count)
+
+
+def _draws(config, trials, words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The draws of ``trials`` from their :func:`run_trial` words, one row each: the
+    ``(trials, n)`` heights, distances and polar angles, then the rate indices.
+
+    NumPy's conversions, bit for bit, on the whole array: ``uniform(low, high)``
+    is ``low + (high - low) * (word >> 11) * 2^-53``, and ``integers(0, k)`` is
+    Lemire's ``(u32 * k) >> 32`` (zeros from a one-rate set). Lemire's method
+    rejects a ``u32`` whose low product word is below ``(2^32 - k) % k``; a row
+    with one has its indices redrawn by ``default_rng([seed, i])`` past the ``3n`` uniforms.
+    """
+    n, k, draws = config.num_users, len(config.qos_set), _rate_draws(config)
+    unit = (words[:, :3 * n] >> 11) * 2.0 ** -53
+    positions = [low + (high - low) * unit[:, part * n:(part + 1) * n]
+                 for part, (low, high) in enumerate(
+                     ((config.l_min, config.l_max), (0.0, config.r_max), (0.0, 2.0 * np.pi)))]
+    del unit  # the draw's largest array, freed before the rate draws
+    if not draws:
+        return (*positions, np.zeros((len(words), n), dtype=np.intp))
+    # the 32-bit halves, low half first on any host
+    scaled = words[:, 3 * n:].astype("<u8", copy=False).view("<u4")[:, :draws] * np.uint64(k)
+    index = (scaled >> 32).astype(np.intp)
+    if threshold := ((1 << 32) - k) % k:
+        for row in np.flatnonzero(((scaled & _MASK32) < threshold).any(axis=1)).tolist():
+            rng = np.random.default_rng([config.seed, trials[row]])
+            rng.bit_generator.advance(3 * n)
+            index[row] = rng.integers(0, k, draws)
+    return (*positions, index)

@@ -171,7 +171,8 @@ class TestStreamSeeding:
     default_rng([seed, trial]) does."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 1])
-    @pytest.mark.parametrize("trial", [0, SPAN - 1, SPAN, SPAN + 1, 2**32 - 1, 2**32, 2**32 + 5])
+    @pytest.mark.parametrize("trial", [0, SPAN - 1, SPAN, SPAN + 1, 2**32 - 1, 2**32, 2**32 + 5,
+                                       2**64 + 5])
     def test_state_and_draws_match_default_rng(self, seed, trial):
         want = np.random.default_rng([seed, trial]).bit_generator.state["state"]
         span, offset = divmod(trial, SPAN)
