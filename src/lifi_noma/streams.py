@@ -196,8 +196,8 @@ def _draws(config, trials, words: np.ndarray) -> tuple[np.ndarray, ...]:
     del unit  # the draw's largest array, freed before the rate draws
     if not draws:
         return (*positions, np.zeros((len(words), n), dtype=np.intp))
-    # the 32-bit halves, low half first on any host
-    scaled = words[:, 3 * n:].astype("<u8", copy=False).view("<u4")[:, :draws] * np.uint64(k)
+    # the 32-bit halves, low half first on any host, widened so u32 * k cannot wrap on NumPy 1.x
+    scaled = words[:, 3 * n:].astype("<u8", copy=False).view("<u4")[:, :draws].astype("u8") * k
     index = (scaled >> 32).astype(np.intp)
     if threshold := ((1 << 32) - k) % k:
         for row in np.flatnonzero(((scaled & _MASK32) < threshold).any(axis=1)).tolist():
