@@ -10,9 +10,11 @@ order; the per-cell averages are reduced in trial order. :mod:`.streams`
 also converts a chunk's words into the draws ``default_rng([seed, i])``
 makes (:func:`.streams._draws`); this module maps their rate indices to rates.
 
-Trials are evaluated in chunks of :data:`CHUNK` trials, doubled while the
-``(users, strategies, trials)`` arrays stay within a desk chunk's (see
-:func:`_chunk_size`). The draws are ``(trials, users)`` arrays; from the
+Trials are evaluated in chunks of :data:`CHUNK` trials, doubled while a
+``(users, strategies, trials)`` array holds at most ``128 * CHUNK`` elements,
+so 512 desk trials (see :func:`_chunk_size`); importing this module raises
+glibc's mmap and trim thresholds, so a chunk's arrays reuse the heap pages the
+process already holds. The draws are ``(trials, users)`` arrays; from the
 pairing on, every array puts the trials last and contiguous, so each pair,
 user or cap is one whole row or plane. Each pairing method's slot powers
 are computed in one pass for all the strategies. Adaptive pairing picks
@@ -62,6 +64,15 @@ from .metrics import (  # noqa: F401, E402
     uplink_uop,
 )
 from .pairing import adaptive_pairing, pair_by_channel, pair_by_qos  # noqa: F401, E402
+
+# glibc maps a block of at least its mmap threshold apart and hands the freed
+# heap top past its trim threshold back to the kernel. Both start at 128 KiB and
+# follow the largest mapped block freed, to its size and twice that (mallopt(3),
+# the dynamic mmap threshold). Left near a chunk's array size, they had the
+# heap top a call freed trimmed and faulted in again by the next call. Freeing
+# one 4 MiB block raises them to 4 and 8 MiB, and the chunks reuse the heap
+# pages the process holds. Other C libraries ignore it.
+np.empty(4 << 20, dtype=np.uint8)
 
 __all__ = [
     "CHUNK",
@@ -657,9 +668,11 @@ def _chunk_values(config: ScenarioConfig, trials: range, caps_dl, caps_ul) -> np
 
 
 def _chunk_size(config: ScenarioConfig) -> int:
-    """CHUNK, doubled while the ``(users, strategies, trials)`` arrays fit a desk chunk's."""
+    """CHUNK, doubled while a ``(users, strategies, trials)`` array holds at most
+    ``128 * CHUNK`` elements (256 KiB of float64, within the heap the module's
+    freed block keeps) and the chunk is shorter than the run."""
     size, width = CHUNK, len(config.strategies) * config.num_users
-    while 2 * size * width <= 64 * CHUNK and size < config.trials:
+    while 2 * size * width <= 128 * CHUNK and size < config.trials:
         size *= 2
     return size
 

@@ -18,9 +18,11 @@ import threading
 
 import numpy as np
 
-# Trials drawn and evaluated together at the widest configs (see
-# simulation._chunk_size): enough to amortize NumPy's per-call overhead, few
-# enough to stay in cache.
+# The unit of a chunk of trials drawn and evaluated together (see
+# simulation._chunk_size): a chunk is CHUNK trials doubled while a
+# (users, strategies, trials) array holds at most 128 * CHUNK elements, so a
+# desk chunk (16 users, 4 strategies) holds 2 * CHUNK, enough to amortize
+# NumPy's per-call overhead.
 CHUNK = 256
 # Trials seeded in one pass. A power of two, so it divides 2^32 and a span's
 # trials differ only in their lowest word.

@@ -57,6 +57,11 @@ PAIRINGS = ("channel", "qos", "adaptive")
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def chunk_count(config, workers=1):
+    """How many trial ranges, each at most one chunk, a run of ``config`` is cut into."""
+    return len(simulation._trial_ranges(config.trials, workers, simulation._chunk_size(config)))
+
+
 def oracle_powers(config, users):
     """Per (strategy, pairing): method, slot users, slot powers and total."""
     gains = _gains(config.front_end, _population_of([users]))[0]
@@ -435,11 +440,13 @@ def test_out_of_fov_users_make_infinite_pairs():
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("served_only", [False, True])
 def test_campaign_means_equal_the_oracle_across_chunks(workers, served_only):
-    # not a multiple of CHUNK, so 1 and 3 workers cut the chunks differently
+    # not a multiple of CHUNK, so 1 and 3 workers cut the chunks differently:
+    # two 9-user chunks (of at most 2 * CHUNK trials) on 1 worker, three on 3
     config = ScenarioConfig(
-        num_users=9, trials=CHUNK + 37, seed=11, qos_set=(0.3, 1.0, 2.25, 4.0),
+        num_users=9, trials=2 * CHUNK + 37, seed=11, qos_set=(0.3, 1.0, 2.25, 4.0),
         pairings=PAIRINGS, limits=PowerLimits(3.0, 0.2), ee_served_only=served_only,
     )
+    assert chunk_count(config, workers) == max(2, workers)
     limits = config.limits
     want = oracle_means(config, (limits.max_total_dl,), (limits.max_per_user_ul,))
     got = run_campaign(config, workers=workers).cells
@@ -525,12 +532,14 @@ def wide_grid(config, link):
 @pytest.mark.parametrize("num_users", [9, 16])
 @pytest.mark.parametrize("link", ["dl", "ul"])
 def test_a_wide_unsorted_cap_grid_equals_the_oracle(link, num_users):
-    # two chunks of trials; the base caps shed users for served-only EE
+    # two chunks of trials (of at most 2 * CHUNK at 9 and 16 users); the base
+    # caps shed users for served-only EE
     config = ScenarioConfig(
-        num_users=num_users, trials=CHUNK + 37, seed=13, qos_set=(0.5, 1.0, 2.0, 3.0),
+        num_users=num_users, trials=2 * CHUNK + 37, seed=13, qos_set=(0.5, 1.0, 2.0, 3.0),
         pairings=PAIRINGS, limits=PowerLimits(4.0, 0.05), ee_served_only=True,
         uop_sweep_link=link,
     )
+    assert chunk_count(config) == 2
     grid = wide_grid(config, link)
     config = replace(config, uop_sweep_grid=grid)
     base_dl, base_ul = config.limits.max_total_dl, config.limits.max_per_user_ul
@@ -625,7 +634,9 @@ def test_adaptive_cell_results_are_the_chosen_pairings(pairings):
     ("uop_downlink.cfg", run_uop_sweep, 1),
 ])
 def test_outcomes_counted_per_chunk(monkeypatch, scenario, runner, per_chunk):
-    config = replace(load_scenario(ROOT / "scenarios" / scenario), trials=CHUNK + 5)
+    config = load_scenario(ROOT / "scenarios" / scenario)
+    config = replace(config, trials=simulation._chunk_size(config) + 5)
+    assert chunk_count(config) == 2
     outcome, calls = _Chunk.outcome, []
     monkeypatch.setattr(_Chunk, "outcome", lambda chunk, powers: calls.append(1) or
                         outcome(chunk, powers))
@@ -640,7 +651,9 @@ def test_outcomes_counted_per_chunk(monkeypatch, scenario, runner, per_chunk):
     ("uop_uplink.cfg", run_uop_sweep, 1),
 ])
 def test_strategy_powers_computed_per_chunk(monkeypatch, scenario, runner, per_chunk):
-    config = replace(load_scenario(ROOT / "scenarios" / scenario), trials=CHUNK + 5)
+    config = load_scenario(ROOT / "scenarios" / scenario)
+    config = replace(config, trials=simulation._chunk_size(config) + 5)
+    assert chunk_count(config) == 2
     powers, calls = _Chunk.powers, []
     monkeypatch.setattr(_Chunk, "powers", lambda chunk, slots: calls.append(1) or
                         powers(chunk, slots))

@@ -4,6 +4,7 @@ campaign reduction and the deterministic two-user sweeps."""
 import math
 import multiprocessing
 import os
+import platform
 import re
 import signal
 import subprocess
@@ -550,13 +551,16 @@ class TestCampaigns:
 
 
 class TestChunkSize:
-    """A chunk holds CHUNK trials, doubled while its arrays stay within a desk
-    chunk's; the trial-order sums keep every mean independent of it."""
+    """A chunk holds CHUNK trials, doubled while a ``(users, strategies, trials)``
+    array stays within ``128 * CHUNK`` elements and the chunk is shorter than
+    the run; the trial-order sums keep every mean independent of it."""
 
     def test_wide_configs_keep_chunk_and_the_lean_one_takes_a_span(self, monkeypatch):
         root = Path(__file__).resolve().parent.parent
         for name in ("campaign_16users.cfg", "uop_downlink.cfg"):
-            assert simulation._chunk_size(load_scenario(root / "scenarios" / name)) == CHUNK
+            # 16 users and 4 strategies: the budget holds 2 * CHUNK trials
+            assert simulation._chunk_size(load_scenario(root / "scenarios" / name)) == (
+                128 * CHUNK // (16 * 4))
         # the benchmark's campaign-lean config: 5 users, OPA, 2,000 trials
         monkeypatch.syspath_prepend(str(root / "bench"))
         from workloads import WORKLOADS
@@ -567,10 +571,14 @@ class TestChunkSize:
         assert simulation._chunk_size(config) == SPAN
 
     def test_chunks_that_cut_spans_keep_the_means(self, monkeypatch):
-        # chunks of SPAN trials, cut into ranges of about 1,378 on 1 worker
+        # 5 users and one strategy: the budget holds 6,553 trials, so chunks of
+        # 2 * SPAN, cut into two ranges of about 2,066 on 1 worker, each across
+        # a span's edge
         config = desk_config(num_users=5, trials=2 * SPAN + 37, strategies=(Strategy.OPA,),
                              pairings=("channel", "qos", "adaptive"))
-        assert simulation._chunk_size(config) == SPAN
+        assert simulation._chunk_size(config) == 2 * SPAN
+        assert simulation._trial_ranges(config.trials, 1, 2 * SPAN) == [
+            range(0, 2066), range(2066, 2 * SPAN + 37)]
         summary = run_campaign(config, workers=1)
         assert run_campaign(config, workers=2) == summary
         assert run_campaign(config, workers=3) == summary
@@ -633,12 +641,45 @@ class Two(ArithmeticError):
         super().__init__(f"no {what} {where}")
 
 
-def _run_python(code: str) -> None:
-    """Run ``code`` in a fresh interpreter that imports this package; it must exit 0."""
+def _run_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter that imports this package; it must exit 0.
+    Returns what it printed."""
     src = str(Path(simulation.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
-                   timeout=120, check=True)
+    return subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+                          stdout=subprocess.PIPE, text=True, timeout=120, check=True).stdout
+
+
+# Minor page faults per warm 500-trial desk campaign call, fixed before the
+# first run: a chunk's arrays reuse heap pages the process holds (0 to 1 faults
+# per call), where a heap trimmed after every call faults them in again (93 to
+# 215). The campaign's arrays have the same sizes whatever the seed; a UOP
+# sweep's do not, and one larger block freed can raise glibc's thresholds
+# without the module's own, so whether it trims depends on the seeds.
+FAULTS_PER_CALL = 20
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's heap thresholds")
+def test_warm_calls_fault_no_heap_pages_back_in():
+    scenario = Path(__file__).resolve().parent.parent / "scenarios" / "campaign_16users.cfg"
+    faults = float(_run_python(textwrap.dedent(f"""
+        import resource
+        from dataclasses import replace
+        from lifi_noma import run_campaign
+        from lifi_noma.cli import load_scenario
+
+        config = replace(load_scenario({str(scenario)!r}), trials=500)
+
+        def faults(seeds):
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for seed in seeds:  # a new seed per call, as the benchmark's calls
+                run_campaign(replace(config, seed=seed))
+            return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+        faults(range(5))  # first calls: numpy.random, the code's first pages
+        print(faults(range(5, 25)) / 20)
+    """)))
+    assert faults < FAULTS_PER_CALL
 
 
 class TestWorkerProcesses:
