@@ -12,6 +12,11 @@ under power-domain superposition with successive interference cancellation
 
 Rates are in bit/s/Hz, powers in the same relative electrical units as the
 noise power. All functions are pure; they can be called concurrently.
+
+Each public function checks its own arguments once, at its top; the
+constructors of :class:`QosRates` and :class:`UserPair` have checked theirs.
+The closed forms themselves are private kernels on plain floats that check
+nothing, so :mod:`.pairing` can sum them over a population checked once.
 """
 
 from __future__ import annotations
@@ -156,15 +161,52 @@ def _per_square(demand: float, h: float) -> float:
     return demand / square if square else math.inf
 
 
+def _check_gains(*gains: float) -> None:
+    if not all(h >= 0.0 for h in gains):  # also rejects NaN
+        raise ValueError(f"gains must be >= 0, got {gains}")
+
+
 def _check_inputs(noise_power: float, *gains: float) -> None:
     if not noise_power > 0.0:  # also rejects NaN
         raise ValueError(f"noise power must be positive, got {noise_power}")
-    if not all(h >= 0.0 for h in gains):  # also rejects NaN
-        raise ValueError(f"gains must be >= 0, got {gains}")
+    _check_gains(*gains)
     if 0.0 in gains:
         raise InfeasibleAllocationError(
             "zero channel gain: the rate target needs unbounded power"
         )
+
+
+def _alone(rate, h, noise_power):
+    # the power that meets a rate against noise alone: after SIC, or unpaired
+    return _per_square(_rate_factor(rate) * noise_power, h)
+
+
+def _downlink_powers(h_high, h_low, rate_high, rate_low, noise_power):
+    p_low = _alone(rate_low, h_low, noise_power)
+    p_high = _rate_factor(rate_high) * (p_low + _per_square(noise_power, min(h_high, h_low)))
+    return p_high, p_low
+
+
+def _uplink_powers(h_high, h_low, rate_high, rate_low, noise_power):
+    p_low = _alone(rate_low, h_low, noise_power)
+    p_high = _per_square(
+        _rate_factor(rate_high) * (1.0 + _rate_factor(rate_low)) * noise_power, h_high
+    )
+    return p_high, p_low
+
+
+def _opa_powers(h_far, h_near, rd_far, rd_near, ru_far, ru_near, noise_power):
+    # the far user is decoded first on the downlink, the near user on the uplink
+    far_dl, near_dl = _downlink_powers(h_far, h_near, rd_far, rd_near, noise_power)
+    near_ul, far_ul = _uplink_powers(h_near, h_far, ru_near, ru_far, noise_power)
+    return far_dl, near_dl, far_ul, near_ul
+
+
+def _oma_powers(h_far, h_near, rd_far, rd_near, ru_far, ru_near, noise_power):
+    demand_dl = _rate_factor(rd_far) * _rate_factor(rd_near) * noise_power
+    demand_ul = _rate_factor(ru_far) * _rate_factor(ru_near) * noise_power
+    return (_per_square(demand_dl, h_far), _per_square(demand_dl, h_near),
+            _per_square(demand_ul, h_far), _per_square(demand_ul, h_near))
 
 
 def downlink_power_requirements(
@@ -194,10 +236,7 @@ def downlink_power_requirements(
     """
     _check_rates(rate_high=rate_high, rate_low=rate_low)
     _check_inputs(noise_power, h_high, h_low)
-    h_min = min(h_high, h_low)
-    p_low = _per_square(_rate_factor(rate_low) * noise_power, h_low)
-    p_high = _rate_factor(rate_high) * (p_low + _per_square(noise_power, h_min))
-    return p_high, p_low
+    return _downlink_powers(h_high, h_low, rate_high, rate_low, noise_power)
 
 
 def uplink_power_requirements(
@@ -217,11 +256,7 @@ def uplink_power_requirements(
     """
     _check_rates(rate_high=rate_high, rate_low=rate_low)
     _check_inputs(noise_power, h_high, h_low)
-    p_low = _per_square(_rate_factor(rate_low) * noise_power, h_low)
-    p_high = _per_square(
-        _rate_factor(rate_high) * (1.0 + _rate_factor(rate_low)) * noise_power, h_high
-    )
-    return p_high, p_low
+    return _uplink_powers(h_high, h_low, rate_high, rate_low, noise_power)
 
 
 def opa_set(
@@ -235,13 +270,11 @@ def opa_set(
     Composes the per-link equality powers under the optimal decoding orders;
     each of the four powers is the smallest value meeting its user's rate.
     """
-    p_far_dl, p_near_dl = downlink_power_requirements(
-        pair.h_far, pair.h_near, qos_far.downlink, qos_near.downlink, noise_power
-    )
-    p_near_ul, p_far_ul = uplink_power_requirements(
-        pair.h_near, pair.h_far, qos_near.uplink, qos_far.uplink, noise_power
-    )
-    return PowerAllocationSet(p_far_dl, p_near_dl, p_far_ul, p_near_ul)
+    _check_inputs(noise_power, pair.h_far, pair.h_near)
+    return PowerAllocationSet(*_opa_powers(
+        pair.h_far, pair.h_near, qos_far.downlink, qos_near.downlink, qos_far.uplink,
+        qos_near.uplink, noise_power,
+    ))
 
 
 def channel_ratio(strategy: Strategy, h_far: float, h_near: float) -> float:
@@ -320,14 +353,10 @@ def oma_allocation(
     to hundreds of ulp near :data:`MAX_RATE`, the product at most a few.
     """
     _check_inputs(noise_power, pair.h_far, pair.h_near)
-    demand_dl = _rate_factor(qos_far.downlink) * _rate_factor(qos_near.downlink) * noise_power
-    demand_ul = _rate_factor(qos_far.uplink) * _rate_factor(qos_near.uplink) * noise_power
-    return PowerAllocationSet(
-        _per_square(demand_dl, pair.h_far),
-        _per_square(demand_dl, pair.h_near),
-        _per_square(demand_ul, pair.h_far),
-        _per_square(demand_ul, pair.h_near),
-    )
+    return PowerAllocationSet(*_oma_powers(
+        pair.h_far, pair.h_near, qos_far.downlink, qos_near.downlink, qos_far.uplink,
+        qos_near.uplink, noise_power,
+    ))
 
 
 def single_user_allocation(h: float, qos: QosRates, noise_power: float) -> tuple[float, float]:
@@ -337,10 +366,7 @@ def single_user_allocation(h: float, qos: QosRates, noise_power: float) -> tuple
     noise: ``p = 2^(2R) Pz / h^2`` per link, with the user's one gain ``h``.
     """
     _check_inputs(noise_power, h)
-    return (
-        _per_square(_rate_factor(qos.downlink) * noise_power, h),
-        _per_square(_rate_factor(qos.uplink) * noise_power, h),
-    )
+    return _alone(qos.downlink, h, noise_power), _alone(qos.uplink, h, noise_power)
 
 
 def allocate(

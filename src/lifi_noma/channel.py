@@ -16,7 +16,8 @@ from __future__ import annotations
 import math
 import numbers
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 
 __all__ = [
     "OpticalFrontEnd",
@@ -139,7 +140,7 @@ class OpticalFrontEnd:
             / (2.0 * math.pi)
         )
 
-    @property
+    @cached_property  # kept in the instance dict, outside the fields that == and hash read
     def gain_terms(self) -> tuple[float, float, float]:
         """``(tan(FOV), m + 1, C)``: the per-front-end arguments of :func:`los_gain`."""
         return (
@@ -147,6 +148,9 @@ class OpticalFrontEnd:
             self.lambertian_order + 1.0,
             self.channel_constant,
         )
+
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}  # pickle no cached terms
 
 
 @dataclass(frozen=True)
@@ -191,8 +195,8 @@ def los_gain(
     if ratio > tan_fov:
         return 0.0
     attenuation = math.cos(math.atan(ratio)) ** exponent
-    reach = vertical * vertical + horizontal * horizontal
-    return constant / reach * attenuation
+    reach = vertical * vertical + horizontal * horizontal  # 0 where both squares underflow
+    return constant / reach * attenuation if reach else math.inf
 
 
 def channel_gain(position: UserPosition, front_end: OpticalFrontEnd) -> float:

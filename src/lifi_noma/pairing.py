@@ -6,23 +6,22 @@ needs less total optimal power. Downlink and uplink share one front end, so
 each user has one channel gain and one shared pairing serves both links;
 with an odd population the last sorted user stays unpaired and is served
 standalone on its own band.
+
+Each public function checks a population's rates, gains and noise power once;
+the OPA totals then add :mod:`.allocation`'s kernels, which trust floats.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .allocation import (
-    InfeasibleAllocationError,
-    QosRates,
-    UserPair,
-    opa_set,
-    single_user_allocation,
-)
+from .allocation import UserPair, _alone, _check_gains, _check_inputs, _check_rates, _opa_powers
+# No pairing function calls these two; the benchmark's tracer (bench/spans.py)
+# looks each of them up on this module by name.
+from .allocation import opa_set, single_user_allocation  # noqa: F401
 
 __all__ = [
     "PairingOutcome",
@@ -69,7 +68,21 @@ def _gain_array(gains) -> np.ndarray:
     if gains.ndim != 1:
         raise ValueError("the gain array must be 1-D")
     _check_user_count(len(gains))
+    _check_gains(*gains.tolist())
     return gains
+
+
+def _population(rates_dl, rates_ul, gains) -> tuple[list[float], list[float], np.ndarray]:
+    """A population's checked rates, as lists of Python floats, and its checked gains."""
+    if np.ndim(rates_dl) != 1 or np.shape(rates_dl) != np.shape(rates_ul):
+        raise ValueError("rate arrays must be 1-D and equally shaped")
+    rates_dl, rates_ul = np.asarray((rates_dl, rates_ul), dtype=float).tolist()
+    for downlink, uplink in zip(rates_dl, rates_ul):
+        _check_rates(downlink=downlink, uplink=uplink)
+    gains = _gain_array(gains)
+    if len(rates_dl) != len(gains):
+        raise ValueError("rates and gains must cover the same users")
+    return rates_dl, rates_ul, gains
 
 
 def make_pair(a: int, b: int, gains: np.ndarray) -> UserPair:
@@ -84,7 +97,9 @@ def make_pair(a: int, b: int, gains: np.ndarray) -> UserPair:
     return UserPair(far=a, near=b, h_far=float(gains[a]), h_near=float(gains[b]))
 
 
-def _pair_halves(order: list[int], gains, method: str) -> PairingOutcome:
+def _pair_sorted(values: np.ndarray, gains: np.ndarray, method: str) -> PairingOutcome:
+    # a stable sort keeps ties in index order; the last user of an odd count stays unpaired
+    order = sorted(range(len(values)), key=values.tolist().__getitem__)
     n = len(order) // 2
     unpaired = order[-1] if len(order) % 2 else None
     pairs = tuple(make_pair(order[i], order[n + i], gains) for i in range(n))
@@ -99,8 +114,7 @@ def pair_by_channel(gains) -> PairingOutcome:
     partner. Ties keep the original index order.
     """
     gains = _gain_array(gains)
-    order = sorted(range(len(gains)), key=lambda k: (gains[k], k))
-    return _pair_halves(order, gains, "channel")
+    return _pair_sorted(gains, gains, "channel")
 
 
 def _qos_sort_values(rates_dl, rates_ul, key: str) -> np.ndarray:
@@ -118,14 +132,21 @@ def pair_by_qos(rates_dl, rates_ul, gains, key: str = "sum") -> PairingOutcome:
     combined downlink+uplink rate; "downlink"/"uplink" use one link only.
     Far/near roles inside each pair still follow the channel gains.
     """
-    if np.ndim(rates_dl) != 1 or np.shape(rates_dl) != np.shape(rates_ul):
-        raise ValueError("rate arrays must be 1-D and equally shaped")
-    values = _qos_sort_values(rates_dl, rates_ul, key)
-    gains = _gain_array(gains)
-    if len(values) != len(gains):
-        raise ValueError("rates and gains must cover the same users")
-    order = sorted(range(len(values)), key=lambda k: (-values[k], k))
-    return _pair_halves(order, gains, "qos")
+    rates_dl, rates_ul, gains = _population(rates_dl, rates_ul, gains)
+    return _pair_sorted(-_qos_sort_values(rates_dl, rates_ul, key), gains, "qos")
+
+
+def _opa_total(outcome: PairingOutcome, rd, ru, gains, noise_power) -> float:
+    total = 0.0
+    for p in outcome.pairs:
+        far_dl, near_dl, far_ul, near_ul = _opa_powers(
+            p.h_far, p.h_near, rd[p.far], rd[p.near], ru[p.far], ru[p.near], noise_power
+        )
+        total += far_dl + near_dl + far_ul + near_ul
+    if (u := outcome.unpaired) is not None:
+        h = float(gains[u])
+        total += _alone(rd[u], h, noise_power) + _alone(ru[u], h, noise_power)
+    return total
 
 
 def opa_total_power(
@@ -141,23 +162,11 @@ def opa_total_power(
     Pair totals are accumulated in pair order, then the unpaired user's two
     standalone link powers are added; reproducing a total bit-exactly
     requires the same order. A pairing with an infeasible member (a zero
-    gain, i.e. a user outside the FOV) needs unbounded power: ``inf``.
+    gain, i.e. a user outside the FOV) needs unbounded power: ``inf``, as
+    does a gain whose square underflows.
     """
-    gains = _gain_array(gains)
-    total = 0.0
-    try:
-        for pair in outcome.pairs:
-            qos_far = QosRates(float(rates_dl[pair.far]), float(rates_ul[pair.far]))
-            qos_near = QosRates(float(rates_dl[pair.near]), float(rates_ul[pair.near]))
-            total += opa_set(pair, qos_far, qos_near, noise_power).total
-        if outcome.unpaired is not None:
-            u = outcome.unpaired
-            qos = QosRates(float(rates_dl[u]), float(rates_ul[u]))
-            p_dl, p_ul = single_user_allocation(float(gains[u]), qos, noise_power)
-            total += p_dl + p_ul
-    except InfeasibleAllocationError:
-        return math.inf
-    return total
+    _check_inputs(noise_power)
+    return _opa_total(outcome, *_population(rates_dl, rates_ul, gains), noise_power)
 
 
 def adaptive_pairing(
@@ -175,10 +184,12 @@ def adaptive_pairing(
     float totals then differ only by rounding. The comparison carries a
     relative guard so such ties still resolve to the channel-based pairing.
     """
-    by_channel = pair_by_channel(gains)
-    by_qos = pair_by_qos(rates_dl, rates_ul, gains, key=key)
-    total_channel = opa_total_power(by_channel, rates_dl, rates_ul, gains, noise_power=noise_power)
-    total_qos = opa_total_power(by_qos, rates_dl, rates_ul, gains, noise_power=noise_power)
+    _check_inputs(noise_power)
+    rates_dl, rates_ul, gains = population = _population(rates_dl, rates_ul, gains)
+    by_channel = _pair_sorted(gains, gains, "channel")
+    by_qos = _pair_sorted(-_qos_sort_values(rates_dl, rates_ul, key), gains, "qos")
+    total_channel = _opa_total(by_channel, *population, noise_power)
+    total_qos = _opa_total(by_qos, *population, noise_power)
     if total_channel <= total_qos * (1.0 + 1e-12):
         return replace(by_channel, method="adaptive:channel", min_total_power=total_channel)
     return replace(by_qos, method="adaptive:qos", min_total_power=total_qos)

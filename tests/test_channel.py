@@ -1,6 +1,8 @@
 """LOS channel model: frozen reference values and geometric properties."""
 
+import dataclasses
 import math
+import pickle
 import sys
 
 import numpy as np
@@ -18,6 +20,7 @@ from lifi_noma import (
     channel_gain,
     evaluate_population,
 )
+from lifi_noma.cli import _jsonable
 
 # Frozen from a 50-digit mpmath evaluation of the same formulas.
 M_70 = 0.6460587703487338
@@ -96,6 +99,19 @@ class TestOpticalFrontEnd:
         assert "filter_gain" in message
         assert "responsivity" in message
 
+    def test_gain_terms_are_computed_once_and_seen_by_nothing_else(self):
+        fresh, fe = OpticalFrontEnd(semi_angle_deg=60.0), OpticalFrontEnd(semi_angle_deg=60.0)
+        assert fe.gain_terms is fe.gain_terms
+        assert fe.gain_terms == (math.tan(math.radians(70.0)), fe.lambertian_order + 1.0,
+                                 fe.channel_constant)
+        assert "gain_terms" in vars(fe) and "gain_terms" not in vars(fresh)
+        assert "gain_terms" not in {f.name for f in dataclasses.fields(fe)}
+        assert fe == fresh and hash(fe) == hash(fresh) and repr(fe) == repr(fresh)
+        assert "gain_terms" not in vars(dataclasses.replace(fe))
+        assert pickle.dumps(fe) == pickle.dumps(fresh)  # the spawned workers' transport
+        assert "gain_terms" not in vars(pickle.loads(pickle.dumps(fe)))
+        assert _jsonable(fe) == _jsonable(fresh)
+
 
 class TestUserPosition:
     def test_rejects_non_positive_height(self):
@@ -162,6 +178,13 @@ class TestChannelGain:
     def test_outside_fov_is_exactly_zero(self):
         # r/l = 10 is far beyond tan(70 deg) ~ 2.747
         assert channel_gain(UserPosition(1.0, 10.0), OpticalFrontEnd()) == 0.0
+
+    @pytest.mark.parametrize("height", [1e-200, 1e-160])
+    def test_a_height_whose_square_underflows_reads_an_infinite_gain(self, height):
+        # l*l + r*r rounds to 0 at 1e-200 and to a subnormal at 1e-160; either
+        # way the gain is inf, as allocation._per_square reads a zero square
+        assert channel_gain(UserPosition(height, 0.0), OpticalFrontEnd()) == math.inf
+        assert channel_gain(UserPosition(height, height), OpticalFrontEnd()) == math.inf
 
     def test_fov_boundary_belongs_to_visible_branch(self):
         fe = OpticalFrontEnd()

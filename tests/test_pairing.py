@@ -213,6 +213,43 @@ def test_pairing_and_engine_share_the_user_count_rule():
         evaluate_population(ScenarioConfig(num_users=2, trials=1), [user])
 
 
+ZERO_FIRST = [0.0, 1e-6, 2e-6, 3e-6]  # pair (0, 2) needs unbounded power
+BAD_RATES = [(math.nan, "must be finite, got nan"), (-1.0, r"must lie in \[0, 256\), got -1.0"),
+             (300.0, r"must lie in \[0, 256\), got 300.0"),
+             (1e9, r"must lie in \[0, 256\), got 1000000000.0")]
+POPULATION_ENTRIES = {
+    "opa_total_power": lambda rd, ru: opa_total_power(pair_by_channel(ZERO_FIRST), rd, ru,
+                                                      ZERO_FIRST, noise_power=PZ),
+    "adaptive_pairing": lambda rd, ru: adaptive_pairing(rd, ru, ZERO_FIRST, noise_power=PZ),
+    "pair_by_qos": lambda rd, ru: pair_by_qos(rd, ru, ZERO_FIRST),
+}
+
+
+def bad_rate_case(entry, link, rate, message):
+    bad, ones = [1.0, 1.0, 1.0, rate], [1.0] * 4
+    rates = (bad, ones) if link == "downlink" else (ones, bad)
+    return pytest.param(lambda: POPULATION_ENTRIES[entry](*rates), f"^{link} {message}$",
+                        id=f"{entry}-{link}-{rate}")
+
+
+@pytest.mark.parametrize("call, message", [
+    *(bad_rate_case(entry, link, rate, message) for entry in POPULATION_ENTRIES
+      for link in ("downlink", "uplink") for rate, message in BAD_RATES),
+    pytest.param(lambda: pair_by_channel([1e-6, 2e-6, 3e-6, 4e-6, math.nan]),
+                 r"^gains must be >= 0, got \(1e-06, 2e-06, 3e-06, 4e-06, nan\)$",
+                 id="pair_by_channel-nan-gain"),
+    pytest.param(lambda: adaptive_pairing([1.0] * 3, [1.0] * 3, [1e-6, -1.0, 3e-6],
+                                          noise_power=PZ),
+                 r"^gains must be >= 0, got \(1e-06, -1.0, 3e-06\)$",
+                 id="adaptive_pairing-negative-gain"),
+])
+def test_a_population_entry_point_refuses_a_bad_rate_or_gain(call, message):
+    # checked where the population enters, before any pair is costed, so
+    # neither an earlier infinite pair nor the unpaired slot hides the value
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @st.composite
 def populations(draw):
     n = draw(st.integers(2, 33))
@@ -265,6 +302,30 @@ class TestOpaTotalPower:
                 gains, rates_dl, rates_ul,
             )
             assert got == pytest.approx(want, rel=1e-12)
+
+    def test_equals_the_reference_composition_bit_for_bit(self):
+        # the float path adds the same powers in the same order as opa_set's
+        # totals in pair order, then the unpaired user's single_user_allocation
+        rng = np.random.default_rng(2031)
+        for case in range(200):
+            n = int(rng.integers(2, 12))
+            gains = rng.uniform(1e-7, 1e-5, n)
+            if case % 3 == 1:
+                gains[:] = gains[0]
+            elif case % 3 == 2:
+                gains[rng.integers(n)] = 1e-200  # its square underflows to 0
+            rates_dl, rates_ul = rng.choice([0.0, 0.5, 1.0, 2.0, 4.0, 255.0], (2, n))
+            qos = [QosRates(float(d), float(u)) for d, u in zip(rates_dl, rates_ul)]
+            for out in (pair_by_channel(gains), pair_by_qos(rates_dl, rates_ul, gains)):
+                want = 0.0
+                for pair in out.pairs:
+                    want += opa_set(pair, qos[pair.far], qos[pair.near], PZ).total
+                if out.unpaired is not None:
+                    p_dl, p_ul = single_user_allocation(float(gains[out.unpaired]),
+                                                        qos[out.unpaired], PZ)
+                    want += p_dl + p_ul
+                got = opa_total_power(out, rates_dl, rates_ul, gains, noise_power=PZ)
+                assert got == want, (case, out.method)
 
     @pytest.mark.parametrize("gains", [[0.0, 1e-6, 2e-6, 3e-6], [1e-6, 2e-6, 0.0]])
     def test_zero_gain_makes_the_total_infinite(self, gains):
