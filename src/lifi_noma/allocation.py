@@ -161,15 +161,11 @@ def _per_square(demand: float, h: float) -> float:
     return demand / square if square else math.inf
 
 
-def _check_gains(*gains: float) -> None:
-    if not all(h >= 0.0 for h in gains):  # also rejects NaN
-        raise ValueError(f"gains must be >= 0, got {gains}")
-
-
 def _check_inputs(noise_power: float, *gains: float) -> None:
     if not noise_power > 0.0:  # also rejects NaN
         raise ValueError(f"noise power must be positive, got {noise_power}")
-    _check_gains(*gains)
+    if not all(h >= 0.0 for h in gains):  # also rejects NaN
+        raise ValueError(f"gains must be >= 0, got {gains}")
     if 0.0 in gains:
         raise InfeasibleAllocationError(
             "zero channel gain: the rate target needs unbounded power"
@@ -200,13 +196,6 @@ def _opa_powers(h_far, h_near, rd_far, rd_near, ru_far, ru_near, noise_power):
     far_dl, near_dl = _downlink_powers(h_far, h_near, rd_far, rd_near, noise_power)
     near_ul, far_ul = _uplink_powers(h_near, h_far, ru_near, ru_far, noise_power)
     return far_dl, near_dl, far_ul, near_ul
-
-
-def _oma_powers(h_far, h_near, rd_far, rd_near, ru_far, ru_near, noise_power):
-    demand_dl = _rate_factor(rd_far) * _rate_factor(rd_near) * noise_power
-    demand_ul = _rate_factor(ru_far) * _rate_factor(ru_near) * noise_power
-    return (_per_square(demand_dl, h_far), _per_square(demand_dl, h_near),
-            _per_square(demand_ul, h_far), _per_square(demand_ul, h_near))
 
 
 def downlink_power_requirements(
@@ -353,10 +342,10 @@ def oma_allocation(
     to hundreds of ulp near :data:`MAX_RATE`, the product at most a few.
     """
     _check_inputs(noise_power, pair.h_far, pair.h_near)
-    return PowerAllocationSet(*_oma_powers(
-        pair.h_far, pair.h_near, qos_far.downlink, qos_near.downlink, qos_far.uplink,
-        qos_near.uplink, noise_power,
-    ))
+    demand_dl = _rate_factor(qos_far.downlink) * _rate_factor(qos_near.downlink) * noise_power
+    demand_ul = _rate_factor(qos_far.uplink) * _rate_factor(qos_near.uplink) * noise_power
+    return PowerAllocationSet(_per_square(demand_dl, pair.h_far), _per_square(demand_dl, pair.h_near),
+                              _per_square(demand_ul, pair.h_far), _per_square(demand_ul, pair.h_near))
 
 
 def single_user_allocation(h: float, qos: QosRates, noise_power: float) -> tuple[float, float]:

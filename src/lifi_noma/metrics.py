@@ -4,7 +4,7 @@ Downlink users go out when the access point cannot carry everyone below its
 total-power cap (highest-power users are shed first); uplink users go out
 individually when their own required power exceeds the per-device cap.
 Powers of ``inf`` mark users whose allocation was infeasible; they always
-count as outages.
+count as outages. A NaN or negative power, or a NaN cap, is refused.
 """
 
 from __future__ import annotations
@@ -37,6 +37,13 @@ def _link_outage(mask: np.ndarray) -> LinkOutage:
     return LinkOutage(k_out, k_out / len(mask) if len(mask) else 0.0)
 
 
+def _checked(powers: Sequence[float], cap: float) -> list[float]:
+    powers = list(map(float, powers))
+    if math.isnan(cap) or not all(map((0.0).__le__, powers)):  # 0 <= NaN is false too
+        raise ValueError(f"powers must be >= 0 and the cap not NaN, got {powers}, {cap}")
+    return powers
+
+
 def downlink_uop(powers: Sequence[float], max_total_power: float) -> LinkOutage:
     """Downlink outage from the access point's total-power cap: the users
     :func:`downlink_outage_mask` sheds."""
@@ -56,17 +63,17 @@ def downlink_outage_mask(powers: Sequence[float], max_total_power: float) -> np.
     power plus all smaller ones still exceeds the cap. Equivalently, the
     highest-power users are shed one by one until the remainder fits.
     """
-    order = sorted(range(len(powers)), key=lambda i: (-float(powers[i]), i))
+    powers = _checked(powers, max_total_power)
+    order = sorted(range(len(powers)), key=powers.__getitem__, reverse=True)  # stable
     mask = np.zeros(len(powers), dtype=bool)
     tail = 0.0
     for i in reversed(order):
-        tail += float(powers[i])
+        tail += powers[i]
         # infeasible (infinite) demands are outages even under an infinite cap
         mask[i] = tail > max_total_power or math.isinf(tail)
     return mask
 
 
 def uplink_outage_mask(powers: Sequence[float], max_user_power: float) -> np.ndarray:
-    return np.asarray(
-        [float(p) > max_user_power or math.isinf(float(p)) for p in powers], dtype=bool
-    )
+    powers = _checked(powers, max_user_power)
+    return np.asarray([p > max_user_power or math.isinf(p) for p in powers], dtype=bool)

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .allocation import UserPair, _alone, _check_gains, _check_inputs, _check_rates, _opa_powers
+from .allocation import MAX_RATE, UserPair, _alone, _check_inputs, _check_rates, _opa_powers
 # No pairing function calls these two; the benchmark's tracer (bench/spans.py)
 # looks each of them up on this module by name.
 from .allocation import opa_set, single_user_allocation  # noqa: F401
@@ -68,24 +68,26 @@ def _gain_array(gains) -> np.ndarray:
     if gains.ndim != 1:
         raise ValueError("the gain array must be 1-D")
     _check_user_count(len(gains))
-    _check_gains(*gains.tolist())
+    if not (gains >= 0.0).all():  # also false for NaN
+        raise ValueError(f"gains must be >= 0, got {tuple(gains.tolist())}")
     return gains
 
 
-def _population(rates_dl, rates_ul, gains) -> tuple[list[float], list[float], np.ndarray]:
-    """A population's checked rates, as lists of Python floats, and its checked gains."""
+def _population(rates_dl, rates_ul, gains) -> tuple[list[float], list[float], list[float]]:
+    """A population's checked rates and gains, as lists of Python floats."""
     if np.ndim(rates_dl) != 1 or np.shape(rates_dl) != np.shape(rates_ul):
         raise ValueError("rate arrays must be 1-D and equally shaped")
-    rates_dl, rates_ul = np.asarray((rates_dl, rates_ul), dtype=float).tolist()
-    for downlink, uplink in zip(rates_dl, rates_ul):
-        _check_rates(downlink=downlink, uplink=uplink)
+    rates = np.asarray((rates_dl, rates_ul), dtype=float)
+    if not ((rates >= 0.0) & (rates < MAX_RATE)).all():  # also false for NaN and inf
+        for downlink, uplink in zip(*rates.tolist()):  # the first bad value's message
+            _check_rates(downlink=downlink, uplink=uplink)
     gains = _gain_array(gains)
-    if len(rates_dl) != len(gains):
+    if rates.shape[1] != len(gains):
         raise ValueError("rates and gains must cover the same users")
-    return rates_dl, rates_ul, gains
+    return (*rates.tolist(), gains.tolist())
 
 
-def make_pair(a: int, b: int, gains: np.ndarray) -> UserPair:
+def make_pair(a: int, b: int, gains: Sequence[float]) -> UserPair:
     """Build a pair from two user indices, assigning far/near roles.
 
     The far role goes to the lower gain (one gain per user serves both
@@ -97,9 +99,9 @@ def make_pair(a: int, b: int, gains: np.ndarray) -> UserPair:
     return UserPair(far=a, near=b, h_far=float(gains[a]), h_near=float(gains[b]))
 
 
-def _pair_sorted(values: np.ndarray, gains: np.ndarray, method: str) -> PairingOutcome:
+def _pair_sorted(values: list[float], gains: list[float], method: str) -> PairingOutcome:
     # a stable sort keeps ties in index order; the last user of an odd count stays unpaired
-    order = sorted(range(len(values)), key=values.tolist().__getitem__)
+    order = sorted(range(len(values)), key=values.__getitem__)
     n = len(order) // 2
     unpaired = order[-1] if len(order) % 2 else None
     pairs = tuple(make_pair(order[i], order[n + i], gains) for i in range(n))
@@ -113,7 +115,7 @@ def pair_by_channel(gains) -> PairingOutcome:
     i-th pair joins the i-th weakest and the i-th strongest-of-the-weak-half
     partner. Ties keep the original index order.
     """
-    gains = _gain_array(gains)
+    gains = _gain_array(gains).tolist()
     return _pair_sorted(gains, gains, "channel")
 
 
@@ -133,7 +135,7 @@ def pair_by_qos(rates_dl, rates_ul, gains, key: str = "sum") -> PairingOutcome:
     Far/near roles inside each pair still follow the channel gains.
     """
     rates_dl, rates_ul, gains = _population(rates_dl, rates_ul, gains)
-    return _pair_sorted(-_qos_sort_values(rates_dl, rates_ul, key), gains, "qos")
+    return _pair_sorted((-_qos_sort_values(rates_dl, rates_ul, key)).tolist(), gains, "qos")
 
 
 def _opa_total(outcome: PairingOutcome, rd, ru, gains, noise_power) -> float:
@@ -144,8 +146,7 @@ def _opa_total(outcome: PairingOutcome, rd, ru, gains, noise_power) -> float:
         )
         total += far_dl + near_dl + far_ul + near_ul
     if (u := outcome.unpaired) is not None:
-        h = float(gains[u])
-        total += _alone(rd[u], h, noise_power) + _alone(ru[u], h, noise_power)
+        total += _alone(rd[u], gains[u], noise_power) + _alone(ru[u], gains[u], noise_power)
     return total
 
 
@@ -159,14 +160,20 @@ def opa_total_power(
 ) -> float:
     """System-wide minimum total power of a pairing under optimal allocation.
 
-    Pair totals are accumulated in pair order, then the unpaired user's two
-    standalone link powers are added; reproducing a total bit-exactly
-    requires the same order. A pairing with an infeasible member (a zero
-    gain, i.e. a user outside the FOV) needs unbounded power: ``inf``, as
-    does a gain whose square underflows.
+    The outcome must pair exactly the given population, at its gains: each
+    user once, in a pair or unpaired. Pair totals are accumulated in pair
+    order, then the unpaired user's two standalone link powers are added;
+    reproducing a total bit-exactly requires the same order. A pairing with
+    an infeasible member (a zero gain, i.e. a user outside the FOV) needs
+    unbounded power: ``inf``, as does a gain whose square underflows.
     """
     _check_inputs(noise_power)
-    return _opa_total(outcome, *_population(rates_dl, rates_ul, gains), noise_power)
+    rates_dl, rates_ul, gains = _population(rates_dl, rates_ul, gains)
+    users = {outcome.unpaired, *(u for p in outcome.pairs for u in (p.far, p.near))} - {None}
+    if len(users) != outcome.num_users or users != set(range(len(gains))) or any(
+            (p.h_far, p.h_near) != (gains[p.far], gains[p.near]) for p in outcome.pairs):
+        raise ValueError("the outcome must pair exactly the given users, at their gains")
+    return _opa_total(outcome, rates_dl, rates_ul, gains, noise_power)
 
 
 def adaptive_pairing(
@@ -187,7 +194,7 @@ def adaptive_pairing(
     _check_inputs(noise_power)
     rates_dl, rates_ul, gains = population = _population(rates_dl, rates_ul, gains)
     by_channel = _pair_sorted(gains, gains, "channel")
-    by_qos = _pair_sorted(-_qos_sort_values(rates_dl, rates_ul, key), gains, "qos")
+    by_qos = _pair_sorted((-_qos_sort_values(rates_dl, rates_ul, key)).tolist(), gains, "qos")
     total_channel = _opa_total(by_channel, *population, noise_power)
     total_qos = _opa_total(by_qos, *population, noise_power)
     if total_channel <= total_qos * (1.0 + 1e-12):

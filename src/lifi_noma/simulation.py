@@ -782,7 +782,7 @@ def _default_sweep_values(config: ScenarioConfig) -> tuple[float, ...]:
             [f"sweep_values: the default {config.sweep_mode} grid would have {count} points, "
              f"outside [1, {_MAX_DEFAULT_POINTS}]; give sweep_values"]
         )
-    return tuple(np.linspace(first, last, count))
+    return tuple(np.linspace(first, last, count).tolist())
 
 
 def two_user_sweep(config: ScenarioConfig) -> list[CampaignSummary]:
@@ -797,26 +797,22 @@ def two_user_sweep(config: ScenarioConfig) -> list[CampaignSummary]:
     four per-link rates equal ``sweep_rate``. Each sweep point is one row of
     a chunk; EE counts all four rates whatever ``ee_served_only`` says.
     """
-    mode = config.sweep_mode
     values = config.sweep_values or _default_sweep_values(config)
-    far = np.array(values, dtype=float)
-    vertical, horizontal = np.zeros((2, len(far), 2))  # a row per point: near user, far user
-    if mode == "horizontal":
-        vertical[:], horizontal[:, 1] = config.l_max, far
+    if config.sweep_mode == "horizontal":
+        parameter, near = "r_far", UserPosition(config.l_max, 0.0)
+        far = [UserPosition(config.l_max, v) for v in values]
     else:
+        parameter, near = "l_far", UserPosition(config.l_min, 0.0)
         # clamped to a finite position: where r overflows, the gain is 0
         # either way (out of the FOV, or l * l overflows too)
-        with np.errstate(over="ignore"):
-            np.minimum(config.r_max * far / config.l_max, sys.float_info.max, out=horizontal[:, 1])
-        vertical[:, 0], vertical[:, 1] = config.l_min, far
-    rates = np.full_like(vertical, config.sweep_rate)
-    factors = np.full_like(vertical, _rate_factor(config.sweep_rate))
-    points = _Population(vertical, horizontal, np.zeros_like(vertical), rates, rates, factors, factors)
+        far = [UserPosition(v, min(config.r_max * v / config.l_max, sys.float_info.max))
+               for v in values]
+    qos = QosRates(config.sweep_rate, config.sweep_rate)
+    points = _population_of([[UserNode(near, qos), UserNode(f, qos)] for f in far])  # a row per point
     # channel pairing of two users is their one pair, roles by gain
     pair_config = replace(config, num_users=2, trials=1, pairings=("channel",),
                           ee_served_only=False)
     cell = _evaluate(pair_config, points, *_base_caps(config))[0]["channel"]
-    parameter = "r_far" if mode == "horizontal" else "l_far"
     return [_summary(pair_config, {(s.value, "none"): CellSummary(ee, total, None, None)
                                    for s, ee, total in zip(config.strategies, ees, totals)},
                      sweep_parameter=parameter, sweep_value=float(value))

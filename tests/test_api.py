@@ -1,13 +1,18 @@
 """The documented surface: ``lifi_noma.__all__`` and the scenario keys
-against the README's list and key table."""
+against the README's list and key table, and the scalar modules' independence
+from the engine."""
 
+import ast
 import re
 from pathlib import Path
+
+import pytest
 
 import lifi_noma
 from lifi_noma import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+PACKAGE = Path(lifi_noma.__file__).resolve().parent
 
 
 def readme_lower_level_names() -> set[str]:
@@ -38,3 +43,16 @@ def readme_scenario_keys() -> set[str]:
 def test_readme_key_table_lists_exactly_the_scenario_keys():
     listed = readme_scenario_keys()
     assert listed == set(cli._KEYS), sorted(listed ^ set(cli._KEYS))
+
+
+@pytest.mark.parametrize("module", ["allocation", "pairing", "metrics", "channel"])
+def test_the_scalar_forms_import_nothing_from_the_engine(module):
+    # the closed forms are the engine's test oracle, so they must not call the array code
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported.update(part for alias in node.names for part in alias.name.split("."))
+        elif isinstance(node, ast.ImportFrom):
+            imported.update((node.module or "").split("."))
+            imported.update(alias.name for alias in node.names)
+    assert imported.isdisjoint({"simulation", "streams", "workers", "cli"}), imported

@@ -135,3 +135,20 @@ class TestOutageMasks:
     def test_uplink_mask(self):
         mask = uplink_outage_mask([0.5, 3.0, math.inf], 2.0)
         assert list(mask) == [False, True, True]
+
+
+@pytest.mark.parametrize("uop, powers, cap", [
+    (downlink_uop, [1.0, math.nan, 2.0], 2.5),  # 1 + 2 alone exceed the cap
+    (downlink_uop, [math.nan], 0.0),
+    (downlink_uop, [1.0, -1.0], 3.0),
+    (downlink_uop, [1.0], math.nan),
+    (uplink_uop, [-1.0], 0.5),
+    (uplink_uop, [math.nan], math.inf),
+    (uplink_uop, [-math.inf], math.inf),
+    (uplink_uop, [1.0], math.nan),
+], ids=["dl-nan-among-feasible", "dl-nan-alone", "dl-negative", "dl-nan-cap",
+        "ul-negative", "ul-nan", "ul-minus-inf", "ul-nan-cap"])
+def test_a_nan_or_negative_power_or_a_nan_cap_is_refused(uop, powers, cap):
+    # no NaN counts as served; inf still marks an infeasible demand, and an inf cap no cap
+    with pytest.raises(ValueError, match=r"^powers must be >= 0 and the cap not NaN, got \["):
+        uop(powers, cap)

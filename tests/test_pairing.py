@@ -26,7 +26,14 @@ from lifi_noma import (
     sample_users,
     single_user_allocation,
 )
-from lifi_noma.pairing import QOS_SORT_KEYS, _qos_sort_values, make_pair, opa_total_power
+from lifi_noma.allocation import MAX_RATE, UserPair
+from lifi_noma.pairing import (
+    QOS_SORT_KEYS,
+    PairingOutcome,
+    _qos_sort_values,
+    make_pair,
+    opa_total_power,
+)
 from lifi_noma.simulation import PAIRING_METHODS
 
 PZ = 2e-15
@@ -214,6 +221,7 @@ def test_pairing_and_engine_share_the_user_count_rule():
 
 
 ZERO_FIRST = [0.0, 1e-6, 2e-6, 3e-6]  # pair (0, 2) needs unbounded power
+FOUR = [1e-6, 2e-6, 3e-6, 4e-6]
 BAD_RATES = [(math.nan, "must be finite, got nan"), (-1.0, r"must lie in \[0, 256\), got -1.0"),
              (300.0, r"must lie in \[0, 256\), got 300.0"),
              (1e9, r"must lie in \[0, 256\), got 1000000000.0")]
@@ -246,6 +254,16 @@ def bad_rate_case(entry, link, rate, message):
 def test_a_population_entry_point_refuses_a_bad_rate_or_gain(call, message):
     # checked where the population enters, before any pair is costed, so
     # neither an earlier infinite pair nor the unpaired slot hides the value
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    bad_rate_case(entry, link, MAX_RATE, r"must lie in \[0, 256\), got 256.0")
+    for entry in POPULATION_ENTRIES for link in ("downlink", "uplink")
+])
+def test_a_population_entry_point_refuses_the_rate_bound_itself(call, message):
+    # the range is half-open: from MAX_RATE on, OMA's factor overflows
     with pytest.raises(ValueError, match=message):
         call()
 
@@ -326,6 +344,23 @@ class TestOpaTotalPower:
                     want += p_dl + p_ul
                 got = opa_total_power(out, rates_dl, rates_ul, gains, noise_power=PZ)
                 assert got == want, (case, out.method)
+
+    @pytest.mark.parametrize("outcome", [
+        pytest.param(pair_by_channel(FOUR[:2]), id="two-of-four-users"),
+        pytest.param(pair_by_channel([5e-6, 6e-6, 7e-6, 8e-6]), id="other-gains"),
+        pytest.param(pair_by_channel([*FOUR, 5e-6]), id="five-users"),
+        pytest.param(PairingOutcome((UserPair(0, 1, 1e-6, 2e-6), UserPair(0, 3, 1e-6, 4e-6)),
+                                    "channel"), id="a-user-twice"),
+        pytest.param(PairingOutcome((UserPair(1, 0, 1e-6, 2e-6), UserPair(2, 3, 3e-6, 4e-6)),
+                                    "channel"), id="roles-swapped"),
+        pytest.param(PairingOutcome((UserPair(0, 1, 1e-6, 2e-6),), "channel", unpaired=2),
+                     id="a-user-missing"),
+    ])
+    def test_refuses_an_outcome_that_is_not_a_pairing_of_its_population(self, outcome):
+        # pairs are costed at the outcome's gains and the unpaired user at the
+        # population's, so a foreign outcome would be priced at the wrong users
+        with pytest.raises(ValueError, match="^the outcome must pair exactly the given users"):
+            opa_total_power(outcome, [1.0] * 4, [1.0] * 4, FOUR, noise_power=PZ)
 
     @pytest.mark.parametrize("gains", [[0.0, 1e-6, 2e-6, 3e-6], [1e-6, 2e-6, 0.0]])
     def test_zero_gain_makes_the_total_infinite(self, gains):
