@@ -188,26 +188,13 @@ def load_scenario(path) -> ScenarioConfig:
     return ScenarioConfig(**config)
 
 
-def _format_cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)  # an infinite mean stays "inf", not "not applicable"
-    return str(value)
-
-
-def _summary_rows(summaries: list[CampaignSummary]) -> list[list[str]]:
-    rows = []
-    for summary in summaries:
-        # the columns a summary shares across its cells, formatted once
-        head, tail = ([_format_cell(value) for value in values] for values in (
-            (summary.scenario_id, summary.sweep_parameter, summary.sweep_value),
-            (summary.trials, summary.seed, __version__)))
-        rows += [head + [_format_cell(value) for value in (
-                    strategy, pairing, cell.mean_ee, cell.mean_total_power, cell.mean_uop_dl,
-                    cell.mean_uop_ul)] + tail
-                 for (strategy, pairing), cell in summary.cells.items()]
-    return rows
+def _summary_rows(summaries: list[CampaignSummary]) -> list[list]:
+    # the csv writer formats each cell: None as an empty field (not applicable), a float
+    # by repr (so an infinite mean stays "inf") and anything else by str
+    return [[summary.scenario_id, summary.sweep_parameter, summary.sweep_value, strategy,
+             pairing, cell.mean_ee, cell.mean_total_power, cell.mean_uop_dl, cell.mean_uop_ul,
+             summary.trials, summary.seed, __version__]
+            for summary in summaries for (strategy, pairing), cell in summary.cells.items()]
 
 
 def _jsonable(value):

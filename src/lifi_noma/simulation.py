@@ -597,19 +597,22 @@ def _evaluate(
     chunk = _Chunk(config, population, caps_dl, caps_ul)
     del population  # the chunk holds what it reads: a draw handed over unnamed is freed
     adaptive = "adaptive" in config.pairings
-    slots = {m: chunk.slots(m) for m in ("channel", "qos") if adaptive or m in config.pairings}
-    powers = {m: chunk.powers(s) for m, s in slots.items() if m in config.pairings}
-    cells, used_qos = {}, None
-    if adaptive:
-        channel, qos = (powers[m].opa_total if m in powers else chunk.opa(slots[m])[-1]
-                        for m in ("channel", "qos"))
-        used_qos = ~(channel <= qos * (1.0 + 1e-12))
-        if len(powers) == 2:
-            cells = {m: chunk.outcome(powers[m]) for m in powers}
-            cells["adaptive"] = _pick(used_qos, cells["qos"], cells["channel"])
-        else:  # adaptive pairing's slots first, then its powers and outcome once
-            powers["adaptive"] = chunk.powers(np.where(used_qos, slots["qos"], slots["channel"]))
-    cells = {name: cells.get(name) or chunk.outcome(powers[name]) for name in config.pairings}
+    # finite powers may sum past the largest float: the sum is inf, as a scalar sum is
+    with np.errstate(over="ignore"):
+        slots = {m: chunk.slots(m) for m in ("channel", "qos") if adaptive or m in config.pairings}
+        powers = {m: chunk.powers(s) for m, s in slots.items() if m in config.pairings}
+        cells, used_qos = {}, None
+        if adaptive:
+            channel, qos = (powers[m].opa_total if m in powers else chunk.opa(slots[m])[-1]
+                            for m in ("channel", "qos"))
+            used_qos = ~(channel <= qos * (1.0 + 1e-12))
+            if len(powers) == 2:
+                cells = {m: chunk.outcome(powers[m]) for m in powers}
+                cells["adaptive"] = _pick(used_qos, cells["qos"], cells["channel"])
+            else:  # adaptive pairing's slots first, then its powers and outcome once
+                powers["adaptive"] = chunk.powers(np.where(used_qos, slots["qos"],
+                                                           slots["channel"]))
+        cells = {name: cells.get(name) or chunk.outcome(powers[name]) for name in config.pairings}
     return cells, powers, used_qos
 
 
@@ -684,6 +687,7 @@ def _trial_ranges(trials: int, workers: int, size: int) -> list[range]:
     return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
+@np.errstate(over="ignore")  # as in _evaluate
 def _sums_in_trial_order(parts: Iterable[np.ndarray], columns: int) -> np.ndarray:
     # trial after trial, as a running float sum: the fixed order keeps the
     # means bit-identical for any worker count and chunking

@@ -291,6 +291,18 @@ class TestCliRuns:
         # an infinite mean is written as such, not as the empty "not applicable"
         assert all(r["mean_total_power"] == "inf" for r in rows)
 
+    def test_the_csv_writer_keeps_a_floats_sign_and_every_digit(self, tmp_path):
+        # the writer writes a float by repr, None as an empty field and an int by str
+        config = ScenarioConfig(num_users=2, trials=1, seed=9, strategies=(Strategy.OPA,),
+                                sweep_mode="horizontal", sweep_values=(-0.0, 0.1 + 0.2))
+        text = run("sweep-two-user", config, tmp_path / "cells.csv").read_text()
+        rows = list(csv.DictReader(text.splitlines()))
+        assert [r["sweep_value"] for r in rows] == ["-0.0", "0.30000000000000004"]
+        assert all(r["mean_uop_dl"] == r["mean_uop_ul"] == "" for r in rows)
+        assert all((r["trials"], r["seed"]) == ("1", "9") for r in rows)
+        assert text.splitlines()[1].startswith("scenario,r_far,-0.0,opa,none,")
+        assert text.splitlines()[1].endswith(f",,,1,9,{lifi_noma.__version__}")
+
     @pytest.mark.skipif(sys.platform != "linux", reason="the engine forks on Linux only")
     def test_pool_never_outnumbers_its_tasks(self, tmp_path, monkeypatch):
         # the caller evaluates the first share itself and forks one process

@@ -549,6 +549,29 @@ class TestCampaigns:
             for strategy in ("ngdpa", "grpa", "oma"):
                 assert best >= cells[(strategy, "adaptive")].ee
 
+    def test_finite_slot_powers_that_sum_past_the_largest_float_total_inf(self):
+        # OMA's slot powers are finite here, and their sum is not
+        config = ScenarioConfig(num_users=6, trials=1, seed=168, qos_set=(253.0,), l_min=1.0,
+                                l_max=1.25, pairings=("channel",),
+                                front_end=OpticalFrontEnd(semi_angle_deg=21.0,
+                                                          fov_half_angle_deg=66.0))
+        oma = evaluate_population(config, sample_users(config, 0))[("oma", "channel")]
+        powers = oma.dl_powers + oma.ul_powers
+        assert all(map(math.isfinite, powers)) and sum(powers) == math.inf
+        assert oma.total_power == math.inf
+        assert run_campaign(config).cells[("oma", "channel")].mean_total_power == math.inf
+
+    def test_finite_totals_that_sum_past_the_largest_float_average_to_inf(self):
+        config = ScenarioConfig(num_users=2, trials=2, seed=38, qos_set=(255.0,),
+                                strategies=(Strategy.OPA,), pairings=("channel",),
+                                front_end=OpticalFrontEnd(area=1e-6))
+        totals = [evaluate_population(config, sample_users(config, trial))[("opa", "channel")]
+                  .total_power for trial in range(2)]
+        assert all(map(math.isfinite, totals)) and sum(totals) == math.inf
+        for workers in (1, 2):
+            summary = run_campaign(config, workers=workers)
+            assert summary.cells[("opa", "channel")].mean_total_power == math.inf
+
 
 class TestChunkSize:
     """A chunk holds CHUNK trials, doubled while a ``(users, strategies, trials)``
